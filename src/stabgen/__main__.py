@@ -1,0 +1,8 @@
+"""``python -m stabgen``: the command-line interface of ``stabgen.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

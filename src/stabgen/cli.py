@@ -12,17 +12,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, config_as_dict, parse_config
-from .dataset import (compute_metrics, importances_by_depth, read_dataset,
+from .dataset import (_fmt, compute_metrics, importances_by_depth, read_dataset,
                       write_dataset, write_metrics, write_tree)
 from .explorer import explore
 from .grid import FIXTURES, GridError, IBR, get_fixture, load_grid
 from .smallsignal import (ConverterUnit, GfolParams, GforParams, admittance_scan,
                           aggregate_ibrs, terminal_model)
-from .space import build_space
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+from .space import P_D, build_space
 
 
 def _load_grid_arg(name: str):
@@ -61,15 +57,25 @@ def run_generate(config_path: str) -> int:
 
 
 def run_report(dataset_path: str, out_dir: str | None = None) -> int:
+    """Per-depth series of a dataset, with the forest settings of its manifest."""
+    manifest = Path(dataset_path).parent / "manifest.json"
     try:
         rows, _cols = read_dataset(dataset_path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        run = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+        forest = (run["forest_trees"], run["forest_depth"], run["seed"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot read the forest settings from {manifest}: {exc!r}",
+              file=sys.stderr)
+        return 2
     out = Path(out_dir or Path(dataset_path).parent)
     out.mkdir(parents=True, exist_ok=True)
-    dim_names = sorted(rows[0].dims) if rows else []
-    metrics = compute_metrics(rows, dim_names)
+    # The independent dimensions in file order, as generate's features.
+    dim_names = [d for d in rows[0].dims if d != P_D] if rows else []
+    metrics = compute_metrics(rows, dim_names, *forest)
     with open(out / "rates_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["depth", "feasible_mean", "feasible_std", "infeasible_mean",
@@ -87,9 +93,7 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
         w = csv.writer(fh)
         w.writerow(["depth", "accuracy_mean", "accuracy_std"])
         for m in metrics:
-            w.writerow([m.depth,
-                        "" if m.accuracy_mean is None else _fmt(m.accuracy_mean),
-                        "" if m.accuracy_std is None else _fmt(m.accuracy_std)])
+            w.writerow([m.depth, _fmt(m.accuracy_mean), _fmt(m.accuracy_std)])
     print(f"wrote report series to {out}")
     return 0
 

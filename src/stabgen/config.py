@@ -9,17 +9,20 @@ Example::
     use_sensitivity=true
     control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
 
-Unknown keys are rejected.  The worker count can be overridden with the
-STABGEN_WORKERS environment variable.
+``workers``, the assessment thread-pool size, can be overridden with the
+STABGEN_WORKERS environment variable.  Each ``control_params`` name must be
+a field of ``GforParams`` and/or ``GfolParams``.  Unknown keys, bad values
+and out-of-range settings raise ConfigError at parse time.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .explorer import ExplorationConfig
+from .smallsignal import GfolParams, GforParams
 
 
 class ConfigError(ValueError):
@@ -27,6 +30,8 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONTROL_PARAMS = (("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0))
+CONTROL_PARAM_NAMES = frozenset(f.name for cls in (GforParams, GfolParams)
+                                for f in fields(cls))
 
 
 @dataclass
@@ -60,7 +65,13 @@ def _parse_control(value: str) -> tuple[tuple[str, float, float], ...]:
         bits = part.split(":")
         if len(bits) != 3:
             raise ConfigError(f"control parameter {part!r} must be name:lo:hi")
-        out.append((bits[0], float(bits[1]), float(bits[2])))
+        name, lo, hi = bits[0], float(bits[1]), float(bits[2])
+        if name not in CONTROL_PARAM_NAMES:
+            raise ConfigError(f"control parameter {name!r} is not a field of "
+                              f"GforParams or GfolParams")
+        if not 0 < lo < hi:  # every converter parameter must be positive
+            raise ConfigError(f"control parameter {name!r} needs 0 < lo < hi")
+        out.append((name, lo, hi))
     return tuple(out)
 
 
@@ -107,19 +118,19 @@ def parse_config(path: str | Path) -> RunConfig:
             cfg.exploration.workers = int(env_workers)
         except ValueError:
             raise ConfigError(f"STABGEN_WORKERS must be an integer, got {env_workers!r}")
+    e = cfg.exploration
+    for ok, rule in ((e.workers >= 1, "workers >= 1 (key or STABGEN_WORKERS)"),
+                     (e.n_samples >= 1, "n_samples >= 1"),
+                     (e.n_cases >= 1, "n_cases >= 1"),
+                     (e.max_depth >= 0, "max_depth >= 0"),
+                     (0 < e.load_pf <= 1, "0 < load_pf <= 1")):
+        if not ok:
+            raise ConfigError(f"{p}: out of range, need {rule}")
     return cfg
 
 
 def config_as_dict(cfg: RunConfig) -> dict:
-    out = {"grid": cfg.grid, "out_dir": cfg.out_dir,
-           "control_params": [list(c) for c in cfg.control_params]}
-    for f in fields(ExplorationConfig):
-        v = getattr(cfg.exploration, f.name)
-        if f.name in ("sg_params", "gfor_params", "gfol_params"):
-            v = vars(v).copy() if hasattr(v, "__dict__") else str(v)
-            out[f.name] = {k: val for k, val in v.items()} if isinstance(v, dict) else v
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        else:
-            out[f.name] = v
-    return out
+    """JSON-ready form of ``cfg``, as written to ``manifest.json``."""
+    return {"grid": cfg.grid, "out_dir": cfg.out_dir,
+            "control_params": [list(c) for c in cfg.control_params],
+            **asdict(cfg.exploration)}

@@ -1,9 +1,9 @@
-"""Recursive operating-space exploration.
+"""Breadth-first operating-space exploration, one depth at a time.
 
-Each exploration task samples its cell, fans the stability assessments out
-to a shared worker pool, evaluates entropy and the cutoff criteria, picks
-split dimensions (fixed list or forest-importance ranking), bisects, and
-recurses into the children.  Determinism comes from seed keying on
+All frontier cells are sampled, the depth's points assessed in one map over
+a pool of ``workers`` threads; then each cell in turn gets entropy, cutoffs,
+split dimensions (fixed list or forest-importance ranking) and children for
+the next frontier.  Determinism comes from seed keying on
 (seed, cell path, sample index, case index), never from execution order.
 """
 
@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .feasibility import (FEASIBLE, FeasibilityVerdict, PowerFlowSolution,
-                          adjust_to_feasible)
+from .feasibility import FEASIBLE, FeasibilityVerdict, adjust_to_feasible
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
@@ -182,6 +181,12 @@ def choose_split_dims(node: ExplorationNode, config: ExplorationConfig,
     return fixed[:config.dims_per_node]
 
 
+def _with_controls(params, dim_values: dict[str, float]):
+    """``params`` with each field that names a sampled dimension set to its value."""
+    return replace(params, **{f.name: dim_values[f.name] for f in fields(params)
+                              if f.name in dim_values})
+
+
 def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
            depth: int) -> LabeledRecord:
     """Stability assessment of one sampled operating point (pure task)."""
@@ -190,17 +195,8 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
                                                 load_pf=config.load_pf)
     stability: StabilityVerdict | None = None
     if verdict.status == FEASIBLE:
-        gfor = config.gfor_params
-        gfol = config.gfol_params
-        cd = adjusted.dim_values
-        if "tau_u" in cd:
-            gfor = GforParams(gfor.k_p, gfor.k_q, cd["tau_u"], gfor.tau_w)
-            gfol = GfolParams(gfol.pll_kp, gfol.pll_ki, gfol.t_p, gfol.k_f,
-                              gfol.k_v, cd["tau_u"], gfol.tau_w)
-        if "tau_w" in cd:
-            gfor = GforParams(gfor.k_p, gfor.k_q, gfor.tau_u, cd["tau_w"])
-            gfol = GfolParams(gfol.pll_kp, gfol.pll_ki, gfol.t_p, gfol.k_f,
-                              gfol.k_v, gfol.tau_u, cd["tau_w"])
+        gfor = _with_controls(config.gfor_params, adjusted.dim_values)
+        gfol = _with_controls(config.gfol_params, adjusted.dim_values)
         load_mw = {ld.bus: adjusted.var_values.get(f"P_L_{ld.bus}", 0.0)
                    for ld in grid.loads}
         try:
@@ -216,18 +212,20 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
                          sol.iterations, ms if config.record_timing else None)
 
 
-class _Progress:
-    def __init__(self, stream=None):
-        self.lock = threading.Lock()
-        self.cells = 0
-        self.stream = stream if stream is not None else sys.stderr
-
-    def report(self, node: ExplorationNode):
-        with self.lock:
-            self.cells += 1
-            print(f"depth={node.depth} cells={self.cells} "
-                  f"feasible={100 * node.feasible_rate:.1f} "
-                  f"entropy={node.entropy:.4f}", file=self.stream)
+def _bisect(cell: Subregion, dims: list[str],
+            min_tolerance_frac: float) -> list[Subregion]:
+    """Midpoint-split ``cell`` along each of ``dims`` in turn; a piece whose
+    halves would fall below the tolerance floor stays whole on that dim."""
+    cells = [cell]
+    for d in dims:
+        nxt = []
+        for c in cells:
+            try:
+                nxt.extend(split(c, d, min_tolerance_frac))
+            except ToleranceFloorError:
+                nxt.append(c)
+        cells = nxt
+    return cells
 
 
 def _update_stats(node: ExplorationNode):
@@ -244,62 +242,48 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
 
     Every assessed sample appears exactly once in the output (keyed by its
     origin cell path and sample/case indices); inherited samples are reused,
-    never re-assessed.
+    never re-assessed.  Any exception raised while sampling, assessing or
+    splitting a cell propagates to the caller.
     """
+    stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []
-    records_lock = threading.Lock()
-    progress = _Progress(progress_stream)
-    pool = ThreadPoolExecutor(max_workers=max(1, config.workers))
-
-    def run_node(node: ExplorationNode, inherited: list[LabeledRecord],
-                 parent_entropy: float | None):
-        points = hierarchical_sample(
-            node.cell, config.n_samples, config.n_cases, grid, space,
-            config.seed, config.loss_factor, config.dev_bound,
-            config.randomize_loads)
-        futures = [pool.submit(assess, grid, op, node.cell, config, node.depth)
-                   for op in points]
-        new_records = [f.result() for f in futures]
-        with records_lock:
-            all_records.extend(new_records)
-        node.records = inherited + new_records
-        _update_stats(node)
-        progress.report(node)
-        node.stop_reason = should_stop(node, parent_entropy, config, space)
-        if node.stop_reason is not None:
-            return
-        dims = choose_split_dims(node, config, space)
-        if not dims:
-            node.stop_reason = STOP_TOLERANCE_FLOOR
-            return
-        cells = [node.cell]
-        for d in dims:
-            nxt = []
-            for c in cells:
-                try:
-                    nxt.extend(split(c, d, config.min_tolerance_frac))
-                except ToleranceFloorError:
-                    nxt.append(c)
-            cells = nxt
-        if len(cells) == 1:
-            node.stop_reason = STOP_TOLERANCE_FLOOR
-            return
-        threads = []
-        for c in cells:
-            child = ExplorationNode(cell=c)
-            node.children.append(child)
-            handed = [r for r in node.records if contains(c, r.op)]
-            t = threading.Thread(target=run_node,
-                                 args=(child, handed, node.entropy))
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-
-    try:
-        run_node(root, [], None)
-    finally:
-        pool.shutdown(wait=True)
+    cells_done = 0
+    frontier: list[tuple[ExplorationNode, float | None]] = [(root, None)]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        while frontier:
+            points = [hierarchical_sample(
+                node.cell, config.n_samples, config.n_cases, grid, space,
+                config.seed, config.loss_factor, config.dev_bound,
+                config.randomize_loads) for node, _ in frontier]
+            owners = [node for (node, _), pts in zip(frontier, points) for op in pts]
+            assessed = pool.map(assess, repeat(grid), chain.from_iterable(points),
+                                [node.cell for node in owners], repeat(config),
+                                [node.depth for node in owners])
+            next_frontier = []
+            for (node, parent_entropy), pts in zip(frontier, points):
+                new_records = list(islice(assessed, len(pts)))
+                all_records.extend(new_records)
+                node.records += new_records
+                _update_stats(node)
+                cells_done += 1
+                print(f"depth={node.depth} cells={cells_done} "
+                      f"feasible={100 * node.feasible_rate:.1f} "
+                      f"entropy={node.entropy:.4f}", file=stream)
+                node.stop_reason = should_stop(node, parent_entropy, config, space)
+                if node.stop_reason is not None:
+                    continue
+                cells = _bisect(node.cell, choose_split_dims(node, config, space),
+                                config.min_tolerance_frac)
+                if len(cells) == 1:
+                    node.stop_reason = STOP_TOLERANCE_FLOOR
+                    continue
+                for c in cells:
+                    # The child inherits the parent's samples that fall inside it.
+                    child = ExplorationNode(
+                        cell=c, records=[r for r in node.records if contains(c, r.op)])
+                    node.children.append(child)
+                    next_frontier.append((child, node.entropy))
+            frontier = next_frontier
     all_records.sort(key=lambda r: (r.cell_path, r.op.sample_index, r.op.case_index))
     return root, all_records

@@ -177,14 +177,8 @@ class GridModel:
     def bus(self, bus_id: int) -> Bus:
         return next(b for b in self.buses if b.id == bus_id)
 
-    def groups_at(self, bus_id: int) -> list[GenGroup]:
-        return [g for g in self.gen_groups if g.bus == bus_id]
-
     def groups_of(self, tech: str) -> list[GenGroup]:
         return [g for g in self.gen_groups if g.tech == tech]
-
-    def load_at(self, bus_id: int) -> float:
-        return sum(ld.participation for ld in self.loads if ld.bus == bus_id)
 
 
 def build_admittance(grid: GridModel) -> np.ndarray:

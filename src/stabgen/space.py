@@ -73,9 +73,6 @@ class OperatingSpaceSpec:
                 return d
         raise SpaceError(f"unknown dimension {name!r}")
 
-    def variables_of(self, dimension: str) -> tuple[VariableSpec, ...]:
-        return tuple(v for v in self.variables if v.parent_dimension == dimension)
-
     def root_cell(self) -> "Subregion":
         bounds = {d.name: (d.lo, d.hi) for d in self.independent}
         return Subregion(bounds=bounds, initial=bounds, depth=0, path="R")

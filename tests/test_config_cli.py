@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stabgen
 from stabgen.cli import main, run_report, run_scan
 from stabgen.config import ConfigError, config_as_dict, parse_config
 from stabgen.dataset import read_dataset
@@ -85,6 +88,31 @@ def test_workers_env_override(tmp_path, monkeypatch):
         parse_config(_write_cfg(tmp_path))
 
 
+@pytest.mark.parametrize("extra, env_workers", [
+    ("workers=0\n", None),
+    ("", "0"),
+    ("n_samples=0\n", None),
+    ("n_cases=0\n", None),
+    ("max_depth=-1\n", None),
+    ("load_pf=1.5\n", None),
+    ("load_pf=0\n", None),
+    ("control_params=tau_u:1.0:0.01\n", None),    # lo >= hi
+    ("control_params=tau_u:0.5:0.5\n", None),
+    ("control_params=tau_u:-1.0:1.0\n", None),    # converter params are > 0
+    ("control_params=gain:0.1:1.0\n", None),      # no such controller field
+])
+def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path,
+                                                    monkeypatch):
+    if env_workers is not None:
+        monkeypatch.setenv("STABGEN_WORKERS", env_workers)
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, FAST_CFG + extra, out_dir=str(out_dir))
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+
+
 def test_config_as_dict_serializable(tmp_path):
     cfg = parse_config(_write_cfg(tmp_path))
     json.dumps(config_as_dict(cfg))
@@ -112,6 +140,56 @@ def test_generate_then_report(tmp_path, capsys):
     with open(rep_dir / "rates_vs_depth.csv", newline="") as fh:
         rates = list(csv.DictReader(fh))
     assert rates and all(0.0 <= float(r["feasible_mean"]) <= 1.0 for r in rates)
+
+
+# The report/generate parity configuration of the benchmark: three depths,
+# a small forest and a seed that differ from report's former defaults.
+PARITY_CFG = """\
+fixture=3bus
+n_samples=40
+n_cases=2
+max_depth=3
+entropy_decrease_threshold=0.01
+min_feasible_rate=0.05
+use_sensitivity=true
+control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
+eps_margin=1e-06
+dev_bound=0.02
+load_pf=0.98
+loss_factor=0.97
+forest_trees=5
+forest_depth=2
+workers=1
+seed=0
+"""
+
+
+def test_report_accuracy_equals_generate_metrics(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, PARITY_CFG, out_dir=str(out_dir))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    rep_dir = tmp_path / "report"
+    assert main(["report", "--dataset", str(out_dir / "dataset.csv"),
+                 "--out", str(rep_dir)]) == 0
+    with open(out_dir / "metrics.csv", newline="") as fh:
+        want = [(r["depth"], r["accuracy_mean"], r["accuracy_std"])
+                for r in csv.DictReader(fh)]
+    with open(rep_dir / "accuracy_vs_depth.csv", newline="") as fh:
+        got = [(r["depth"], r["accuracy_mean"], r["accuracy_std"])
+               for r in csv.DictReader(fh)]
+    assert any(acc for _, acc, _ in want)
+    assert got == want
+
+
+def test_report_without_manifest_exit_code(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, out_dir=str(out_dir))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    manifest = out_dir / "manifest.json"
+    manifest.write_text("{not json", encoding="utf-8")
+    assert main(["report", "--dataset", str(out_dir / "dataset.csv")]) == 2
+    manifest.unlink()
+    assert main(["report", "--dataset", str(out_dir / "dataset.csv")]) == 2
 
 
 def test_generate_bad_config_exit_code(tmp_path):
@@ -149,7 +227,11 @@ def test_scan_error_exit_codes(args, tmp_path):
 
 
 def test_module_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "stabgen.cli", "--version"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip()
+    src = str(Path(stabgen.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("stabgen.cli", "stabgen"):
+        proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == stabgen.__version__

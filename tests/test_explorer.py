@@ -5,12 +5,15 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from stabgen import explorer
+from stabgen.cli import main
 from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               STOP_ENTROPY_DECREASE, STOP_MAX_DEPTH,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
-                              STOP_ZERO_ENTROPY, assess, choose_split_dims,
-                              entropy, explore, should_stop)
+                              STOP_ZERO_ENTROPY, _with_controls, assess,
+                              choose_split_dims, entropy, explore, should_stop)
 from stabgen.grid import fixture_3bus
+from stabgen.smallsignal import GfolParams, GforParams
 from stabgen.space import OperatingPoint, Subregion, build_space, contains
 
 from oracles import binary_entropy
@@ -147,6 +150,14 @@ def test_assess_record_shape():
     assert timed.assess_ms is not None and timed.assess_ms > 0
 
 
+def test_control_dimensions_reach_converter_params():
+    dims = {"P_SG": 150.0, "k_p": 3.0, "tau_w": 0.2, "pll_kp": 40.0}
+    gfor = _with_controls(GforParams(), dims)
+    gfol = _with_controls(GfolParams(), dims)
+    assert gfor == GforParams(k_p=3.0, tau_w=0.2)
+    assert gfol == GfolParams(pll_kp=40.0, tau_w=0.2)
+
+
 def _walk(node):
     yield node
     for c in node.children:
@@ -213,3 +224,53 @@ def test_explore_inherits_parent_samples():
     assert child_paths <= {f"R.{d}_{s}" for d in ("P_SG", "P_IBR")
                            for s in "LH"} | {
         f"R.P_SG_{a}.P_IBR_{b}" for a in "LH" for b in "LH"}
+
+
+# -- failures surface ---------------------------------------------------------
+
+FAILING_CELL = "R.P_SG_L"  # a depth-1 child under split_dims_per_node=1
+
+
+class _InjectedFailure(RuntimeError):
+    pass
+
+
+def _fail_sampling(monkeypatch):
+    real = explorer.hierarchical_sample
+
+    def sample(cell, *args, **kwargs):
+        if cell.path == FAILING_CELL:
+            raise _InjectedFailure(cell.path)
+        return real(cell, *args, **kwargs)
+
+    monkeypatch.setattr(explorer, "hierarchical_sample", sample)
+
+
+def _fail_one_assessment(monkeypatch):
+    real = explorer.assess
+
+    def assess_one(grid, op, cell, config, depth):
+        if cell.path == FAILING_CELL and op.sample_index == 3:
+            raise _InjectedFailure(cell.path)
+        return real(grid, op, cell, config, depth)
+
+    monkeypatch.setattr(explorer, "assess", assess_one)
+
+
+@pytest.mark.parametrize("inject", [_fail_sampling, _fail_one_assessment])
+def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
+    inject(monkeypatch)
+    grid = fixture_3bus()
+    space = build_space(grid, CONTROL)
+    with pytest.raises(_InjectedFailure):
+        explore(space, grid, _fast_config(split_dims_per_node=1),
+                progress_stream=io.StringIO())
+
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("fixture=3bus\nn_samples=24\nn_cases=1\nmax_depth=1\n"
+                   "entropy_decrease_threshold=0.0\nmin_feasible_rate=0.0\n"
+                   "use_sensitivity=false\nsplit_dims_per_node=1\nworkers=2\n"
+                   f"seed=0\nout_dir={out_dir}\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert not (out_dir / "dataset.csv").exists()
