@@ -11,8 +11,10 @@ Example::
 
 ``workers``, the assessment thread-pool size, can be overridden with the
 STABGEN_WORKERS environment variable.  Each ``control_params`` name must be
-a field of ``GforParams`` and/or ``GfolParams``.  Unknown keys, bad values
-and out-of-range settings raise ConfigError at parse time.
+a field of ``GforParams`` and/or ``GfolParams``; each ``fixed_split_dims``
+name must be one of ``SPLIT_DIM_NAMES`` or a ``control_params`` name.
+Unknown keys, bad values and out-of-range settings raise ConfigError at
+parse time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 
 from .explorer import ExplorationConfig
 from .smallsignal import GfolParams, GforParams
+from .space import P_IBR, P_SG, PCT_GFM, V_ANCHOR
 
 
 class ConfigError(ValueError):
@@ -32,6 +35,7 @@ class ConfigError(ValueError):
 DEFAULT_CONTROL_PARAMS = (("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0))
 CONTROL_PARAM_NAMES = frozenset(f.name for cls in (GforParams, GfolParams)
                                 for f in fields(cls))
+SPLIT_DIM_NAMES = (P_SG, P_IBR, PCT_GFM, V_ANCHOR)  # plus the control_params names
 
 
 @dataclass
@@ -123,9 +127,17 @@ def parse_config(path: str | Path) -> RunConfig:
                      (e.n_samples >= 1, "n_samples >= 1"),
                      (e.n_cases >= 1, "n_cases >= 1"),
                      (e.max_depth >= 0, "max_depth >= 0"),
-                     (0 < e.load_pf <= 1, "0 < load_pf <= 1")):
+                     (0 < e.load_pf <= 1, "0 < load_pf <= 1"),
+                     (0 < e.loss_factor <= 1, "0 < loss_factor <= 1"),
+                     (e.forest_trees >= 1, "forest_trees >= 1"),
+                     (e.forest_depth >= 1, "forest_depth >= 1"),
+                     (e.dims_per_node >= 1, "split_dims_per_node >= 1")):
         if not ok:
             raise ConfigError(f"{p}: out of range, need {rule}")
+    split_names = set(SPLIT_DIM_NAMES) | {name for name, _, _ in cfg.control_params}
+    unknown = [d for d in e.fixed_split_dims if d not in split_names]
+    if unknown:
+        raise ConfigError(f"{p}: fixed_split_dims names no dimension: {', '.join(unknown)}")
     return cfg
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .explorer import ExplorationNode, LabeledRecord, entropy
+from .feasibility import ConstraintReport
 from .forest import LabeledDataset, SensitivityUnavailableError, kfold_accuracy
 from .space import OperatingSpaceSpec
 
@@ -60,7 +61,7 @@ def write_dataset(path: str | Path, records: list[LabeledRecord],
             else:
                 row += ["", "", "", ""]
             row.append(_fmt(r.verdict.adjustment_distance))
-            row.append(";".join(f"{cid}:{mag:.6g}" for cid, mag in r.verdict.violations))
+            row.append(ConstraintReport(r.verdict.violations).serialize())
             row.append(str(r.pf_iterations))
             row.append(_fmt(r.assess_ms))
             w.writerow(row)

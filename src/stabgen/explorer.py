@@ -18,7 +18,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .feasibility import FEASIBLE, FeasibilityVerdict, adjust_to_feasible
+from .feasibility import FEASIBLE, FeasibilityVerdict, adjust_to_feasible, load_mw
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
@@ -197,11 +197,9 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
     if verdict.status == FEASIBLE:
         gfor = _with_controls(config.gfor_params, adjusted.dim_values)
         gfol = _with_controls(config.gfol_params, adjusted.dim_values)
-        load_mw = {ld.bus: adjusted.var_values.get(f"P_L_{ld.bus}", 0.0)
-                   for ld in grid.loads}
         try:
             units = build_units(grid, adjusted, config.sg_params, gfor, gfol)
-            ssm = linearize(grid, sol, units, load_mw, config.load_pf)
+            ssm = linearize(grid, sol, units, load_mw(grid, adjusted), config.load_pf)
             stability = eig_stability(ssm, config.eps_margin)
         except LinearizationError:
             verdict = FeasibilityVerdict("Infeasible",

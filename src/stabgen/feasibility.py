@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridModel, GenGroup, IBR, PQ, PV, SG, SLACK, build_admittance
+from .grid import GridModel, GenGroup, IBR, SG, build_admittance, power_jacobian
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)
 
 FEASIBLE = "Feasible"
@@ -69,11 +69,9 @@ def _group_setpoints(grid: GridModel, op: OperatingPoint) -> dict[str, float]:
     return sp
 
 
-def _load_mw(grid: GridModel, op: OperatingPoint) -> dict[int, float]:
-    loads: dict[int, float] = {}
-    for ld in grid.loads:
-        loads[ld.bus] = loads.get(ld.bus, 0.0) + op.var_values.get(f"P_L_{ld.bus}", 0.0)
-    return loads
+def load_mw(grid: GridModel, op: OperatingPoint) -> dict[int, float]:
+    """Active demand per load bus, MW (``GridModel`` allows one load per bus)."""
+    return {ld.bus: op.var_values.get(f"P_L_{ld.bus}", 0.0) for ld in grid.loads}
 
 
 def solve_pf(grid: GridModel, op: OperatingPoint,
@@ -108,7 +106,7 @@ def solve_pf(grid: GridModel, op: OperatingPoint,
 
     p_load = np.zeros(n)
     q_load = np.zeros(n)
-    for bus_id, mw in _load_mw(grid, op).items():
+    for bus_id, mw in load_mw(grid, op).items():
         i = idx[bus_id]
         p_load[i] += mw / base
         q_load[i] += mw * tan_phi / base
@@ -132,6 +130,7 @@ def solve_pf(grid: GridModel, op: OperatingPoint,
         pv = np.flatnonzero(is_pv)
         pq = np.flatnonzero(~is_pv & (np.arange(n) != slack))
         pvpq = np.concatenate([pv, pq])
+        rc = np.concatenate([pvpq, n + pq])  # [P; Q] rows and [theta; |V|] cols
         converged = False
         for it in range(1, PF_MAX_ITER + 1):
             v = vm_work * np.exp(1j * va_work)
@@ -144,17 +143,7 @@ def solve_pf(grid: GridModel, op: OperatingPoint,
             if max_mismatch < PF_TOL:
                 converged = True
                 break
-            ibus = ybus @ v
-            diag_v = np.diag(v)
-            diag_i = np.diag(ibus)
-            diag_vn = np.diag(v / np.abs(v))
-            ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-            ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-            j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-            j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-            j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-            j22 = ds_dvm.imag[np.ix_(pq, pq)]
-            jac = np.block([[j11, j12], [j21, j22]])
+            jac = power_jacobian(ybus, v)[np.ix_(rc, rc)]
             try:
                 dx = np.linalg.solve(jac, mism)
             except np.linalg.LinAlgError:

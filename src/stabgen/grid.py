@@ -139,9 +139,13 @@ class GridModel:
             if key in seen_groups:
                 raise GridError(f"more than one {g.tech} group at bus {g.bus}")
             seen_groups.add(key)
+        load_buses = set()
         for ld in self.loads:
             if ld.bus not in known:
                 raise GridError(f"load references unknown bus {ld.bus}")
+            if ld.bus in load_buses:
+                raise GridError(f"more than one load at bus {ld.bus}")
+            load_buses.add(ld.bus)
         psum = sum(ld.participation for ld in self.loads)
         if self.loads and abs(psum - 1.0) > 1e-9:
             raise GridError(f"participation sum != 1 (got {psum})")
@@ -199,6 +203,21 @@ def build_admittance(grid: GridModel) -> np.ndarray:
         y[i, j] -= y_series
         y[j, i] -= y_series
     return y
+
+
+def power_jacobian(ybus: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n Jacobian d[P; Q]/d[theta; |V|] of S = V conj(Y V).
+
+    Dense MATPOWER ``dSbus_dV`` form (Zimmerman et al., IEEE Trans. Power
+    Systems 26(1), 2011) at complex bus voltages ``v``.
+    """
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    return np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
 
 
 # -- CSV ingestion ----------------------------------------------------------

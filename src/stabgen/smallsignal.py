@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridModel, IBR, SG as SG_TECH, build_admittance
+from .grid import GridModel, SG as SG_TECH, build_admittance, power_jacobian
 from .feasibility import PowerFlowSolution, DEFAULT_LOAD_PF
 from .space import OperatingPoint
 
@@ -113,21 +113,11 @@ class StabilityVerdict:
     dominant_mode: tuple[float, float]  # (frequency Hz, damping ratio)
 
 
-def _state_count(u: DynUnit) -> int:
-    if u.kind == KIND_SG:
-        return 3 if u.params.droop_r is not None else 2
-    if u.kind == KIND_GFOR:
-        return 3
-    if u.kind == KIND_GFOL:
-        return 5
-    raise LinearizationError(f"unknown unit kind {u.kind!r}")
-
-
 def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
                       retained: list[int], load_mw: dict[int, float],
-                      load_pf: float) -> tuple[np.ndarray, np.ndarray]:
+                      load_pf: float) -> np.ndarray:
     """Kron-reduce the network to the retained buses and return the
-    power-flow Jacobian J = d[P;Q]/d[theta;V] there, plus retained V."""
+    power-flow Jacobian J = d[P;Q]/d[theta;V] there."""
     idx = grid.bus_index
     n = len(grid.buses)
     y = build_admittance(grid)
@@ -151,14 +141,7 @@ def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
     else:
         y_red = y
     v = np.array([solution.v[b] * cmath.exp(1j * solution.theta[b]) for b in retained])
-    ibus = y_red @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vn = np.diag(v / np.abs(v))
-    ds_dvm = diag_v @ np.conj(y_red @ diag_vn) + np.conj(diag_i) @ diag_vn
-    ds_dva = 1j * diag_v @ np.conj(diag_i - y_red @ diag_v)
-    jac = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
-    return jac, np.abs(v)
+    return power_jacobian(y_red, v)
 
 
 def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit],
@@ -192,7 +175,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit]
     a_buses = forming_buses + static_buses
     a_buses = sorted(set(a_buses))
     retained = sorted(set(a_buses) | set(follow_only))
-    jac, _vmag = _reduced_jacobian(grid, solution, retained, load_mw, load_pf)
+    jac = _reduced_jacobian(grid, solution, retained, load_mw, load_pf)
 
     n_r = len(retained)
     pos = {b: i for i, b in enumerate(retained)}

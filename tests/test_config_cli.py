@@ -100,6 +100,12 @@ def test_workers_env_override(tmp_path, monkeypatch):
     ("control_params=tau_u:0.5:0.5\n", None),
     ("control_params=tau_u:-1.0:1.0\n", None),    # converter params are > 0
     ("control_params=gain:0.1:1.0\n", None),      # no such controller field
+    ("fixed_split_dims=P_SGG\n", None),           # no such dimension
+    ("forest_trees=0\n", None),
+    ("forest_depth=0\n", None),
+    ("split_dims_per_node=0\n", None),
+    ("loss_factor=1.5\n", None),
+    ("loss_factor=0\n", None),
 ])
 def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path,
                                                     monkeypatch):
@@ -111,6 +117,13 @@ def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path
         parse_config(cfg)
     assert main(["generate", "--config", str(cfg)]) == 2
     assert not out_dir.exists()
+
+
+def test_fixed_split_dims_accepts_control_names(tmp_path):
+    # checked against the final control_params, whichever line comes first
+    cfg = parse_config(_write_cfg(tmp_path, "fixed_split_dims=V_anchor,k_p\n"
+                                  + FAST_CFG + "control_params=k_p:0.1:1.0\n"))
+    assert cfg.exploration.fixed_split_dims == ("V_anchor", "k_p")
 
 
 def test_config_as_dict_serializable(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from stabgen.grid import (Bus, GenGroup, GridError, GridModel, Line, Load,
                           build_admittance, capability_limits, export_tables,
-                          fixture_3bus, fixture_9bus, get_fixture, load_grid)
+                          fixture_3bus, fixture_9bus, get_fixture, load_grid,
+                          power_jacobian)
 
 
 def test_capability_limits_reference_values():
@@ -62,6 +63,15 @@ def test_grid_rejects_bad_participation():
                   (Load(2, 0.4), Load(1, 0.4)))
 
 
+def test_grid_rejects_two_loads_at_one_bus():
+    buses = (Bus(1, "Slack", 0.95, 1.05), Bus(2, "PQ", 0.95, 1.05),
+             Bus(3, "PQ", 0.95, 1.05))
+    lines = (Line(1, 2, 0.01, 0.1, 0.0, 100.0), Line(2, 3, 0.01, 0.1, 0.0, 100.0))
+    with pytest.raises(GridError, match="more than one load at bus 3"):
+        GridModel(buses, lines, (GenGroup(1, "SG", 100.0, 0.95),),
+                  (Load(3, 0.5), Load(3, 0.5)))
+
+
 def test_line_validation():
     with pytest.raises(GridError):
         Line(1, 1, 0.01, 0.1, 0.0, 100.0)
@@ -110,3 +120,28 @@ def test_csv_round_trip(tmp_path):
 def test_load_grid_missing_table(tmp_path):
     with pytest.raises((GridError, OSError)):
         load_grid(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
+def test_power_jacobian_matches_central_differences(fixture):
+    y = build_admittance(fixture())
+    n = y.shape[0]
+    rng = np.random.default_rng(3)
+    vm = rng.uniform(0.9, 1.1, n)
+    va = rng.uniform(-0.3, 0.3, n)
+
+    def power(vm, va):
+        v = vm * np.exp(1j * va)
+        s = v * np.conj(y @ v)
+        return np.concatenate([s.real, s.imag])
+
+    h = 1e-6
+    fd = np.empty((2 * n, 2 * n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        fd[:, k] = (power(vm, va + e) - power(vm, va - e)) / (2 * h)
+        fd[:, n + k] = (power(vm + e, va) - power(vm - e, va)) / (2 * h)
+    # all four blocks [[dP/dtheta, dP/d|V|], [dQ/dtheta, dQ/d|V|]] at once
+    np.testing.assert_allclose(power_jacobian(y, vm * np.exp(1j * va)), fd,
+                               rtol=1e-6, atol=1e-6)
