@@ -14,7 +14,7 @@ from . import __version__
 from .config import ConfigError, config_as_dict, parse_config
 from .dataset import (_fmt, compute_metrics, importances_by_depth, read_dataset,
                       write_dataset, write_metrics, write_tree)
-from .explorer import explore
+from .explorer import ExplorationConfig, explore
 from .grid import FIXTURES, GridError, IBR, get_fixture, load_grid
 from .smallsignal import (ConverterUnit, GfolParams, GforParams, admittance_scan,
                           aggregate_ibrs, terminal_model)
@@ -34,13 +34,20 @@ def run_generate(config_path: str) -> int:
     except (ConfigError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     space = build_space(grid, list(cfg.control_params),
                         cfg.exploration.min_tolerance_frac)
+    dim_names = [d.name for d in space.independent]
+    split_dims = cfg.exploration.fixed_split_dims
+    absent = [d for d in split_dims if d not in dim_names]
+    # The default list stands for whichever of its dimensions the grid has.
+    if absent and split_dims != ExplorationConfig.fixed_split_dims:
+        print(f"error: fixed_split_dims names no dimension of grid {cfg.grid!r}: "
+              f"{', '.join(absent)}", file=sys.stderr)
+        return 2
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     root, records = explore(space, grid, cfg.exploration)
     write_dataset(out / "dataset.csv", records, space)
-    dim_names = [d.name for d in space.independent]
     metrics = compute_metrics(records, dim_names,
                               cfg.exploration.forest_trees,
                               cfg.exploration.forest_depth,

@@ -9,12 +9,13 @@ Example::
     use_sensitivity=true
     control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
 
-``workers``, the assessment thread-pool size, can be overridden with the
-STABGEN_WORKERS environment variable.  Each ``control_params`` name must be
-a field of ``GforParams`` and/or ``GfolParams``; each ``fixed_split_dims``
-name must be one of ``SPLIT_DIM_NAMES`` or a ``control_params`` name.
-Unknown keys, bad values and out-of-range settings raise ConfigError at
-parse time.
+``workers``, the number of forked assessment processes, can be overridden
+with the STABGEN_WORKERS environment variable.  Each ``control_params``
+name must be a field of ``GforParams`` and/or ``GfolParams``; each
+``fixed_split_dims`` name must be one of ``SPLIT_DIM_NAMES`` or a
+``control_params`` name (whether the grid has that dimension is checked by
+``generate`` once the space is built).  Unknown keys, bad values and
+out-of-range settings raise ConfigError at parse time.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def parse_config(path: str | Path) -> RunConfig:
                      (e.max_depth >= 0, "max_depth >= 0"),
                      (0 < e.load_pf <= 1, "0 < load_pf <= 1"),
                      (0 < e.loss_factor <= 1, "0 < loss_factor <= 1"),
+                     (e.eps_margin >= 0, "eps_margin >= 0"),
+                     (e.dev_bound >= 0, "dev_bound >= 0"),
+                     (0 <= e.min_tolerance_frac < 1, "0 <= min_tolerance_frac < 1"),
+                     (0 <= e.min_feasible_rate <= 1, "0 <= min_feasible_rate <= 1"),
                      (e.forest_trees >= 1, "forest_trees >= 1"),
                      (e.forest_depth >= 1, "forest_depth >= 1"),
                      (e.dims_per_node >= 1, "split_dims_per_node >= 1")):

@@ -1,10 +1,11 @@
 """Breadth-first operating-space exploration, one depth at a time.
 
-All frontier cells are sampled, the depth's points assessed in one map over
-a pool of ``workers`` threads; then each cell in turn gets entropy, cutoffs,
-split dimensions (fixed list or forest-importance ranking) and children for
-the next frontier.  Determinism comes from seed keying on
-(seed, cell path, sample index, case index), never from execution order.
+All frontier cells are sampled, the depth's points assessed in one ordered
+map over a pool of ``workers`` forked processes; then each cell in turn gets
+entropy, cutoffs, split dimensions (fixed list or forest-importance
+ranking) and children for the next frontier.  Determinism comes from seed
+keying on (seed, cell path, sample index, case index), never from execution
+order.  The pool lives only inside one ``explore`` call.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -210,6 +210,12 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
                          sol.iterations, ms if config.record_timing else None)
 
 
+def _assess_task(args) -> LabeledRecord:
+    """Pool entry point.  ``assess`` is looked up in the worker, which was
+    forked after any rebinding of it (test doubles, tracing wrappers)."""
+    return assess(*args)
+
+
 def _bisect(cell: Subregion, dims: list[str],
             min_tolerance_frac: float) -> list[Subregion]:
     """Midpoint-split ``cell`` along each of ``dims`` in turn; a piece whose
@@ -241,23 +247,29 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
     Every assessed sample appears exactly once in the output (keyed by its
     origin cell path and sample/case indices); inherited samples are reused,
     never re-assessed.  Any exception raised while sampling, assessing or
-    splitting a cell propagates to the caller.
+    splitting a cell propagates to the caller, after the pool's worker
+    processes have been joined.
     """
+    # Imported here, so that commands which never explore do not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []
     cells_done = 0
     frontier: list[tuple[ExplorationNode, float | None]] = [(root, None)]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(config.workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         while frontier:
             points = [hierarchical_sample(
                 node.cell, config.n_samples, config.n_cases, grid, space,
                 config.seed, config.loss_factor, config.dev_bound,
                 config.randomize_loads) for node, _ in frontier]
-            owners = [node for (node, _), pts in zip(frontier, points) for op in pts]
-            assessed = pool.map(assess, repeat(grid), chain.from_iterable(points),
-                                [node.cell for node in owners], repeat(config),
-                                [node.depth for node in owners])
+            tasks = [(grid, op, node.cell, config, node.depth)
+                     for (node, _), pts in zip(frontier, points) for op in pts]
+            assessed = pool.map(_assess_task, tasks,
+                                chunksize=max(1, len(tasks) // (4 * config.workers)))
             next_frontier = []
             for (node, parent_entropy), pts in zip(frontier, points):
                 new_records = list(islice(assessed, len(pts)))

@@ -303,7 +303,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
         return sum((dispatch[g.name] - setpoints[g.name]) ** 2
                    for g in grid.gen_groups if g.bus != slack_id)
 
-    def violation_total(dispatch: dict[str, float]) -> tuple[float, PowerFlowSolution,
+    def solve_and_check(dispatch: dict[str, float]) -> tuple[float, PowerFlowSolution,
                                                              ConstraintReport]:
         sol = solve_pf(grid, op, dispatch, load_pf)
         if not sol.converged:
@@ -315,6 +315,16 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
             tot += mag / grid.base_mva if cid.split("_")[0] in (
                 "line", "pmin", "pmax", "qmin", "qmax") else mag
         return tot, sol, rep
+
+    # An accepted line-search trial is the next outer iterate: solve it once.
+    solved: dict[tuple[float, ...], tuple] = {}
+
+    def violation_total(dispatch: dict[str, float]) -> tuple[float, PowerFlowSolution,
+                                                             ConstraintReport]:
+        key = tuple(dispatch[g.name] for g in grid.gen_groups)
+        if key not in solved:
+            solved[key] = solve_and_check(dispatch)
+        return solved[key]
 
     prev = math.inf
     sol = None

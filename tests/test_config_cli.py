@@ -11,6 +11,8 @@ import stabgen
 from stabgen.cli import main, run_report, run_scan
 from stabgen.config import ConfigError, config_as_dict, parse_config
 from stabgen.dataset import read_dataset
+from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG, SLACK,
+                          export_tables)
 
 FAST_CFG = """\
 fixture=3bus
@@ -106,6 +108,12 @@ def test_workers_env_override(tmp_path, monkeypatch):
     ("split_dims_per_node=0\n", None),
     ("loss_factor=1.5\n", None),
     ("loss_factor=0\n", None),
+    ("eps_margin=-1\n", None),                    # would call unstable modes stable
+    ("dev_bound=-0.01\n", None),
+    ("min_tolerance_frac=-0.01\n", None),
+    ("min_tolerance_frac=1\n", None),
+    ("min_feasible_rate=-0.1\n", None),
+    ("min_feasible_rate=2\n", None),
 ])
 def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path,
                                                     monkeypatch):
@@ -117,6 +125,38 @@ def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path
         parse_config(cfg)
     assert main(["generate", "--config", str(cfg)]) == 2
     assert not out_dir.exists()
+
+
+def test_range_edges_accepted(tmp_path):
+    cfg = parse_config(_write_cfg(tmp_path, FAST_CFG + (
+        "min_feasible_rate=0\nentropy_decrease_threshold=-1\n"
+        "min_tolerance_frac=0\neps_margin=0\ndev_bound=0\n")))
+    e = cfg.exploration
+    assert (e.min_feasible_rate, e.entropy_decrease_threshold) == (0.0, -1.0)
+    assert (e.min_tolerance_frac, e.eps_margin, e.dev_bound) == (0.0, 0.0, 0.0)
+
+
+def test_split_dim_absent_from_grid_rejected(tmp_path):
+    grid = GridModel(
+        buses=(Bus(1, SLACK, 0.95, 1.05), Bus(2, PV, 0.95, 1.05),
+               Bus(3, PQ, 0.95, 1.05)),
+        lines=(Line(1, 2, 0.01, 0.10, 0.02, 300.0),
+               Line(1, 3, 0.01, 0.10, 0.02, 300.0),
+               Line(2, 3, 0.01, 0.10, 0.02, 300.0)),
+        gen_groups=(GenGroup(1, SG, 300.0, 0.95), GenGroup(2, SG, 200.0, 0.95)),
+        loads=(Load(3, 1.0),))
+    export_tables(grid, tmp_path / "grid")  # no IBR groups, so no P_IBR dimension
+    out_dir = tmp_path / "out"
+    text = (f"grid={tmp_path / 'grid'}\nn_samples=8\nn_cases=1\nmax_depth=0\n"
+            "workers=2\n")
+    cfg = _write_cfg(tmp_path, text + "fixed_split_dims=P_IBR\n", out_dir=str(out_dir))
+    parse_config(cfg)  # a valid name; only the grid lacks it
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+    # The default list (P_SG, P_IBR) keeps whichever of its dimensions exist.
+    cfg = _write_cfg(tmp_path, text, out_dir=str(out_dir))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert (out_dir / "dataset.csv").exists()
 
 
 def test_fixed_split_dims_accepts_control_names(tmp_path):

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import math
+import multiprocessing
 import re
 
 import pytest
@@ -274,3 +276,16 @@ def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
                    f"seed=0\nout_dir={out_dir}\n", encoding="utf-8")
     assert main(["generate", "--config", str(cfg)]) == 1
     assert not (out_dir / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("inject", [None, _fail_sampling, _fail_one_assessment])
+def test_explore_reaps_its_workers(inject, monkeypatch):
+    if inject is not None:
+        inject(monkeypatch)
+    grid = fixture_3bus()
+    space = build_space(grid, CONTROL)
+    raises = pytest.raises(_InjectedFailure) if inject else contextlib.nullcontext()
+    with raises:
+        explore(space, grid, _fast_config(split_dims_per_node=1),
+                progress_stream=io.StringIO())
+    assert not multiprocessing.active_children()

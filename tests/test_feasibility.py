@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
                                  INFEASIBLE, PowerFlowSolution,
                                  adjust_to_feasible, check_constraints,
                                  classify, solve_pf)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, IBR, fixture_3bus, fixture_9bus)
+from stabgen.sampling import hierarchical_sample
 from stabgen.space import OperatingPoint, build_space, split
 
 from oracles import gauss_seidel_pf, two_bus_closed_form
@@ -257,3 +259,24 @@ def test_adjust_noop_when_already_feasible():
     assert verdict.status == FEASIBLE
     assert verdict.adjustment_distance == pytest.approx(0.0)
     assert adj.var_values["P_IBR_2"] == pytest.approx(120.0)
+
+
+def test_adjust_solves_each_dispatch_once(monkeypatch):
+    grid = fixture_3bus()
+    space = build_space(grid, CONTROL)
+    root = space.root_cell()
+    real = feasibility.solve_pf
+    solved = []
+
+    def counting(grid, op, group_p, load_pf):
+        solved.append(tuple(group_p[g.name] for g in grid.gen_groups))
+        return real(grid, op, group_p, load_pf)
+
+    monkeypatch.setattr(feasibility, "solve_pf", counting)
+    repaired = 0
+    for op in hierarchical_sample(root, 30, 1, grid, space, seed=1000):
+        solved.clear()
+        adjust_to_feasible(grid, op, root)
+        assert len(set(solved)) == len(solved), solved
+        repaired += len(solved) > 2  # took a line-search step at least
+    assert repaired
