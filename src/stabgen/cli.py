@@ -34,8 +34,7 @@ def run_generate(config_path: str) -> int:
     except (ConfigError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    space = build_space(grid, list(cfg.control_params),
-                        cfg.exploration.min_tolerance_frac)
+    space = build_space(grid, list(cfg.control_params))
     dim_names = [d.name for d in space.independent]
     split_dims = cfg.exploration.fixed_split_dims
     absent = [d for d in split_dims if d not in dim_names]
@@ -67,7 +66,7 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
     """Per-depth series of a dataset, with the forest settings of its manifest."""
     manifest = Path(dataset_path).parent / "manifest.json"
     try:
-        rows, _cols = read_dataset(dataset_path)
+        records, _cols = read_dataset(dataset_path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -81,8 +80,8 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
     out = Path(out_dir or Path(dataset_path).parent)
     out.mkdir(parents=True, exist_ok=True)
     # The independent dimensions in file order, as generate's features.
-    dim_names = [d for d in rows[0].dims if d != P_D] if rows else []
-    metrics = compute_metrics(rows, dim_names, *forest)
+    dim_names = [d for d in records[0].dims if d != P_D] if records else []
+    metrics = compute_metrics(records, dim_names, *forest)
     with open(out / "rates_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["depth", "feasible_mean", "feasible_std", "infeasible_mean",

@@ -57,7 +57,7 @@ _EXPLORATION_KEYS = {
     "fixed_split_dims": "strlist", "split_dims_per_node": int,
     "loss_factor": float, "eps_margin": float, "seed": int, "workers": int,
     "dev_bound": float, "randomize_loads": "bool", "load_pf": float,
-    "record_timing": "bool", "forest_trees": int, "forest_depth": int,
+    "forest_trees": int, "forest_depth": int,
 }
 
 

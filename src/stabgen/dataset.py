@@ -1,7 +1,7 @@
 """Dataset and metrics serialization.
 
-dataset.csv holds one labeled record per row with a fixed, versioned
-column set; metrics.csv aggregates per-depth rates, entropy, cross
+dataset.csv holds one labeled record per row, its columns the fields of
+``LabeledRecord``; metrics.csv aggregates per-depth rates, entropy, cross
 validated accuracy and dimension importances; tree.json dumps the
 exploration tree.  All CSV output is UTF-8 with a header row and
 shortest-roundtrip float formatting, so reruns are byte-identical.
@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .explorer import ExplorationNode, LabeledRecord, entropy
-from .feasibility import ConstraintReport
+from .feasibility import DISCARDED, FEASIBLE, INFEASIBLE
 from .forest import LabeledDataset, SensitivityUnavailableError, kfold_accuracy
 from .space import OperatingSpaceSpec
 
-SCHEMA_VERSION = 1
 FIXED_COLUMNS = ["cell_path", "depth", "sample_index", "case_index"]
 TAIL_COLUMNS = ["verdict", "stable", "max_real", "dominant_freq_hz",
                 "dominant_damping", "adjustment_distance", "violations",
-                "pf_iterations", "assess_ms"]
+                "pf_iterations"]
 
 
 def _fmt(x: float | None) -> str:
@@ -50,40 +48,20 @@ def write_dataset(path: str | Path, records: list[LabeledRecord],
         w = csv.writer(fh)
         w.writerow(cols)
         for r in records:
-            row = [r.cell_path, r.depth, r.op.sample_index, r.op.case_index]
-            row += [_fmt(r.op.dim_values.get(d)) for d in dims]
-            row += [_fmt(r.op.var_values.get(v)) for v in vars_]
-            row.append(r.verdict.status)
-            if r.stability is not None:
-                row += [str(int(r.stability.stable)), _fmt(r.stability.max_real),
-                        _fmt(r.stability.dominant_mode[0]),
-                        _fmt(r.stability.dominant_mode[1])]
-            else:
-                row += ["", "", "", ""]
-            row.append(_fmt(r.verdict.adjustment_distance))
-            row.append(ConstraintReport(r.verdict.violations).serialize())
-            row.append(str(r.pf_iterations))
-            row.append(_fmt(r.assess_ms))
-            w.writerow(row)
+            w.writerow([r.cell_path, r.depth, r.sample_index, r.case_index,
+                        *(_fmt(r.dims.get(d)) for d in dims),
+                        *(_fmt(r.vars.get(v)) for v in vars_),
+                        r.verdict, "" if r.stable is None else str(int(r.stable)),
+                        _fmt(r.max_real), _fmt(r.dominant_freq_hz),
+                        _fmt(r.dominant_damping), _fmt(r.adjustment_distance),
+                        r.violations, str(r.pf_iterations)])
 
 
-@dataclass
-class DatasetRow:
-    cell_path: str
-    depth: int
-    sample_index: int
-    case_index: int
-    dims: dict[str, float]
-    vars: dict[str, float]
-    verdict: str
-    stable: bool | None
-    max_real: float | None
-    adjustment_distance: float
-    violations: str
-    pf_iterations: int
+def _opt_float(s: str) -> float | None:
+    return float(s) if s != "" else None
 
 
-def read_dataset(path: str | Path) -> tuple[list[DatasetRow], list[str]]:
+def read_dataset(path: str | Path) -> tuple[list[LabeledRecord], list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         cols = reader.fieldnames or []
@@ -94,9 +72,9 @@ def read_dataset(path: str | Path) -> tuple[list[DatasetRow], list[str]]:
         dim_cols = [c for c in middle if not c.startswith(("P_SG_", "P_IBR_", "P_GFM_",
                                                            "P_GFL_", "P_L_"))]
         var_cols = [c for c in middle if c not in dim_cols]
-        rows = []
+        records = []
         for rec in reader:
-            rows.append(DatasetRow(
+            records.append(LabeledRecord(
                 cell_path=rec["cell_path"],
                 depth=int(rec["depth"]),
                 sample_index=int(rec["sample_index"]),
@@ -105,12 +83,14 @@ def read_dataset(path: str | Path) -> tuple[list[DatasetRow], list[str]]:
                 vars={c: float(rec[c]) for c in var_cols if rec[c] != ""},
                 verdict=rec["verdict"],
                 stable=bool(int(rec["stable"])) if rec["stable"] != "" else None,
-                max_real=float(rec["max_real"]) if rec["max_real"] != "" else None,
+                max_real=_opt_float(rec["max_real"]),
+                dominant_freq_hz=_opt_float(rec["dominant_freq_hz"]),
+                dominant_damping=_opt_float(rec["dominant_damping"]),
                 adjustment_distance=float(rec["adjustment_distance"]),
                 violations=rec["violations"],
                 pf_iterations=int(rec["pf_iterations"]),
             ))
-    return rows, cols
+    return records, cols
 
 
 @dataclass
@@ -130,67 +110,26 @@ class MetricsRow:
     importances: dict[str, float]
 
 
-@dataclass
-class _CellTally:
-    feasible: int = 0
-    infeasible: int = 0
-    discarded: int = 0
-    labels: list[int] = None
-
-    def __post_init__(self):
-        if self.labels is None:
-            self.labels = []
-
-    @property
-    def total(self) -> int:
-        return self.feasible + self.infeasible + self.discarded
-
-
-def compute_metrics(rows: list["DatasetRow | LabeledRecord"],
-                    dim_names: list[str],
+def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
                     forest_trees: int = 100, forest_depth: int = 8,
                     seed: int = 0, kfold: int = 5,
                     importances_by_depth: dict[int, dict[str, float]] | None = None,
                     ) -> list[MetricsRow]:
     """Per-depth metrics from raw records grouped by their origin cell."""
-    cells: dict[str, _CellTally] = {}
-    depth_of: dict[str, int] = {}
-    features_by_depth: dict[int, list[list[float]]] = {}
-    labels_by_depth: dict[int, list[int]] = {}
-    for r in rows:
-        if isinstance(r, DatasetRow):
-            path, depth, verdict = r.cell_path, r.depth, r.verdict
-            stable = r.stable
-            dims = r.dims
-        else:
-            path, depth, verdict = r.cell_path, r.depth, r.verdict.status
-            stable = None if r.stability is None else r.stability.stable
-            dims = r.op.dim_values
-        tly = cells.setdefault(path, _CellTally())
-        depth_of[path] = depth
-        if verdict == "Feasible":
-            tly.feasible += 1
-            if stable is not None:
-                tly.labels.append(int(stable))
-                features_by_depth.setdefault(depth, []).append(
-                    [dims[n] for n in dim_names])
-                labels_by_depth.setdefault(depth, []).append(int(stable))
-        elif verdict == "Infeasible":
-            tly.infeasible += 1
-        else:
-            tly.discarded += 1
-
+    cells: dict[str, list[LabeledRecord]] = {}
+    for r in records:
+        cells.setdefault(r.cell_path, []).append(r)
     out: list[MetricsRow] = []
     cum_x: list[list[float]] = []
     cum_y: list[int] = []
-    for depth in sorted({d for d in depth_of.values()}):
-        paths = [p for p, d in depth_of.items() if d == depth]
-        f_rates = [cells[p].feasible / cells[p].total for p in paths]
-        i_rates = [cells[p].infeasible / cells[p].total for p in paths]
-        d_rates = [cells[p].discarded / cells[p].total for p in paths]
-        entropies = [entropy(cells[p].labels) for p in paths]
-        cum_x.extend(features_by_depth.get(depth, []))
-        cum_y.extend(labels_by_depth.get(depth, []))
+    for depth in sorted({r.depth for r in records}):
+        groups = [g for g in cells.values() if g[0].depth == depth]
+        rates = {v: [sum(r.verdict == v for r in g) / len(g) for g in groups]
+                 for v in (FEASIBLE, INFEASIBLE, DISCARDED)}
+        entropies = [entropy([int(r.stable) for r in g if r.labeled]) for g in groups]
+        labeled = [r for r in records if r.depth == depth and r.labeled]
+        cum_x.extend([r.dims[n] for n in dim_names] for r in labeled)
+        cum_y.extend(int(r.stable) for r in labeled)
         acc_mean = acc_std = None
         y = np.array(cum_y)
         if len(cum_y) >= 2 * kfold and len(np.unique(y)) == 2 \
@@ -203,11 +142,14 @@ def compute_metrics(rows: list["DatasetRow | LabeledRecord"],
                 pass
         imps = (importances_by_depth or {}).get(depth, {})
         out.append(MetricsRow(
-            depth=depth, n_cells=len(paths),
-            n_records=sum(cells[p].total for p in paths),
-            feasible_mean=float(np.mean(f_rates)), feasible_std=float(np.std(f_rates)),
-            infeasible_mean=float(np.mean(i_rates)), infeasible_std=float(np.std(i_rates)),
-            discarded_mean=float(np.mean(d_rates)), discarded_std=float(np.std(d_rates)),
+            depth=depth, n_cells=len(groups),
+            n_records=sum(len(g) for g in groups),
+            feasible_mean=float(np.mean(rates[FEASIBLE])),
+            feasible_std=float(np.std(rates[FEASIBLE])),
+            infeasible_mean=float(np.mean(rates[INFEASIBLE])),
+            infeasible_std=float(np.std(rates[INFEASIBLE])),
+            discarded_mean=float(np.mean(rates[DISCARDED])),
+            discarded_std=float(np.std(rates[DISCARDED])),
             entropy_mean=float(np.mean(entropies)),
             accuracy_mean=acc_mean, accuracy_std=acc_std,
             importances=imps))

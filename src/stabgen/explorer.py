@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 
 import numpy as np
 
-from .feasibility import FEASIBLE, FeasibilityVerdict, adjust_to_feasible, load_mw
+from .feasibility import (DISCARDED, FEASIBLE, INFEASIBLE, ConstraintReport,
+                          FeasibilityVerdict, adjust_to_feasible, load_mw)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
-from .sampling import OperatingPoint, hierarchical_sample
+from .sampling import hierarchical_sample
 from .smallsignal import (EPS_MARGIN, GfolParams, GforParams, LinearizationError,
-                          SgParams, StabilityVerdict, build_units, eig_stability,
-                          linearize)
-from .space import (OperatingSpaceSpec, Subregion, P_IBR, P_SG, contains, split,
-                    ToleranceFloorError)
+                          SgParams, build_units, eig_stability, linearize)
+from .space import (OperatingSpaceSpec, Subregion, P_IBR, P_SG, contains_values,
+                    split, ToleranceFloorError)
 
 STOP_ZERO_ENTROPY = "zero_entropy"
 STOP_ENTROPY_DECREASE = "entropy_decrease"
@@ -54,7 +53,6 @@ class ExplorationConfig:
     dev_bound: float = 0.02
     randomize_loads: bool = False
     load_pf: float = 0.98
-    record_timing: bool = False
     forest_trees: int = 100
     forest_depth: int = 8
     sg_params: SgParams = field(default_factory=lambda: SgParams(3.5, 2.0))
@@ -70,13 +68,26 @@ class ExplorationConfig:
 
 @dataclass
 class LabeledRecord:
-    op: OperatingPoint                 # adjusted operating point
-    verdict: FeasibilityVerdict
-    stability: StabilityVerdict | None
-    cell_path: str
+    """One assessed operating point; its fields are the dataset.csv columns."""
+
+    cell_path: str                    # the cell that sampled the point
     depth: int
+    sample_index: int
+    case_index: int
+    dims: dict[str, float]            # adjusted dimension values
+    vars: dict[str, float]            # adjusted variable values
+    verdict: str                      # Feasible, Infeasible or Discarded
+    stable: bool | None               # None unless Feasible
+    max_real: float | None
+    dominant_freq_hz: float | None
+    dominant_damping: float | None
+    adjustment_distance: float
+    violations: str                   # ConstraintReport.serialize()
     pf_iterations: int
-    assess_ms: float | None
+
+    @property
+    def labeled(self) -> bool:
+        return self.verdict == FEASIBLE and self.stable is not None
 
 
 @dataclass
@@ -144,9 +155,9 @@ def node_dataset(node: ExplorationNode, space: OperatingSpaceSpec) -> LabeledDat
     names = [d.name for d in space.independent]
     rows, labels = [], []
     for r in node.records:
-        if r.verdict.status == FEASIBLE and r.stability is not None:
-            rows.append([r.op.dim_values[n] for n in names])
-            labels.append(int(r.stability.stable))
+        if r.labeled:
+            rows.append([r.dims[n] for n in names])
+            labels.append(int(r.stable))
     return LabeledDataset(np.array(rows).reshape(len(rows), len(names)),
                           np.array(labels, dtype=int), names)
 
@@ -190,10 +201,9 @@ def _with_controls(params, dim_values: dict[str, float]):
 def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
            depth: int) -> LabeledRecord:
     """Stability assessment of one sampled operating point (pure task)."""
-    t0 = time.perf_counter()
     adjusted, sol, verdict = adjust_to_feasible(grid, op, cell,
                                                 load_pf=config.load_pf)
-    stability: StabilityVerdict | None = None
+    stable = max_real = freq = damping = None
     if verdict.status == FEASIBLE:
         gfor = _with_controls(config.gfor_params, adjusted.dim_values)
         gfol = _with_controls(config.gfol_params, adjusted.dim_values)
@@ -201,13 +211,16 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
             units = build_units(grid, adjusted, config.sg_params, gfor, gfol)
             ssm = linearize(grid, sol, units, load_mw(grid, adjusted), config.load_pf)
             stability = eig_stability(ssm, config.eps_margin)
+            stable, max_real = stability.stable, stability.max_real
+            freq, damping = stability.dominant_mode
         except LinearizationError:
-            verdict = FeasibilityVerdict("Infeasible",
-                                         [("analysis_failed", 1.0)],
+            verdict = FeasibilityVerdict(INFEASIBLE, [("analysis_failed", 1.0)],
                                          verdict.adjustment_distance)
-    ms = (time.perf_counter() - t0) * 1e3
-    return LabeledRecord(adjusted, verdict, stability, cell.path, depth,
-                         sol.iterations, ms if config.record_timing else None)
+    return LabeledRecord(cell.path, depth, adjusted.sample_index, adjusted.case_index,
+                         adjusted.dim_values, adjusted.var_values, verdict.status,
+                         stable, max_real, freq, damping, verdict.adjustment_distance,
+                         ConstraintReport(verdict.violations).serialize(),
+                         sol.iterations)
 
 
 def _assess_task(args) -> LabeledRecord:
@@ -219,7 +232,8 @@ def _assess_task(args) -> LabeledRecord:
 def _bisect(cell: Subregion, dims: list[str],
             min_tolerance_frac: float) -> list[Subregion]:
     """Midpoint-split ``cell`` along each of ``dims`` in turn; a piece whose
-    halves would fall below the tolerance floor stays whole on that dim."""
+    halves would fall below the tolerance floor stays whole on that dim.
+    Every piece is one tree level below ``cell``, however many dims split."""
     cells = [cell]
     for d in dims:
         nxt = []
@@ -229,15 +243,14 @@ def _bisect(cell: Subregion, dims: list[str],
             except ToleranceFloorError:
                 nxt.append(c)
         cells = nxt
-    return cells
+    return [replace(c, depth=cell.depth + 1) for c in cells]
 
 
 def _update_stats(node: ExplorationNode):
-    node.n_feasible = sum(1 for r in node.records if r.verdict.status == "Feasible")
-    node.n_infeasible = sum(1 for r in node.records if r.verdict.status == "Infeasible")
-    node.n_discarded = sum(1 for r in node.records if r.verdict.status == "Discarded")
-    node.entropy = entropy([int(r.stability.stable) for r in node.records
-                            if r.verdict.status == "Feasible" and r.stability])
+    node.n_feasible = sum(1 for r in node.records if r.verdict == FEASIBLE)
+    node.n_infeasible = sum(1 for r in node.records if r.verdict == INFEASIBLE)
+    node.n_discarded = sum(1 for r in node.records if r.verdict == DISCARDED)
+    node.entropy = entropy([int(r.stable) for r in node.records if r.labeled])
 
 
 def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfig,
@@ -290,10 +303,10 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
                     continue
                 for c in cells:
                     # The child inherits the parent's samples that fall inside it.
-                    child = ExplorationNode(
-                        cell=c, records=[r for r in node.records if contains(c, r.op)])
+                    child = ExplorationNode(cell=c, records=[
+                        r for r in node.records if contains_values(c, r.dims)])
                     node.children.append(child)
                     next_frontier.append((child, node.entropy))
             frontier = next_frontier
-    all_records.sort(key=lambda r: (r.cell_path, r.op.sample_index, r.op.case_index))
+    all_records.sort(key=lambda r: (r.cell_path, r.sample_index, r.case_index))
     return root, all_records

@@ -24,6 +24,8 @@ DISCARDED = "Discarded"
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 30
+REPAIR_MAX_OUTER = 20  # redispatch iterations per point
+REPAIR_REL_STOP = 1e-4  # give up below this relative violation decrease
 DEFAULT_LOAD_PF = 0.98
 ZERO_DISPATCH = 1e-6  # MW threshold below which a group counts as offline
 
@@ -278,7 +280,6 @@ def _apply_dispatch(grid: GridModel, op: OperatingPoint,
 
 
 def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
-                       max_outer: int = 20, rel_stop: float = 1e-4,
                        load_pf: float = DEFAULT_LOAD_PF,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
     """Repair an operating point toward constraint-clean feasibility.
@@ -327,9 +328,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
         return solved[key]
 
     prev = math.inf
-    sol = None
-    rep = ConstraintReport([("pf_diverged", 1.0)])
-    for _it in range(max_outer):
+    for _it in range(REPAIR_MAX_OUTER):
         tot, sol, rep = violation_total(p)
         if rep.clean and sol.converged:
             adjusted = _apply_dispatch(grid, op, sol.group_p)
@@ -337,7 +336,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
             return adjusted, sol, verdict
         if not sol.converged or not adjustable:
             break
-        if prev - tot < rel_stop * max(prev, 1.0):
+        if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
             break
         prev = tot
         # finite-difference descent on adjustable group set points
@@ -373,9 +372,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                 break
         if not improved:
             break
-    adjusted = _apply_dispatch(grid, op, sol.group_p if sol and sol.converged
+    adjusted = _apply_dispatch(grid, op, sol.group_p if sol.converged
                                else {g.name: p.get(g.name, 0.0) for g in grid.gen_groups})
-    if sol is None:
-        sol = solve_pf(grid, op, p, load_pf)
     verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance(p))
     return adjusted, sol, verdict

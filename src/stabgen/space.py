@@ -37,7 +37,6 @@ class DimensionSpec:
     kind: str  # Independent or Dependent
     lo: float = 0.0
     hi: float = 0.0
-    min_tolerance_frac: float = 0.01
 
     def __post_init__(self):
         if self.kind == INDEPENDENT and not self.lo < self.hi:
@@ -140,16 +139,12 @@ class OperatingPoint:
     case_index: int = 0
 
 
-def contains(cell: Subregion, op: OperatingPoint) -> bool:
+def contains_values(cell: Subregion, dim_values: dict[str, float]) -> bool:
     """True iff every bounded dimension value lies inside the cell.
 
     Half-open convention [lo, hi); a value equal to the dimension's initial
     upper bound is contained when the cell reaches that edge.
     """
-    return contains_values(cell, op.dim_values)
-
-
-def contains_values(cell: Subregion, dim_values: dict[str, float]) -> bool:
     for dim, (lo, hi) in cell.bounds.items():
         v = dim_values[dim]
         if v < lo:
@@ -183,8 +178,7 @@ def derive_dependent(op: OperatingPoint, loss_factor: float) -> OperatingPoint:
 
 
 def build_space(grid: GridModel,
-                control_params: list[tuple[str, float, float]] = (),
-                min_tolerance_frac: float = 0.01) -> OperatingSpaceSpec:
+                control_params: list[tuple[str, float, float]] = ()) -> OperatingSpaceSpec:
     """Derive the operating space of a grid.
 
     Independent dimensions: total SG power, total IBR power (when IBR
@@ -200,16 +194,14 @@ def build_space(grid: GridModel,
 
     if sg:
         dims.append(DimensionSpec(P_SG, INDEPENDENT,
-                                  sum(g.p_min for g in sg), sum(g.p_max for g in sg),
-                                  min_tolerance_frac))
+                                  sum(g.p_min for g in sg), sum(g.p_max for g in sg)))
         for g in sg:
             vars_.append(VariableSpec(f"P_SG_{g.bus}", P_SG, g.name,
                                       g.p_min, g.p_max, INDEPENDENT))
     if ibr:
         dims.append(DimensionSpec(P_IBR, INDEPENDENT,
-                                  sum(g.p_min for g in ibr), sum(g.p_max for g in ibr),
-                                  min_tolerance_frac))
-        dims.append(DimensionSpec(PCT_GFM, INDEPENDENT, 0.0, 1.0, min_tolerance_frac))
+                                  sum(g.p_min for g in ibr), sum(g.p_max for g in ibr)))
+        dims.append(DimensionSpec(PCT_GFM, INDEPENDENT, 0.0, 1.0))
         for g in ibr:
             vars_.append(VariableSpec(f"P_IBR_{g.bus}", P_IBR, g.name,
                                       g.p_min, g.p_max, INDEPENDENT))
@@ -219,10 +211,9 @@ def build_space(grid: GridModel,
             vars_.append(VariableSpec(f"P_GFL_{g.bus}", PCT_GFM, g.name,
                                       0.0, g.p_max, DEPENDENT))
     slack = grid.slack_bus
-    dims.append(DimensionSpec(V_ANCHOR, INDEPENDENT, slack.v_min, slack.v_max,
-                              min_tolerance_frac))
+    dims.append(DimensionSpec(V_ANCHOR, INDEPENDENT, slack.v_min, slack.v_max))
     for name, lo, hi in control_params:
-        dims.append(DimensionSpec(name, INDEPENDENT, lo, hi, min_tolerance_frac))
+        dims.append(DimensionSpec(name, INDEPENDENT, lo, hi))
     dims.append(DimensionSpec(P_D, DEPENDENT))
     for ld in grid.loads:
         total = sum(g.p_max for g in grid.gen_groups)

@@ -287,12 +287,12 @@ def test_criterion_7_forest_sanity():
 # 8. comparative benchmark ----------------------------------------------------
 
 def _feasible_share(records):
-    return sum(1 for r in records if r.verdict.status == "Feasible") / len(records)
+    return sum(1 for r in records if r.verdict == "Feasible") / len(records)
 
 
 def _stable_share(records):
-    labels = [r.stability.stable for r in records
-              if r.verdict.status == "Feasible" and r.stability is not None]
+    labels = [r.stable for r in records
+              if r.verdict == "Feasible" and r.stable is not None]
     return sum(labels) / len(labels)
 
 

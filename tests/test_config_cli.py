@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import pytest
 
 import stabgen
 from stabgen.cli import main, run_report, run_scan
-from stabgen.config import ConfigError, config_as_dict, parse_config
+from stabgen.config import (_EXPLORATION_KEYS, ConfigError, config_as_dict,
+                            parse_config)
 from stabgen.dataset import read_dataset
+from stabgen.explorer import ExplorationConfig
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG, SLACK,
                           export_tables)
 
@@ -164,6 +167,13 @@ def test_fixed_split_dims_accepts_control_names(tmp_path):
     cfg = parse_config(_write_cfg(tmp_path, "fixed_split_dims=V_anchor,k_p\n"
                                   + FAST_CFG + "control_params=k_p:0.1:1.0\n"))
     assert cfg.exploration.fixed_split_dims == ("V_anchor", "k_p")
+
+
+def test_every_exploration_field_is_a_key():
+    # A field without a key cannot be set; a key without a field parses and
+    # does nothing.  The unit parameter dataclasses are not flat values.
+    names = {f.name for f in dataclasses.fields(ExplorationConfig)}
+    assert set(_EXPLORATION_KEYS) == names - {"sg_params", "gfor_params", "gfol_params"}
 
 
 def test_config_as_dict_serializable(tmp_path):

@@ -8,7 +8,7 @@ from stabgen.dataset import (FIXED_COLUMNS, TAIL_COLUMNS, compute_metrics,
                              dataset_columns, importances_by_depth,
                              node_to_dict, read_dataset, write_dataset,
                              write_metrics, write_tree)
-from stabgen.explorer import ExplorationConfig, explore
+from stabgen.explorer import ExplorationConfig, LabeledRecord, explore
 from stabgen.grid import fixture_3bus
 from stabgen.space import build_space
 
@@ -35,19 +35,7 @@ def test_dataset_roundtrip(small_run, tmp_path):
     assert cols == dataset_columns(space)
     assert cols[:4] == FIXED_COLUMNS
     assert cols[-len(TAIL_COLUMNS):] == TAIL_COLUMNS
-    assert len(rows) == len(records)
-    for row, rec in zip(rows, records):
-        assert row.cell_path == rec.cell_path
-        assert row.sample_index == rec.op.sample_index
-        assert row.case_index == rec.op.case_index
-        assert row.verdict == rec.verdict.status
-        for name, v in rec.op.dim_values.items():
-            assert row.dims[name] == v  # repr round-trip is exact
-        if rec.stability is None:
-            assert row.stable is None
-        else:
-            assert row.stable == rec.stability.stable
-            assert row.max_real == rec.stability.max_real
+    assert rows == records  # whole records; the repr round-trip is exact
 
 
 def test_dataset_bytes_stable_across_rewrites(small_run, tmp_path):
@@ -84,14 +72,9 @@ def test_compute_metrics_per_depth(small_run):
 
 def test_metrics_accuracy_gating():
     # too few labeled samples for 5-fold stratification -> no accuracy
-    class R:
-        pass
-
-    rows = []
-    for i in range(6):
-        from stabgen.dataset import DatasetRow
-        rows.append(DatasetRow("R", 0, i, 0, {"x": float(i)}, {}, "Feasible",
-                               i % 2 == 0, -1.0, 0.0, "", 3))
+    rows = [LabeledRecord("R", 0, i, 0, {"x": float(i)}, {}, "Feasible",
+                          i % 2 == 0, -1.0, 0.0, 1.0, 0.0, "", 3)
+            for i in range(6)]
     metrics = compute_metrics(rows, ["x"])
     assert metrics[0].accuracy_mean is None
 
@@ -128,6 +111,21 @@ def test_tree_json(small_run, tmp_path):
             assert node["stop_reason"] is None
         else:
             assert node["stop_reason"] is not None
+
+
+def test_fixed_mode_children_one_level_down(small_run, tmp_path):
+    # Fixed mode bisects two dimensions per node; the pieces are still the
+    # next tree level, so tree.json and metrics.csv hold depth-1 cells.
+    _, space, root, records = small_run
+    assert root.children
+    write_tree(tmp_path / "tree.json", root)
+    tree = json.loads((tmp_path / "tree.json").read_text(encoding="utf-8"))
+    assert [c["depth"] for c in tree["children"]] == [1] * len(root.children)
+    dim_names = [d.name for d in space.independent]
+    metrics = compute_metrics(records, dim_names, forest_trees=10, forest_depth=4)
+    write_metrics(tmp_path / "metrics.csv", metrics, dim_names)
+    lines = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
 
 
 def test_importances_by_depth(small_run):

@@ -16,7 +16,7 @@ from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               choose_split_dims, entropy, explore, should_stop)
 from stabgen.grid import fixture_3bus
 from stabgen.smallsignal import GfolParams, GforParams
-from stabgen.space import OperatingPoint, Subregion, build_space, contains
+from stabgen.space import OperatingPoint, Subregion, build_space, contains_values
 
 from oracles import binary_entropy
 
@@ -143,13 +143,10 @@ def test_assess_record_shape():
     op = OperatingPoint(dims, varv, {1: 1.02, 2: 1.02, 3: 1.02})
     rec = assess(grid, op, cell, _fast_config(), 0)
     assert rec.cell_path == "R"
-    assert rec.verdict.status in ("Feasible", "Infeasible", "Discarded")
-    assert rec.assess_ms is None  # timing off by default
-    if rec.verdict.status == "Feasible":
-        assert rec.stability is not None
-        assert (rec.stability.max_real < -1e-6) == rec.stability.stable
-    timed = assess(grid, op, cell, _fast_config(record_timing=True), 0)
-    assert timed.assess_ms is not None and timed.assess_ms > 0
+    assert rec.verdict in ("Feasible", "Infeasible", "Discarded")
+    if rec.verdict == "Feasible":
+        assert rec.stable is not None
+        assert (rec.max_real < -1e-6) == rec.stable
 
 
 def test_control_dimensions_reach_converter_params():
@@ -174,7 +171,7 @@ def test_explore_tree_and_records():
     root, records = explore(space, grid, cfg, progress_stream=sink)
 
     assert root.n_records >= cfg.n_samples * cfg.n_cases
-    keys = [(r.cell_path, r.op.sample_index, r.op.case_index) for r in records]
+    keys = [(r.cell_path, r.sample_index, r.case_index) for r in records]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)  # each assessment recorded once
 
@@ -186,8 +183,8 @@ def test_explore_tree_and_records():
         else:
             assert node.stop_reason in stops
         for rec in node.records:
-            if rec.verdict.status == "Feasible":
-                assert contains(node.cell, rec.op)
+            if rec.verdict == "Feasible":
+                assert contains_values(node.cell, rec.dims)
 
     lines = [ln for ln in sink.getvalue().splitlines() if ln]
     pat = re.compile(r"^depth=\d+ cells=\d+ feasible=\d+\.\d entropy=\d\.\d{4}$")
@@ -201,10 +198,8 @@ def test_explore_deterministic_across_workers():
     for workers in (1, 3):
         _, records = explore(space, grid, _fast_config(workers=workers),
                              progress_stream=io.StringIO())
-        runs.append([(r.cell_path, r.op.sample_index, r.op.case_index,
-                      r.verdict.status,
-                      None if r.stability is None else r.stability.max_real,
-                      tuple(sorted(r.op.dim_values.items())))
+        runs.append([(r.cell_path, r.sample_index, r.case_index,
+                      r.verdict, r.max_real, tuple(sorted(r.dims.items())))
                      for r in records])
     assert runs[0] == runs[1]
 
@@ -222,7 +217,7 @@ def test_explore_inherits_parent_samples():
         fresh = [r for r in child.records if r.cell_path == child.cell.path]
         assert len(fresh) == cfg.n_samples * cfg.n_cases
         for r in handed:
-            assert contains(child.cell, r.op)
+            assert contains_values(child.cell, r.dims)
     assert child_paths <= {f"R.{d}_{s}" for d in ("P_SG", "P_IBR")
                            for s in "LH"} | {
         f"R.P_SG_{a}.P_IBR_{b}" for a in "LH" for b in "LH"}

@@ -6,7 +6,7 @@ from stabgen.grid import fixture_3bus, fixture_9bus
 from stabgen.sampling import (disaggregate, disaggregate_gaussian,
                               disaggregate_variance_max, hierarchical_sample,
                               lhs, rng_stream, sample_voltage_profile)
-from stabgen.space import build_space, contains
+from stabgen.space import build_space, contains_values
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -117,7 +117,7 @@ def test_hierarchical_sample_shape_and_containment():
     pts = hierarchical_sample(cell, 10, 3, g, space, seed=0)
     assert len(pts) == 30
     for p in pts:
-        assert contains(cell, p)
+        assert contains_values(cell, p.dim_values)
         assert p.dim_values["P_D"] == pytest.approx(
             0.97 * (p.dim_values["P_SG"] + p.dim_values["P_IBR"]))
         # variable sums respect their dimension totals
@@ -149,7 +149,25 @@ def test_hierarchical_sample_child_cell_containment():
     l, h = split(space.root_cell(), "P_SG", 0.01)
     for cell in (l, h):
         for p in hierarchical_sample(cell, 8, 1, g, space, seed=3):
-            assert contains(cell, p)
+            assert contains_values(cell, p.dim_values)
+
+
+def test_randomized_loads_within_bounds_and_sum():
+    g = fixture_9bus()
+    space = build_space(g, CONTROL)
+    pts = hierarchical_sample(space.root_cell(), 20, 3, g, space, seed=5,
+                              randomize_loads=True)
+    max_dev = 0.0
+    for p in pts:
+        p_d = p.dim_values["P_D"]
+        for ld in g.loads:
+            share = ld.participation * p_d
+            v = p.var_values[f"P_L_{ld.bus}"]
+            assert 0.8 * share - 1e-9 <= v <= min(1.2, 1 / ld.participation) * share + 1e-9
+            max_dev = max(max_dev, abs(v / share - 1.0))
+        assert sum(p.var_values[f"P_L_{ld.bus}"] for ld in g.loads) \
+            == pytest.approx(p_d, rel=1e-9)
+    assert max_dev > 0.05  # the loads do leave their fixed participation
 
 
 def test_hierarchical_sample_rejects_bad_counts():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from stabgen.grid import fixture_3bus, fixture_9bus
 from stabgen.space import (OperatingPoint, SpaceError, Subregion,
-                           ToleranceFloorError, build_space, contains,
+                           ToleranceFloorError, build_space,
                            contains_values, derive_dependent, split,
                            P_D, P_IBR, P_SG, PCT_GFM, V_ANCHOR)
 
