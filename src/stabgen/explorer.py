@@ -272,6 +272,7 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
     all_records: list[LabeledRecord] = []
     cells_done = 0
     frontier: list[tuple[ExplorationNode, float | None]] = [(root, None)]
+    grid.network  # compiled once here; the pickled tasks carry it to the workers
     with ProcessPoolExecutor(config.workers,
                              mp_context=multiprocessing.get_context("fork")) as pool:
         while frontier:

@@ -15,7 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridModel, GenGroup, IBR, SG, build_admittance, power_jacobian
+# build_admittance stays importable here for bench/tracer.py, which wraps it
+# by this module's name; the compiled network (GridModel.network) calls it.
+from .grid import (GridModel, IBR, SG, JacobianKernel, Network,  # noqa: F401
+                   build_admittance)
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)
 
 FEASIBLE = "Feasible"
@@ -32,13 +35,41 @@ ZERO_DISPATCH = 1e-6  # MW threshold below which a group counts as offline
 
 @dataclass
 class PowerFlowSolution:
-    v: dict[int, float]        # bus id -> voltage magnitude, pu
-    theta: dict[int, float]    # bus id -> voltage angle, rad
-    group_p: dict[str, float]  # group name -> active injection, MW
-    group_q: dict[str, float]  # group name -> reactive injection, MVAr
+    network: Network         # gives the bus and group order of the arrays
+    vm: np.ndarray           # voltage magnitude per bus, pu
+    va: np.ndarray           # voltage angle per bus, rad
+    gen_p: np.ndarray        # active injection per group, MW
+    gen_q: np.ndarray        # reactive injection per group, MVAr
     converged: bool
     iterations: int
     max_mismatch: float
+
+    @property
+    def v(self) -> dict[int, float]:
+        return dict(zip(self.network.bus_ids, self.vm.tolist()))
+
+    @property
+    def theta(self) -> dict[int, float]:
+        return dict(zip(self.network.bus_ids, self.va.tolist()))
+
+    @property
+    def group_p(self) -> dict[str, float]:
+        return dict(zip(self.network.gen_names, self.gen_p.tolist()))
+
+    @property
+    def group_q(self) -> dict[str, float]:
+        return dict(zip(self.network.gen_names, self.gen_q.tolist()))
+
+
+@dataclass(frozen=True)
+class PfCase:
+    """One operating point's power-flow inputs, built once and shared by all
+    of its solves; each solve brings its own dispatch (default ``gen_p``)."""
+
+    p_load: np.ndarray  # active demand per bus, pu
+    q_load: np.ndarray  # reactive demand per bus, pu
+    vm: np.ndarray      # sampled voltage magnitude per bus, pu
+    gen_p: np.ndarray   # sampled set point per group, MW
 
 
 @dataclass
@@ -63,141 +94,130 @@ class FeasibilityVerdict:
     adjustment_distance: float  # MW^2 over non-slack groups
 
 
-def _group_setpoints(grid: GridModel, op: OperatingPoint) -> dict[str, float]:
-    sp = {}
-    for g in grid.gen_groups:
-        key = f"P_{g.tech}_{g.bus}"
-        sp[g.name] = op.var_values.get(key, 0.0)
-    return sp
-
-
 def load_mw(grid: GridModel, op: OperatingPoint) -> dict[int, float]:
     """Active demand per load bus, MW (``GridModel`` allows one load per bus)."""
     return {ld.bus: op.var_values.get(f"P_L_{ld.bus}", 0.0) for ld in grid.loads}
 
 
-def solve_pf(grid: GridModel, op: OperatingPoint,
-             group_p: dict[str, float] | None = None,
-             load_pf: float = DEFAULT_LOAD_PF) -> PowerFlowSolution:
-    """Polar Newton-Raphson power flow for one operating point.
+def pf_case(grid: GridModel, op: OperatingPoint,
+            load_pf: float = DEFAULT_LOAD_PF) -> PfCase:
+    """The power-flow inputs of an operating point, at load power factor
+    ``load_pf``."""
+    net = grid.network
+    n = len(net.bus_ids)
+    base = net.base_mva
+    tan_phi = math.tan(math.acos(load_pf))
+    mw = np.array(list(load_mw(grid, op).values()), dtype=float)
+    p_load = np.zeros(n)
+    q_load = np.zeros(n)
+    p_load[net.load_bus] = mw / base
+    q_load[net.load_bus] = mw * tan_phi / base
+    vm = np.array([op.voltage_profile.get(b, 1.0) for b in net.bus_ids])
+    gen_p = np.array([op.var_values.get(f"P_{g.tech}_{g.bus}", 0.0)
+                      for g in grid.gen_groups])
+    return PfCase(p_load, q_load, vm, gen_p)
+
+
+def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
+    """Each group's share of ``weight`` among the groups at its bus; equal
+    shares at a bus whose total weight is not positive."""
+    total = np.bincount(bus, weight, n)[bus]
+    count = np.bincount(bus, minlength=n)[bus]
+    return np.divide(weight, total, out=1.0 / count, where=total > 0)
+
+
+def solve_pf(grid: GridModel, case: PfCase,
+             gen_p: np.ndarray | None = None) -> PowerFlowSolution:
+    """Polar Newton-Raphson power flow of one dispatch (MW per group,
+    default: the sampled set points).
 
     Generator buses with dispatched groups are held at the sampled voltage
     magnitude (PV); their reactive output is limited to the summed group
     capability with PV->PQ switching.  The slack bus absorbs the active
     residual.  Non-convergence is reported, not raised.
     """
-    if group_p is None:
-        group_p = _group_setpoints(grid, op)
-    n = len(grid.buses)
-    idx = grid.bus_index
-    ybus = build_admittance(grid)
-    base = grid.base_mva
-    tan_phi = math.tan(math.acos(load_pf))
+    net = grid.network
+    if gen_p is None:
+        gen_p = case.gen_p
+    n = len(net.bus_ids)
+    ybus = net.ybus
+    base = net.base_mva
+    slack = net.slack
+    p_load, q_load = case.p_load, case.q_load
 
-    p_gen = np.zeros(n)
-    q_lim = np.zeros((n, 2))
-    dispatched: dict[int, list[GenGroup]] = {}
-    for g in grid.gen_groups:
-        p = group_p.get(g.name, 0.0)
-        if p > ZERO_DISPATCH:
-            i = idx[g.bus]
-            p_gen[i] += p / base
-            q_lim[i, 0] += g.q_min / base
-            q_lim[i, 1] += g.q_max / base
-            dispatched.setdefault(g.bus, []).append(g)
-
-    p_load = np.zeros(n)
-    q_load = np.zeros(n)
-    for bus_id, mw in load_mw(grid, op).items():
-        i = idx[bus_id]
-        p_load[i] += mw / base
-        q_load[i] += mw * tan_phi / base
-
-    slack = idx[grid.slack_bus.id]
+    on = gen_p > ZERO_DISPATCH
+    bus_on = net.gen_bus[on]
+    p_gen = np.bincount(bus_on, gen_p[on] / base, n)
+    q_min = np.bincount(bus_on, net.gen_q_min[on] / base, n)
+    q_max = np.bincount(bus_on, net.gen_q_max[on] / base, n)
     # PV where a dispatched generator can hold voltage; everything else PQ
-    is_pv = np.array([
-        (i != slack) and bool(dispatched.get(b.id)) for i, b in enumerate(grid.buses)])
+    is_pv = np.bincount(bus_on, minlength=n) > 0
+    is_pv[slack] = False
+    not_slack = np.arange(n) != slack
     p_spec = p_gen - p_load
     q_spec = -q_load  # PQ buses without generation
 
-    vm = np.array([op.voltage_profile.get(b.id, 1.0) for b in grid.buses])
-    va = np.zeros(n)
+    jacobian = JacobianKernel(ybus)
+    x0 = np.concatenate([np.zeros(n), case.vm])  # flat start [theta; |V|]
     converged = False
     iterations = 0
     max_mismatch = math.inf
 
     for _round in range(5):  # PV->PQ switching rounds
-        vm_work = vm.copy()
-        va_work = va.copy()
-        pv = np.flatnonzero(is_pv)
-        pq = np.flatnonzero(~is_pv & (np.arange(n) != slack))
+        x = x0.copy()
+        va, vm = x[:n], x[n:]
+        pv = is_pv.nonzero()[0]
+        pq = (~is_pv & not_slack).nonzero()[0]
         pvpq = np.concatenate([pv, pq])
         rc = np.concatenate([pvpq, n + pq])  # [P; Q] rows and [theta; |V|] cols
+        rows_cols = (rc[:, None], rc)
+        spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
+        # the same rows of S viewed as interleaved (P, Q) floats
+        s_rows = np.concatenate([2 * pvpq, 2 * pq + 1])
         converged = False
         for it in range(1, PF_MAX_ITER + 1):
-            v = vm_work * np.exp(1j * va_work)
-            s_calc = v * np.conj(ybus @ v)
-            dp = p_spec[pvpq] - s_calc.real[pvpq]
-            dq = q_spec[pq] - s_calc.imag[pq]
-            mism = np.concatenate([dp, dq])
-            max_mismatch = float(np.max(np.abs(mism))) if mism.size else 0.0
+            v = vm * np.exp(1j * va)
+            ibus = ybus @ v
+            s_calc = v * np.conj(ibus)
+            mism = spec - s_calc.view(float)[s_rows]
+            max_mismatch = float(np.abs(mism).max()) if mism.size else 0.0
             iterations = it
             if max_mismatch < PF_TOL:
                 converged = True
                 break
-            jac = power_jacobian(ybus, v)[np.ix_(rc, rc)]
             try:
-                dx = np.linalg.solve(jac, mism)
+                dx = np.linalg.solve(jacobian(v, ibus)[rows_cols], mism)
             except np.linalg.LinAlgError:
                 break
-            if not np.all(np.isfinite(dx)):
+            if not np.isfinite(dx).all():
                 break
-            va_work[pvpq] += dx[:len(pvpq)]
-            vm_work[pq] += dx[len(pvpq):]
-            if np.any(vm_work <= 0.05):
+            x[rc] += dx
+            if (vm <= 0.05).any():
                 break
         if not converged:
             break
-        # reactive limit check at PV buses
-        v = vm_work * np.exp(1j * va_work)
-        s_calc = v * np.conj(ybus @ v)
-        switched = False
-        for i in np.flatnonzero(is_pv):
-            q_gen = s_calc.imag[i] + q_load[i]
-            if q_gen > q_lim[i, 1] + 1e-9:
-                q_spec[i] = q_lim[i, 1] - q_load[i]
-                is_pv[i] = False
-                switched = True
-            elif q_gen < q_lim[i, 0] - 1e-9:
-                q_spec[i] = q_lim[i, 0] - q_load[i]
-                is_pv[i] = False
-                switched = True
-        if not switched:
+        # reactive limit check at PV buses (v and s_calc are the converged ones)
+        q_gen = s_calc.imag[pv] + q_load[pv]
+        high = q_gen > q_max[pv] + 1e-9
+        low = ~high & (q_gen < q_min[pv] - 1e-9)
+        if not (high.any() or low.any()):
             break
+        q_spec[pv[high]] = q_max[pv[high]] - q_load[pv[high]]
+        q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
+        is_pv[pv[high | low]] = False
 
-    v = vm_work * np.exp(1j * va_work)
-    s_calc = v * np.conj(ybus @ v)
-    buses = grid.buses
-    sol_v = {b.id: float(np.abs(v)[i]) for i, b in enumerate(buses)}
-    sol_t = {b.id: float(va_work[i]) for i, b in enumerate(buses)}
-
-    grp_p: dict[str, float] = {}
-    grp_q: dict[str, float] = {}
-    for g in grid.gen_groups:
-        grp_p[g.name] = group_p.get(g.name, 0.0)
-        grp_q[g.name] = 0.0
-    for bus_id, groups in dispatched.items():
-        i = idx[bus_id]
-        q_gen_mvar = (s_calc.imag[i] + q_load[i]) * base
-        wsum = sum(g.q_max for g in groups)
-        for g in groups:
-            grp_q[g.name] = q_gen_mvar * (g.q_max / wsum if wsum > 0 else 1 / len(groups))
-        if i == slack:
-            p_gen_mw = (s_calc.real[i] + p_load[i]) * base
-            wsum_p = sum(g.p_max for g in groups)
-            for g in groups:
-                grp_p[g.name] = p_gen_mw * (g.p_max / wsum_p if wsum_p > 0 else 1 / len(groups))
-    return PowerFlowSolution(sol_v, sol_t, grp_p, grp_q, converged,
+    if not converged:
+        v = vm * np.exp(1j * va)
+        s_calc = v * np.conj(ybus @ v)
+    gen_q = np.zeros(len(gen_p))
+    gen_q[on] = ((s_calc.imag + q_load) * base)[bus_on] * _shares(
+        net.gen_q_max[on], bus_on, n)
+    gen_p_out = gen_p.copy()
+    at_slack = on & (net.gen_bus == slack)
+    if at_slack.any():
+        gen_p_out[at_slack] = (s_calc.real[slack] + p_load[slack]) * base * _shares(
+            net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
+    return PowerFlowSolution(net, np.abs(v), va, gen_p_out, gen_q, converged,
                              iterations, max_mismatch)
 
 
@@ -207,31 +227,33 @@ def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> Constrain
     Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
     MVAr / power-factor units (group checks).  Offline groups are skipped.
     """
+    net = grid.network
     tol = 1e-6
     viols: list[tuple[str, float]] = []
-    for b in grid.buses:
-        v = solution.v[b.id]
-        if v < b.v_min - tol:
-            viols.append((f"v_{b.id}", b.v_min - v))
-        elif v > b.v_max + tol:
-            viols.append((f"v_{b.id}", v - b.v_max))
-    base = grid.base_mva
-    idx = grid.bus_index
-    vc = {b.id: solution.v[b.id] * np.exp(1j * solution.theta[b.id]) for b in grid.buses}
-    for ln in grid.lines:
-        y_series = 1.0 / complex(ln.r, ln.x)
-        y_shunt = 0.5j * ln.b
-        vf, vt = vc[ln.from_bus], vc[ln.to_bus]
-        i_f = (vf - vt) * y_series + vf * y_shunt
-        i_t = (vt - vf) * y_series + vt * y_shunt
-        s = max(abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))) * base
-        if s > ln.s_max + tol:
-            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
-    for g in grid.gen_groups:
-        p = solution.group_p.get(g.name, 0.0)
+    vm, va = solution.vm, solution.va
+    low = vm < net.v_min - tol
+    for i in (low | (vm > net.v_max + tol)).nonzero()[0].tolist():
+        mag = net.v_min[i] - vm[i] if low[i] else vm[i] - net.v_max[i]
+        viols.append((f"v_{net.bus_ids[i]}", float(mag)))
+    # |S| = |V conj(I)| at every line end, with I = (V - V_far) y_series +
+    # j b_shunt V, in real and imaginary parts: so every product rounds as
+    # numpy's complex scalar product does, which the dataset bytes were
+    # made with; its complex array product can differ in the last bit
+    unit = np.exp(1j * va)
+    bus_r, bus_i = vm * unit.real, vm * unit.imag
+    vr, vi = bus_r[net.line_end], bus_i[net.line_end]
+    dr, di = vr - bus_r[net.line_far], vi - bus_i[net.line_far]
+    yr, yi, b = net.line_y_series.real, net.line_y_series.imag, net.line_b_shunt
+    ir = dr * yr - di * yi - b * vi
+    ii = dr * yi + di * yr + b * vr
+    flow = np.hypot(vr * ir + vi * ii, vi * ir - vr * ii).reshape(2, -1)
+    s = flow.max(axis=0) * net.base_mva
+    for k in (s > net.line_s_max + tol).nonzero()[0].tolist():
+        ln = grid.lines[k]
+        viols.append((f"line_{ln.from_bus}_{ln.to_bus}", float(s[k] - ln.s_max)))
+    for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):
         if p <= ZERO_DISPATCH:
             continue
-        q = solution.group_q.get(g.name, 0.0)
         if p < g.p_min - 1e-6:
             viols.append((f"pmin_{g.name}", g.p_min - p))
         if p > g.p_max + 1e-6:
@@ -259,12 +281,12 @@ def classify(adjusted: OperatingPoint, solution: PowerFlowSolution,
 
 
 def _apply_dispatch(grid: GridModel, op: OperatingPoint,
-                    group_p: dict[str, float]) -> OperatingPoint:
+                    gen_p: np.ndarray) -> OperatingPoint:
     """Rewrite an operating point's variables and totals from a dispatch."""
     varv = dict(op.var_values)
-    for g in grid.gen_groups:
+    dispatch = gen_p.tolist()
+    for g, new_p in zip(grid.gen_groups, dispatch):
         key = f"P_{g.tech}_{g.bus}"
-        new_p = group_p[g.name]
         if g.tech == IBR:
             old_p = op.var_values.get(key, 0.0)
             gfm = op.var_values.get(f"P_GFM_{g.bus}", 0.0)
@@ -273,9 +295,9 @@ def _apply_dispatch(grid: GridModel, op: OperatingPoint,
             varv[f"P_GFL_{g.bus}"] = (1.0 - share) * new_p
         varv[key] = new_p
     dims = dict(op.dim_values)
-    dims[P_SG] = sum(group_p[g.name] for g in grid.groups_of(SG))
+    dims[P_SG] = sum(p for g, p in zip(grid.gen_groups, dispatch) if g.tech == SG)
     if grid.groups_of(IBR):
-        dims[P_IBR] = sum(group_p[g.name] for g in grid.groups_of(IBR))
+        dims[P_IBR] = sum(p for g, p in zip(grid.gen_groups, dispatch) if g.tech == IBR)
     return replace(op, dim_values=dims, var_values=varv)
 
 
@@ -292,21 +314,24 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
     set-point deviation is recorded.  All failure modes classify as
     Infeasible.
     """
-    setpoints = _group_setpoints(grid, op)
-    slack_id = grid.slack_bus.id
-    adjustable = [g for g in grid.gen_groups if g.bus != slack_id
-                  and setpoints[g.name] > ZERO_DISPATCH]
-    p = {name: v for name, v in setpoints.items()}
-    for g in adjustable:  # project onto the capability box up front
-        p[g.name] = min(max(p[g.name], g.p_min), g.p_max)
+    net = grid.network
+    case = pf_case(grid, op, load_pf)
+    setpoints = case.gen_p
+    non_slack = net.gen_bus != net.slack
+    adjustable = np.flatnonzero(non_slack & (setpoints > ZERO_DISPATCH))
+    p_min = net.gen_p_min[adjustable].tolist()
+    p_max = net.gen_p_max[adjustable].tolist()
+    # project onto the capability box up front
+    p = setpoints.copy()
+    p[adjustable] = np.clip(p[adjustable], p_min, p_max)
 
-    def distance(dispatch: dict[str, float]) -> float:
-        return sum((dispatch[g.name] - setpoints[g.name]) ** 2
-                   for g in grid.gen_groups if g.bus != slack_id)
+    def distance(dispatch: np.ndarray) -> float:
+        return sum((a - b) ** 2 for a, b in zip(dispatch[non_slack].tolist(),
+                                                 setpoints[non_slack].tolist()))
 
-    def solve_and_check(dispatch: dict[str, float]) -> tuple[float, PowerFlowSolution,
-                                                             ConstraintReport]:
-        sol = solve_pf(grid, op, dispatch, load_pf)
+    def solve_and_check(dispatch: np.ndarray) -> tuple[float, PowerFlowSolution,
+                                                       ConstraintReport]:
+        sol = solve_pf(grid, case, dispatch)
         if not sol.converged:
             return math.inf, sol, ConstraintReport([("pf_diverged", 1.0)])
         rep = check_constraints(sol, grid)
@@ -320,51 +345,48 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
     # An accepted line-search trial is the next outer iterate: solve it once.
     solved: dict[tuple[float, ...], tuple] = {}
 
-    def violation_total(dispatch: dict[str, float]) -> tuple[float, PowerFlowSolution,
-                                                             ConstraintReport]:
-        key = tuple(dispatch[g.name] for g in grid.gen_groups)
+    def violation_total(dispatch: np.ndarray) -> tuple[float, PowerFlowSolution,
+                                                       ConstraintReport]:
+        key = tuple(dispatch.tolist())
         if key not in solved:
             solved[key] = solve_and_check(dispatch)
         return solved[key]
 
     prev = math.inf
     for _it in range(REPAIR_MAX_OUTER):
+        solved_p = p  # the dispatch of sol and rep, also when the loop runs out
         tot, sol, rep = violation_total(p)
         if rep.clean and sol.converged:
-            adjusted = _apply_dispatch(grid, op, sol.group_p)
+            adjusted = _apply_dispatch(grid, op, sol.gen_p)
             verdict = classify(adjusted, sol, rep, cell, distance(p))
             return adjusted, sol, verdict
-        if not sol.converged or not adjustable:
+        if not sol.converged or not adjustable.size:
             break
         if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
             break
         prev = tot
         # finite-difference descent on adjustable group set points
         h = 1.0  # MW
-        grad = {}
-        for g in adjustable:
-            trial = dict(p)
-            trial[g.name] = min(max(p[g.name] + h, g.p_min), g.p_max)
-            if trial[g.name] == p[g.name]:
-                trial[g.name] = max(p[g.name] - h, g.p_min)
-                if trial[g.name] == p[g.name]:
-                    grad[g.name] = 0.0
+        grad = np.zeros(len(adjustable))
+        for k, (i, p_i) in enumerate(zip(adjustable.tolist(), p[adjustable].tolist())):
+            step = min(max(p_i + h, p_min[k]), p_max[k])
+            if step == p_i:
+                step = max(p_i - h, p_min[k])
+                if step == p_i:
                     continue
+            trial = p.copy()
+            trial[i] = step
             t_tot, _, _ = violation_total(trial)
-            if not math.isfinite(t_tot):
-                grad[g.name] = 0.0
-                continue
-            grad[g.name] = (t_tot - tot) / (trial[g.name] - p[g.name])
-        gmax = max((abs(v) for v in grad.values()), default=0.0)
+            if math.isfinite(t_tot):
+                grad[k] = (t_tot - tot) / (step - p_i)
+        gmax = float(np.abs(grad).max())
         if gmax <= 0:
             break
-        scale = 0.05 * max(g.p_max for g in adjustable) / gmax
+        scale = 0.05 * max(p_max) / gmax
         improved = False
         for alpha in (scale, scale / 4, scale / 16):
-            trial = dict(p)
-            for g in adjustable:
-                trial[g.name] = min(max(p[g.name] - alpha * grad[g.name], g.p_min),
-                                    g.p_max)
+            trial = p.copy()
+            trial[adjustable] = np.clip(p[adjustable] - alpha * grad, p_min, p_max)
             t_tot, _, _ = violation_total(trial)
             if t_tot < tot:
                 p = trial
@@ -372,7 +394,6 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                 break
         if not improved:
             break
-    adjusted = _apply_dispatch(grid, op, sol.group_p if sol.converged
-                               else {g.name: p.get(g.name, 0.0) for g in grid.gen_groups})
-    verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance(p))
+    adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else solved_p)
+    verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance(solved_p))
     return adjusted, sol, verdict

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridModel, SG as SG_TECH, build_admittance, power_jacobian
+# build_admittance stays importable here for bench/tracer.py, which wraps it
+# by this module's name; the compiled network (GridModel.network) calls it.
+from .grid import (GridModel, SG as SG_TECH, build_admittance,  # noqa: F401
+                   power_jacobian)
 from .feasibility import PowerFlowSolution, DEFAULT_LOAD_PF
 from .space import OperatingPoint
 
@@ -120,13 +123,13 @@ def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
     power-flow Jacobian J = d[P;Q]/d[theta;V] there."""
     idx = grid.bus_index
     n = len(grid.buses)
-    y = build_admittance(grid)
+    y = grid.network.ybus.copy()
+    vm, va = solution.vm.tolist(), solution.va.tolist()
     tan_phi = math.tan(math.acos(load_pf))
     for bus_id, mw in load_mw.items():
         i = idx[bus_id]
         s_load = complex(mw, mw * tan_phi) / grid.base_mva
-        vmag = solution.v[bus_id]
-        y[i, i] += np.conj(s_load) / vmag ** 2
+        y[i, i] += np.conj(s_load) / vm[i] ** 2
     keep = [idx[b] for b in retained]
     elim = [i for i in range(n) if i not in keep]
     if elim:
@@ -140,7 +143,7 @@ def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
             raise LinearizationError("singular Kron reduction") from exc
     else:
         y_red = y
-    v = np.array([solution.v[b] * cmath.exp(1j * solution.theta[b]) for b in retained])
+    v = np.array([vm[i] * cmath.exp(1j * va[i]) for i in keep])
     return power_jacobian(y_red, v)
 
 
@@ -167,9 +170,8 @@ def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit]
                 f"bus {b}: more than one voltage-forming unit is not supported")
     # dispatched generation without a dynamic unit pins the angle (infinite bus)
     modeled = {u.bus for u in units}
-    static_buses = sorted({g.bus for g in grid.gen_groups
-                           if solution.group_p.get(g.name, 0.0) > 1e-6
-                           and g.bus not in modeled})
+    static_buses = sorted({g.bus for g, p in zip(grid.gen_groups, solution.gen_p)
+                           if p > 1e-6 and g.bus not in modeled})
     follow_only = sorted({u.bus for u in units if u.kind == KIND_GFOL}
                          - set(forming_buses) - set(static_buses))
     a_buses = forming_buses + static_buses

@@ -18,7 +18,7 @@ from stabgen.explorer import (ExplorationConfig, entropy, explore,
                               STOP_ENTROPY_DECREASE, STOP_MAX_DEPTH,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
                               STOP_ZERO_ENTROPY)
-from stabgen.feasibility import solve_pf
+from stabgen.feasibility import pf_case, solve_pf
 from stabgen.forest import (LabeledDataset, feature_importance, kfold_accuracy,
                             train_forest)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
@@ -148,7 +148,7 @@ def test_criterion_4_power_flow_oracle():
             attempts += 1
             assert attempts < 500
             op, group_p = _random_dispatch(grid, rng)
-            sol = solve_pf(grid, op, group_p)
+            sol = solve_pf(grid, pf_case(grid, op))  # op's set points are group_p
             vmag, vang, gs_ok = gauss_seidel_pf(grid, op, group_p, tol=1e-9)
             if not (sol.converged and gs_ok):
                 continue
@@ -164,7 +164,7 @@ def test_criterion_4_power_flow_oracle():
         loads=(),
     )
     op = OperatingPoint({}, {"P_SG_2": 50.0}, {1: 1.0, 2: 1.0})
-    sol = solve_pf(two_bus, op)
+    sol = solve_pf(two_bus, pf_case(two_bus, op))
     assert sol.converged
     theta2, _q2 = two_bus_closed_form(-0.5, 0.1)
     assert abs(sol.theta[2] - theta2) < 1e-8
@@ -185,7 +185,7 @@ def test_criterion_5_small_signal_oracle():
     )
     op = OperatingPoint({}, {"P_SG_1": 150.0, "P_SG_2": 60.0, "P_L_1": 200.0},
                         {1: 1.0, 2: 1.0})
-    sol = solve_pf(grid, op, load_pf=1.0)
+    sol = solve_pf(grid, pf_case(grid, op, load_pf=1.0))
     assert sol.converged
     g2 = grid.gen_groups[1]
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, 60.0)]
@@ -221,7 +221,7 @@ def test_criterion_5_small_signal_oracle():
     varv = {"P_SG_1": 100.0, "P_IBR_2": 150.0, "P_GFM_2": 75.0,
             "P_GFL_2": 75.0, "P_L_3": 242.5}
     op3 = OperatingPoint({}, varv, {1: 1.0, 2: 1.0, 3: 1.0})
-    sol3 = solve_pf(grid3, op3)
+    sol3 = solve_pf(grid3, pf_case(grid3, op3))
     assert sol3.converged
     from stabgen.smallsignal import build_units
     ssm3 = linearize(grid3, sol3, build_units(grid3, op3), {3: 242.5})

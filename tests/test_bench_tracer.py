@@ -7,6 +7,7 @@ interpreter.  The wrappers are closures, which cannot be pickled, so the
 explorer's process pool must keep working while ``explorer.assess`` is one.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,26 @@ explore(build_space(grid, [("tau_u", 0.01, 1.0)]), grid,
 """
 
 
+TRACED_ASSESS = """
+import json
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from stabgen import explorer
+from stabgen.explorer import ExplorationConfig
+from stabgen.grid import fixture_3bus
+from stabgen.sampling import hierarchical_sample
+from stabgen.space import build_space
+grid = fixture_3bus()
+space = build_space(grid, [("tau_u", 0.01, 1.0)])
+cell = space.root_cell()
+config = ExplorationConfig(n_samples=6, n_cases=1)
+for op in hierarchical_sample(cell, 6, 1, grid, space, seed=0):
+    explorer.assess(grid, op, cell, config, 0)
+print(json.dumps(tracer.calls))
+"""
+
+
 def _run(code):
     src = str(Path(stabgen.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -47,3 +68,13 @@ def test_tracer_installs():
 def test_traced_explore_runs_in_process_pool():
     proc = _run(TRACED_EXPLORE)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_sees_the_power_flow():
+    # The per-layer feasibility metrics read 0 if solve_pf is called under
+    # a name the tracer does not wrap.
+    proc = _run(TRACED_ASSESS)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls["feasibility.solve_pf"] > 0
+    assert calls.get("grid.build_admittance", 0) <= 1

@@ -15,6 +15,7 @@ from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               STOP_ZERO_ENTROPY, _with_controls, assess,
                               choose_split_dims, entropy, explore, should_stop)
 from stabgen.grid import fixture_3bus
+from stabgen.sampling import hierarchical_sample
 from stabgen.smallsignal import GfolParams, GforParams
 from stabgen.space import OperatingPoint, Subregion, build_space, contains_values
 
@@ -147,6 +148,27 @@ def test_assess_record_shape():
     if rec.verdict == "Feasible":
         assert rec.stable is not None
         assert (rec.max_real < -1e-6) == rec.stable
+
+
+def test_admittance_built_once_per_grid(monkeypatch):
+    from stabgen import feasibility, grid as grid_module, smallsignal
+
+    real = grid_module.build_admittance
+    builds = []
+
+    def counting(grid):
+        builds.append(grid)
+        return real(grid)
+
+    for module in (grid_module, feasibility, smallsignal):
+        monkeypatch.setattr(module, "build_admittance", counting)
+    grid = fixture_3bus()
+    space = build_space(grid, CONTROL)
+    cell = space.root_cell()
+    records = [assess(grid, op, cell, _fast_config(), 0)
+               for op in hierarchical_sample(cell, 20, 1, grid, space, seed=3)]
+    assert any(r.verdict == "Feasible" for r in records)  # linearize ran
+    assert len(builds) <= 1
 
 
 def test_control_dimensions_reach_converter_params():

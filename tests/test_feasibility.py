@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
                                  INFEASIBLE, PowerFlowSolution,
                                  adjust_to_feasible, check_constraints,
-                                 classify, solve_pf)
+                                 classify, pf_case, solve_pf)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, IBR, fixture_3bus, fixture_9bus)
 from stabgen.sampling import hierarchical_sample
@@ -50,7 +51,7 @@ def test_two_bus_closed_form():
     )
     p_gen = 50.0
     op = OperatingPoint({}, {"P_SG_2": p_gen}, {1: 1.0, 2: 1.0})
-    sol = solve_pf(grid, op)
+    sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     theta2, q2 = two_bus_closed_form(-p_gen / grid.base_mva, 0.1)
     assert sol.theta[2] == pytest.approx(theta2, abs=1e-8)
@@ -65,7 +66,7 @@ def test_nr_matches_gauss_seidel(fixture):
     checked = 0
     for _ in range(10):
         op, group_p = _random_op(grid, rng)
-        sol = solve_pf(grid, op, group_p)
+        sol = solve_pf(grid, pf_case(grid, op))  # op's set points are group_p
         vmag, vang, gs_ok = gauss_seidel_pf(grid, op, group_p)
         if not (sol.converged and gs_ok):
             continue
@@ -80,7 +81,7 @@ def test_pf_power_balance():
     grid = fixture_9bus()
     rng = np.random.default_rng(3)
     op, group_p = _random_op(grid, rng)
-    sol = solve_pf(grid, op, group_p)
+    sol = solve_pf(grid, pf_case(grid, op))  # op's set points are group_p
     assert sol.converged
     assert sol.max_mismatch < 1e-8
     # slack group absorbed the residual: totals balance to within losses
@@ -93,14 +94,14 @@ def test_pf_power_balance():
 def test_pf_nonconvergence_reported():
     grid = fixture_3bus()
     op = _op_3bus(300.0, 200.0, 5000.0)  # far beyond transfer capability
-    sol = solve_pf(grid, op)
+    sol = solve_pf(grid, pf_case(grid, op))
     assert not sol.converged
 
 
 def test_pf_slack_voltage_held():
     grid = fixture_3bus()
     op = _op_3bus(150.0, 100.0, 230.0, v=1.03)
-    sol = solve_pf(grid, op)
+    sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     assert sol.v[1] == pytest.approx(1.03, abs=1e-12)
 
@@ -110,7 +111,7 @@ def test_pv_to_pq_switching_respects_q_limits():
     # depressed PV set point with heavy load forces the IBR to its Q floor
     op = _op_3bus(150.0, 150.0, 290.0, v=1.0)
     op.voltage_profile[2] = 0.95
-    sol = solve_pf(grid, op)
+    sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     g = grid.gen_groups[1]
     assert g.q_min - 1e-6 <= sol.group_q[g.name] <= g.q_max + 1e-6
@@ -119,10 +120,11 @@ def test_pv_to_pq_switching_respects_q_limits():
 # -- constraint checks --------------------------------------------------------
 
 def _flat_solution(grid, v, group_p, group_q):
+    net = grid.network
     return PowerFlowSolution(
-        v={b.id: v for b in grid.buses},
-        theta={b.id: 0.0 for b in grid.buses},
-        group_p=group_p, group_q=group_q,
+        net, vm=np.full(len(net.bus_ids), v), va=np.zeros(len(net.bus_ids)),
+        gen_p=np.array([group_p[n] for n in net.gen_names]),
+        gen_q=np.array([group_q[n] for n in net.gen_names]),
         converged=True, iterations=3, max_mismatch=1e-10)
 
 
@@ -163,10 +165,9 @@ def test_offline_group_skipped():
 def test_line_overload_magnitude():
     grid = fixture_3bus()
     sol = PowerFlowSolution(
-        v={1: 1.0, 2: 1.0, 3: 1.0},
-        theta={1: 0.0, 2: 0.0, 3: -0.5},  # large angle across lines to bus 3
-        group_p={"SG_1": 150.0, "IBR_2": 100.0},
-        group_q={"SG_1": 0.0, "IBR_2": 0.0},
+        grid.network, vm=np.array([1.0, 1.0, 1.0]),
+        va=np.array([0.0, 0.0, -0.5]),  # large angle across lines to bus 3
+        gen_p=np.array([150.0, 100.0]), gen_q=np.array([0.0, 0.0]),
         converged=True, iterations=3, max_mismatch=1e-10)
     rep = check_constraints(sol, grid)
     overloads = [cid for cid, _ in rep.violations if cid.startswith("line_")]
@@ -195,8 +196,7 @@ def test_classify_statuses():
     assert classify(op, sol, ConstraintReport([]), root, 0.0).status == FEASIBLE
     bad = ConstraintReport([("v_3", 0.01)])
     assert classify(op, sol, bad, root, 0.0).status == INFEASIBLE
-    diverged = PowerFlowSolution(sol.v, sol.theta, sol.group_p, sol.group_q,
-                                 False, 30, 1.0)
+    diverged = replace(sol, converged=False, iterations=30, max_mismatch=1.0)
     assert classify(op, diverged, ConstraintReport([]), root, 0.0).status == INFEASIBLE
     outside = _op_3bus(150.0, 500.0, 242.5)  # IBR total beyond the root range
     assert classify(outside, sol, ConstraintReport([]), root, 0.0).status == DISCARDED
@@ -268,9 +268,9 @@ def test_adjust_solves_each_dispatch_once(monkeypatch):
     real = feasibility.solve_pf
     solved = []
 
-    def counting(grid, op, group_p, load_pf):
-        solved.append(tuple(group_p[g.name] for g in grid.gen_groups))
-        return real(grid, op, group_p, load_pf)
+    def counting(grid, case, gen_p):
+        solved.append(tuple(gen_p.tolist()))
+        return real(grid, case, gen_p)
 
     monkeypatch.setattr(feasibility, "solve_pf", counting)
     repaired = 0
@@ -280,3 +280,92 @@ def test_adjust_solves_each_dispatch_once(monkeypatch):
         assert len(set(solved)) == len(solved), solved
         repaired += len(solved) > 2  # took a line-search step at least
     assert repaired
+
+
+def _scalar_check_constraints(solution, grid):
+    """Per-bus, per-line and per-group reference for ``check_constraints``."""
+    tol = 1e-6
+    viols = []
+    v, theta = solution.v, solution.theta
+    group_p, group_q = solution.group_p, solution.group_q
+    for b in grid.buses:
+        if v[b.id] < b.v_min - tol:
+            viols.append((f"v_{b.id}", b.v_min - v[b.id]))
+        elif v[b.id] > b.v_max + tol:
+            viols.append((f"v_{b.id}", v[b.id] - b.v_max))
+    vc = {b.id: v[b.id] * np.exp(1j * theta[b.id]) for b in grid.buses}
+    for ln in grid.lines:
+        y_series = 1.0 / complex(ln.r, ln.x)
+        y_shunt = 0.5j * ln.b
+        vf, vt = vc[ln.from_bus], vc[ln.to_bus]
+        i_f = (vf - vt) * y_series + vf * y_shunt
+        i_t = (vt - vf) * y_series + vt * y_shunt
+        s = max(abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))) * grid.base_mva
+        if s > ln.s_max + tol:
+            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
+    for g in grid.gen_groups:
+        p, q = group_p[g.name], group_q[g.name]
+        if p <= feasibility.ZERO_DISPATCH:
+            continue
+        if p < g.p_min - 1e-6:
+            viols.append((f"pmin_{g.name}", g.p_min - p))
+        if p > g.p_max + 1e-6:
+            viols.append((f"pmax_{g.name}", p - g.p_max))
+        if q < g.q_min - 1e-6:
+            viols.append((f"qmin_{g.name}", g.q_min - q))
+        elif q > g.q_max + 1e-6:
+            viols.append((f"qmax_{g.name}", q - g.q_max))
+        pf = p / math.hypot(p, q)
+        if pf < g.cos_phi - 1e-9:
+            viols.append((f"pf_{g.name}", g.cos_phi - pf))
+    return viols
+
+
+@pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
+def test_check_constraints_matches_scalar_reference(fixture):
+    base = fixture()
+    # low ratings, so that line overloads occur
+    grid = replace(base, lines=tuple(replace(ln, s_max=ln.s_max / 4) for ln in base.lines))
+    net = grid.network
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(300):
+        n, m = len(net.bus_ids), len(net.gen_names)
+        gen_p = rng.uniform(0.5 * net.gen_p_min, 1.2 * net.gen_p_max)
+        gen_p[rng.random(m) < 0.2] = 0.0  # some groups offline
+        sol = PowerFlowSolution(
+            net, vm=rng.uniform(0.9, 1.1, n), va=rng.uniform(-0.3, 0.3, n),
+            gen_p=gen_p, gen_q=rng.uniform(1.5 * net.gen_q_min, 1.5 * net.gen_q_max),
+            converged=True, iterations=4, max_mismatch=1e-10)
+        viols = check_constraints(sol, grid).violations
+        assert viols == _scalar_check_constraints(sol, grid)
+        seen.update(cid.split("_")[0] for cid, _ in viols)
+    assert seen == {"v", "line", "pmin", "pmax", "qmin", "qmax", "pf"}
+
+
+def test_infeasible_distance_is_that_of_the_returned_dispatch(monkeypatch):
+    # One outer iteration, so a line-search step that it accepts is never solved.
+    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
+    real = feasibility.solve_pf
+    solves = []
+
+    def counting(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, "solve_pf", counting)
+    grid = fixture_9bus()
+    space = build_space(grid, CONTROL)
+    root = space.root_cell()
+    slack = grid.slack_bus.id
+    keys = [f"P_{g.tech}_{g.bus}" for g in grid.gen_groups if g.bus != slack]
+    searched = 0
+    for op in hierarchical_sample(root, 20, 1, grid, space, seed=7):
+        solves.clear()
+        adj, _sol, verdict = adjust_to_feasible(grid, op, root)
+        if verdict.status != INFEASIBLE:
+            continue
+        own = sum((adj.var_values[k] - op.var_values[k]) ** 2 for k in keys)
+        assert verdict.adjustment_distance == own
+        searched += len(solves) > 1 + len(keys)  # reached the line search
+    assert searched

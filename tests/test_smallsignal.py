@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabgen.feasibility import solve_pf
+from stabgen.feasibility import pf_case, solve_pf
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus)
 from stabgen.smallsignal import (ConverterUnit, DynUnit, GfolParams,
@@ -27,7 +27,7 @@ def _smib_setup(h=4.0, d=1.5, x=0.1, p=60.0):
     )
     op = OperatingPoint({}, {"P_SG_1": 150.0, "P_SG_2": p, "P_L_1": 200.0},
                         {1: 1.0, 2: 1.0})
-    sol = solve_pf(grid, op, load_pf=1.0)
+    sol = solve_pf(grid, pf_case(grid, op, load_pf=1.0))
     assert sol.converged
     g2 = grid.gen_groups[1]
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, p)]
@@ -78,7 +78,7 @@ def _mixed_case(pct_gfm=0.5, tau_w=0.1, tau_u=0.1):
     varv = {"P_SG_1": p_sg, "P_IBR_2": p_ibr, "P_GFM_2": gfm,
             "P_GFL_2": p_ibr - gfm, "P_L_3": load}
     op = OperatingPoint({}, varv, {1: 1.0, 2: 1.0, 3: 1.0})
-    sol = solve_pf(grid, op)
+    sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     units = build_units(grid, op,
                         gfor_params=GforParams(tau_u=tau_u, tau_w=tau_w),
