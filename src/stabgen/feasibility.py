@@ -17,8 +17,8 @@ import numpy as np
 
 # build_admittance stays importable here for bench/tracer.py, which wraps it
 # by this module's name; the compiled network (GridModel.network) calls it.
-from .grid import (GridModel, IBR, SG, JacobianKernel, Network,  # noqa: F401
-                   build_admittance)
+from .grid import (GridModel, IBR, SG, build_admittance,  # noqa: F401
+                   power_jacobian)
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)
 
 FEASIBLE = "Feasible"
@@ -35,30 +35,13 @@ ZERO_DISPATCH = 1e-6  # MW threshold below which a group counts as offline
 
 @dataclass
 class PowerFlowSolution:
-    network: Network         # gives the bus and group order of the arrays
-    vm: np.ndarray           # voltage magnitude per bus, pu
-    va: np.ndarray           # voltage angle per bus, rad
-    gen_p: np.ndarray        # active injection per group, MW
-    gen_q: np.ndarray        # reactive injection per group, MVAr
+    vm: np.ndarray      # voltage magnitude per bus, pu, in grid.buses order
+    va: np.ndarray      # voltage angle per bus, rad
+    gen_p: np.ndarray   # active injection per group, MW, in grid.gen_groups order
+    gen_q: np.ndarray   # reactive injection per group, MVAr
     converged: bool
     iterations: int
     max_mismatch: float
-
-    @property
-    def v(self) -> dict[int, float]:
-        return dict(zip(self.network.bus_ids, self.vm.tolist()))
-
-    @property
-    def theta(self) -> dict[int, float]:
-        return dict(zip(self.network.bus_ids, self.va.tolist()))
-
-    @property
-    def group_p(self) -> dict[str, float]:
-        return dict(zip(self.network.gen_names, self.gen_p.tolist()))
-
-    @property
-    def group_q(self) -> dict[str, float]:
-        return dict(zip(self.network.gen_names, self.gen_q.tolist()))
 
 
 @dataclass(frozen=True)
@@ -157,7 +140,6 @@ def solve_pf(grid: GridModel, case: PfCase,
     p_spec = p_gen - p_load
     q_spec = -q_load  # PQ buses without generation
 
-    jacobian = JacobianKernel(ybus)
     x0 = np.concatenate([np.zeros(n), case.vm])  # flat start [theta; |V|]
     converged = False
     iterations = 0
@@ -186,7 +168,7 @@ def solve_pf(grid: GridModel, case: PfCase,
                 converged = True
                 break
             try:
-                dx = np.linalg.solve(jacobian(v, ibus)[rows_cols], mism)
+                dx = np.linalg.solve(power_jacobian(ybus, v, ibus)[rows_cols], mism)
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(dx).all():
@@ -217,7 +199,7 @@ def solve_pf(grid: GridModel, case: PfCase,
     if at_slack.any():
         gen_p_out[at_slack] = (s_calc.real[slack] + p_load[slack]) * base * _shares(
             net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
-    return PowerFlowSolution(net, np.abs(v), va, gen_p_out, gen_q, converged,
+    return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
                              iterations, max_mismatch)
 
 
@@ -227,30 +209,25 @@ def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> Constrain
     Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
     MVAr / power-factor units (group checks).  Offline groups are skipped.
     """
-    net = grid.network
     tol = 1e-6
     viols: list[tuple[str, float]] = []
-    vm, va = solution.vm, solution.va
-    low = vm < net.v_min - tol
-    for i in (low | (vm > net.v_max + tol)).nonzero()[0].tolist():
-        mag = net.v_min[i] - vm[i] if low[i] else vm[i] - net.v_max[i]
-        viols.append((f"v_{net.bus_ids[i]}", float(mag)))
-    # |S| = |V conj(I)| at every line end, with I = (V - V_far) y_series +
-    # j b_shunt V, in real and imaginary parts: so every product rounds as
-    # numpy's complex scalar product does, which the dataset bytes were
-    # made with; its complex array product can differ in the last bit
-    unit = np.exp(1j * va)
-    bus_r, bus_i = vm * unit.real, vm * unit.imag
-    vr, vi = bus_r[net.line_end], bus_i[net.line_end]
-    dr, di = vr - bus_r[net.line_far], vi - bus_i[net.line_far]
-    yr, yi, b = net.line_y_series.real, net.line_y_series.imag, net.line_b_shunt
-    ir = dr * yr - di * yi - b * vi
-    ii = dr * yi + di * yr + b * vr
-    flow = np.hypot(vr * ir + vi * ii, vi * ir - vr * ii).reshape(2, -1)
-    s = flow.max(axis=0) * net.base_mva
-    for k in (s > net.line_s_max + tol).nonzero()[0].tolist():
-        ln = grid.lines[k]
-        viols.append((f"line_{ln.from_bus}_{ln.to_bus}", float(s[k] - ln.s_max)))
+    vm, va = solution.vm.tolist(), solution.va.tolist()
+    for b, v in zip(grid.buses, vm):
+        if v < b.v_min - tol:
+            viols.append((f"v_{b.id}", b.v_min - v))
+        elif v > b.v_max + tol:
+            viols.append((f"v_{b.id}", v - b.v_max))
+    base = grid.base_mva
+    vc = {b.id: v * np.exp(1j * a) for b, v, a in zip(grid.buses, vm, va)}
+    for ln in grid.lines:
+        y_series = 1.0 / complex(ln.r, ln.x)
+        y_shunt = 0.5j * ln.b
+        vf, vt = vc[ln.from_bus], vc[ln.to_bus]
+        i_f = (vf - vt) * y_series + vf * y_shunt
+        i_t = (vt - vf) * y_series + vt * y_shunt
+        s = max(abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))) * base
+        if s > ln.s_max + tol:
+            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
     for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):
         if p <= ZERO_DISPATCH:
             continue

@@ -194,14 +194,12 @@ class GridModel:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A grid as arrays in bus, group, load and line order, shared by every
-    power flow, constraint check and linearization on that grid."""
+    """A grid as arrays in bus and group order, shared by every power flow
+    and linearization on that grid."""
 
     ybus: np.ndarray           # complex bus admittance matrix, pu
     slack: int                 # slack bus index
     bus_ids: tuple[int, ...]
-    v_min: np.ndarray          # pu, per bus
-    v_max: np.ndarray
     gen_names: tuple[str, ...]
     gen_bus: np.ndarray        # bus index per group
     gen_p_min: np.ndarray      # MW, per group
@@ -209,12 +207,6 @@ class Network:
     gen_q_min: np.ndarray      # MVAr, per group
     gen_q_max: np.ndarray
     load_bus: np.ndarray       # bus index per load
-    # per line end, the from ends of all lines first, then their to ends:
-    line_end: np.ndarray       # bus index at the end
-    line_far: np.ndarray       # bus index at the other end of the line
-    line_y_series: np.ndarray  # complex series admittance of the line, pu
-    line_b_shunt: np.ndarray   # shunt susceptance at the end (half the line's), pu
-    line_s_max: np.ndarray     # MVA, per line
     base_mva: float
 
 
@@ -240,11 +232,9 @@ def build_admittance(grid: GridModel) -> np.ndarray:
 
 def compile_network(grid: GridModel) -> Network:
     """The arrays of ``grid``; its admittance matrix comes from
-    ``build_admittance``, and the line admittances are the same numbers."""
+    ``build_admittance``."""
     idx = grid.bus_index
-    groups, lines = grid.gen_groups, grid.lines
-    from_bus = [idx[ln.from_bus] for ln in lines]
-    to_bus = [idx[ln.to_bus] for ln in lines]
+    groups = grid.gen_groups
 
     def col(values, dtype=float):
         return np.array(list(values), dtype=dtype)
@@ -253,8 +243,6 @@ def compile_network(grid: GridModel) -> Network:
         ybus=build_admittance(grid),
         slack=idx[grid.slack_bus.id],
         bus_ids=tuple(b.id for b in grid.buses),
-        v_min=col(b.v_min for b in grid.buses),
-        v_max=col(b.v_max for b in grid.buses),
         gen_names=tuple(g.name for g in groups),
         gen_bus=col((idx[g.bus] for g in groups), int),
         gen_p_min=col(g.p_min for g in groups),
@@ -262,52 +250,27 @@ def compile_network(grid: GridModel) -> Network:
         gen_q_min=col(g.q_min for g in groups),
         gen_q_max=col(g.q_max for g in groups),
         load_bus=col((idx[ld.bus] for ld in grid.loads), int),
-        line_end=col(from_bus + to_bus, int),
-        line_far=col(to_bus + from_bus, int),
-        line_y_series=col([1.0 / complex(ln.r, ln.x) for ln in lines] * 2, complex),
-        line_b_shunt=col([0.5 * ln.b for ln in lines] * 2),
-        line_s_max=col(ln.s_max for ln in lines),
         base_mva=grid.base_mva,
     )
 
 
-class JacobianKernel:
-    """Real 2n x 2n Jacobian d[P; Q]/d[theta; |V|] of S = V conj(Y V) for
-    one admittance matrix Y.
+def power_jacobian(ybus: np.ndarray, v: np.ndarray,
+                   ibus: np.ndarray | None = None) -> np.ndarray:
+    """Real 2n x 2n Jacobian d[P; Q]/d[theta; |V|] of S = V conj(Y V).
 
     Dense MATPOWER ``dSbus_dV`` form (Zimmerman et al., IEEE Trans. Power
-    Systems 26(1), 2011).  The diagonal matrices and the result are
-    allocated once and rewritten by every call, so a caller that keeps a
-    Jacobian across calls must copy it.
+    Systems 26(1), 2011) at complex bus voltages ``v``; ``ibus = Y v`` when
+    the caller already has it.
     """
-
-    def __init__(self, ybus: np.ndarray):
-        n = len(ybus)
-        self.ybus = ybus
-        # diag(V), diag(I) and diag(V / |V|), and a strided view of their diagonals
-        diags = np.zeros((3, n, n), dtype=complex)
-        self.diag_v, self.diag_i, self.diag_vn = diags
-        self._diagonals = diags.reshape(3, -1)[:, ::n + 1]
-        self.ds = np.empty((n, 2 * n), dtype=complex)  # [dS/dtheta, dS/d|V|]
-        self.jac = np.empty((2 * n, 2 * n))
-
-    def __call__(self, v: np.ndarray, ibus: np.ndarray) -> np.ndarray:
-        """The Jacobian at complex bus voltages ``v``, with ``ibus = Y v``."""
-        ybus, ds = self.ybus, self.ds
-        n = len(v)
-        diag_v, diag_i, diag_vn = self.diag_v, self.diag_i, self.diag_vn
-        self._diagonals[0] = v
-        self._diagonals[1] = ibus
-        self._diagonals[2] = v / np.abs(v)
-        np.matmul(1j * diag_v, np.conj(diag_i - ybus @ diag_v), out=ds[:, :n])
-        np.add(diag_v @ np.conj(ybus @ diag_vn), np.conj(diag_i) @ diag_vn,
-               out=ds[:, n:])
-        return np.concatenate((ds.real, ds.imag), out=self.jac)
-
-
-def power_jacobian(ybus: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The ``JacobianKernel`` Jacobian of ``ybus`` at complex bus voltages ``v``."""
-    return JacobianKernel(ybus)(v, ybus @ v)
+    if ibus is None:
+        ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds = np.concatenate((ds_dva, ds_dvm), axis=1)
+    return np.concatenate((ds.real, ds.imag))
 
 
 # -- CSV ingestion ----------------------------------------------------------

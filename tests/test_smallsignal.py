@@ -32,7 +32,7 @@ def _smib_setup(h=4.0, d=1.5, x=0.1, p=60.0):
     g2 = grid.gen_groups[1]
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, p)]
     ssm = linearize(grid, sol, units, {1: 200.0}, load_pf=1.0)
-    k_s = (sol.v[1] * sol.v[2] * math.cos(sol.theta[2] - sol.theta[1]) / x
+    k_s = (sol.vm[0] * sol.vm[1] * math.cos(sol.va[1] - sol.va[0]) / x  # buses 1, 2
            * grid.base_mva / g2.s_rated)
     return grid, sol, ssm, k_s
 
@@ -50,8 +50,8 @@ def test_smib_matches_finite_difference_jacobian():
     h, d, x, p = 4.0, 1.5, 0.1, 60.0
     grid, sol, ssm, _ = _smib_setup(h, d, x, p)
     g2 = grid.gen_groups[1]
-    v1, v2 = sol.v[1], sol.v[2]
-    delta0 = sol.theta[2] - sol.theta[1]
+    v1, v2 = sol.vm[0], sol.vm[1]
+    delta0 = sol.va[1] - sol.va[0]
     p_m = v1 * v2 * math.sin(delta0) / x * grid.base_mva / g2.s_rated
 
     def rhs(state):
