@@ -18,13 +18,13 @@ from itertools import islice
 import numpy as np
 
 from .feasibility import (DISCARDED, FEASIBLE, INFEASIBLE, ConstraintReport,
-                          FeasibilityVerdict, adjust_to_feasible, load_mw)
+                          FeasibilityVerdict, adjust_to_feasible)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
 from .sampling import hierarchical_sample
 from .smallsignal import (EPS_MARGIN, GfolParams, GforParams, LinearizationError,
-                          SgParams, build_units, eig_stability, linearize)
+                          build_units, eig_stability, linearize)
 from .space import (OperatingSpaceSpec, Subregion, P_IBR, P_SG, contains_values,
                     split, ToleranceFloorError)
 
@@ -55,9 +55,6 @@ class ExplorationConfig:
     load_pf: float = 0.98
     forest_trees: int = 100
     forest_depth: int = 8
-    sg_params: SgParams = field(default_factory=lambda: SgParams(3.5, 2.0))
-    gfor_params: GforParams = field(default_factory=GforParams)
-    gfol_params: GfolParams = field(default_factory=GfolParams)
 
     @property
     def dims_per_node(self) -> int:
@@ -205,11 +202,11 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
                                                 load_pf=config.load_pf)
     stable = max_real = freq = damping = None
     if verdict.status == FEASIBLE:
-        gfor = _with_controls(config.gfor_params, adjusted.dim_values)
-        gfol = _with_controls(config.gfol_params, adjusted.dim_values)
+        gfor = _with_controls(GforParams(), adjusted.dim_values)
+        gfol = _with_controls(GfolParams(), adjusted.dim_values)
         try:
-            units = build_units(grid, adjusted, config.sg_params, gfor, gfol)
-            ssm = linearize(grid, sol, units, load_mw(grid, adjusted), config.load_pf)
+            units = build_units(grid, adjusted, gfor_params=gfor, gfol_params=gfol)
+            ssm = linearize(grid, sol, units)
             stability = eig_stability(ssm, config.eps_margin)
             stable, max_real = stability.stable, stability.max_real
             freq, damping = stability.dominant_mode
@@ -277,7 +274,7 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
                              mp_context=multiprocessing.get_context("fork")) as pool:
         while frontier:
             points = [hierarchical_sample(
-                node.cell, config.n_samples, config.n_cases, grid, space,
+                node.cell, config.n_samples, config.n_cases, grid,
                 config.seed, config.loss_factor, config.dev_bound,
                 config.randomize_loads) for node, _ in frontier]
             tasks = [(grid, op, node.cell, config, node.depth)

@@ -42,6 +42,7 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     max_mismatch: float
+    case: PfCase        # the inputs that were solved, loads included
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,6 @@ class FeasibilityVerdict:
     adjustment_distance: float  # MW^2 over non-slack groups
 
 
-def load_mw(grid: GridModel, op: OperatingPoint) -> dict[int, float]:
-    """Active demand per load bus, MW (``GridModel`` allows one load per bus)."""
-    return {ld.bus: op.var_values.get(f"P_L_{ld.bus}", 0.0) for ld in grid.loads}
-
-
 def pf_case(grid: GridModel, op: OperatingPoint,
             load_pf: float = DEFAULT_LOAD_PF) -> PfCase:
     """The power-flow inputs of an operating point, at load power factor
@@ -90,7 +86,8 @@ def pf_case(grid: GridModel, op: OperatingPoint,
     n = len(net.bus_ids)
     base = net.base_mva
     tan_phi = math.tan(math.acos(load_pf))
-    mw = np.array(list(load_mw(grid, op).values()), dtype=float)
+    mw = np.array([op.var_values.get(f"P_L_{ld.bus}", 0.0) for ld in grid.loads],
+                  dtype=float)
     p_load = np.zeros(n)
     q_load = np.zeros(n)
     p_load[net.load_bus] = mw / base
@@ -200,7 +197,7 @@ def solve_pf(grid: GridModel, case: PfCase,
         gen_p_out[at_slack] = (s_calc.real[slack] + p_load[slack]) * base * _shares(
             net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
     return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
-                             iterations, max_mismatch)
+                             iterations, max_mismatch, case)
 
 
 def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> ConstraintReport:

@@ -200,7 +200,6 @@ class Network:
     ybus: np.ndarray           # complex bus admittance matrix, pu
     slack: int                 # slack bus index
     bus_ids: tuple[int, ...]
-    gen_names: tuple[str, ...]
     gen_bus: np.ndarray        # bus index per group
     gen_p_min: np.ndarray      # MW, per group
     gen_p_max: np.ndarray
@@ -243,7 +242,6 @@ def compile_network(grid: GridModel) -> Network:
         ybus=build_admittance(grid),
         slack=idx[grid.slack_bus.id],
         bus_ids=tuple(b.id for b in grid.buses),
-        gen_names=tuple(g.name for g in groups),
         gen_bus=col((idx[g.bus] for g in groups), int),
         gen_p_min=col(g.p_min for g in groups),
         gen_p_max=col(g.p_max for g in groups),

@@ -12,8 +12,8 @@ import hashlib
 import numpy as np
 
 from .grid import GridModel, IBR, SG
-from .space import (OperatingPoint, OperatingSpaceSpec, Subregion, P_D, P_IBR,
-                    P_SG, PCT_GFM, V_ANCHOR, derive_dependent)
+from .space import (OperatingPoint, Subregion, P_D, P_IBR, P_SG, PCT_GFM,
+                    V_ANCHOR, derive_dependent)
 
 
 def rng_stream(seed: int, cell_path: str, *indices: int) -> np.random.Generator:
@@ -149,7 +149,7 @@ def disaggregate(target: float, bounds: list[tuple[float, float]],
 
 
 def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
-                        grid: GridModel, space: OperatingSpaceSpec, seed: int,
+                        grid: GridModel, seed: int,
                         loss_factor: float = 0.97, dev_bound: float = 0.02,
                         randomize_loads: bool = False) -> list[OperatingPoint]:
     """Draw n_samples dimension tuples and n_cases variable realizations each.

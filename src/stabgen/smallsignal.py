@@ -25,7 +25,7 @@ import numpy as np
 # by this module's name; the compiled network (GridModel.network) calls it.
 from .grid import (GridModel, SG as SG_TECH, build_admittance,  # noqa: F401
                    power_jacobian)
-from .feasibility import PowerFlowSolution, DEFAULT_LOAD_PF
+from .feasibility import PowerFlowSolution, ZERO_DISPATCH
 from .space import OperatingPoint
 
 OMEGA_BASE = 2 * math.pi * 50.0
@@ -100,7 +100,6 @@ class DynUnit:
 class StateSpaceModel:
     a_matrix: np.ndarray
     labels: list[tuple[str, str]]   # (unit id, state name)
-    equilibrium: PowerFlowSolution
     has_reference: bool             # a static voltage source pins the angle
 
     @property
@@ -117,21 +116,18 @@ class StabilityVerdict:
 
 
 def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
-                      retained: list[int], load_mw: dict[int, float],
-                      load_pf: float) -> np.ndarray:
-    """Kron-reduce the network to the retained buses and return the
+                      retained: list[int]) -> np.ndarray:
+    """Kron-reduce the network, with each solved load as a constant
+    admittance at its solved voltage, to the retained buses and return the
     power-flow Jacobian J = d[P;Q]/d[theta;V] there."""
-    idx = grid.bus_index
-    n = len(grid.buses)
-    y = grid.network.ybus.copy()
+    net = grid.network
+    case = solution.case
+    lb = net.load_bus
+    y = net.ybus.copy()
     vm, va = solution.vm.tolist(), solution.va.tolist()
-    tan_phi = math.tan(math.acos(load_pf))
-    for bus_id, mw in load_mw.items():
-        i = idx[bus_id]
-        s_load = complex(mw, mw * tan_phi) / grid.base_mva
-        y[i, i] += np.conj(s_load) / vm[i] ** 2
-    keep = [idx[b] for b in retained]
-    elim = [i for i in range(n) if i not in keep]
+    y[lb, lb] += (case.p_load[lb] - 1j * case.q_load[lb]) / solution.vm[lb] ** 2
+    keep = [net.bus_ids.index(b) for b in retained]
+    elim = [i for i in range(len(net.bus_ids)) if i not in keep]
     if elim:
         ykk = y[np.ix_(keep, keep)]
         yke = y[np.ix_(keep, elim)]
@@ -147,10 +143,10 @@ def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
     return power_jacobian(y_red, v)
 
 
-def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit],
-              load_mw: dict[int, float], load_pf: float = DEFAULT_LOAD_PF,
-              omega_b: float = OMEGA_BASE) -> StateSpaceModel:
-    """Assemble the system A matrix around a converged power-flow solution.
+def linearize(grid: GridModel, solution: PowerFlowSolution,
+              units: list[DynUnit]) -> StateSpaceModel:
+    """Assemble the system A matrix around a converged power-flow solution,
+    with the loads that the solution balanced.
 
     Buses that host a voltage-forming unit (machine or grid-forming
     converter), or generation without a dynamic model (treated as an
@@ -171,13 +167,13 @@ def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit]
     # dispatched generation without a dynamic unit pins the angle (infinite bus)
     modeled = {u.bus for u in units}
     static_buses = sorted({g.bus for g, p in zip(grid.gen_groups, solution.gen_p)
-                           if p > 1e-6 and g.bus not in modeled})
+                           if p > ZERO_DISPATCH and g.bus not in modeled})
     follow_only = sorted({u.bus for u in units if u.kind == KIND_GFOL}
                          - set(forming_buses) - set(static_buses))
     a_buses = forming_buses + static_buses
     a_buses = sorted(set(a_buses))
     retained = sorted(set(a_buses) | set(follow_only))
-    jac = _reduced_jacobian(grid, solution, retained, load_mw, load_pf)
+    jac = _reduced_jacobian(grid, solution, retained)
 
     n_r = len(retained)
     pos = {b: i for i, b in enumerate(retained)}
@@ -252,7 +248,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit]
             qe_row = (q_bus[r, :] - inj_q[r, :]) / bconv
         if u.kind == KIND_SG:
             prm: SgParams = u.params
-            a[o, o + 1] = omega_b
+            a[o, o + 1] = OMEGA_BASE
             a[o + 1, :] -= pe_row / (2 * prm.inertia_h)
             a[o + 1, o + 1] -= prm.damping_d / (2 * prm.inertia_h)
             if prm.droop_r is not None:
@@ -283,7 +279,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution, units: list[DynUnit]
             a[o + 4, o + 4] -= 1.0 / prm.tau_w
     if not np.all(np.isfinite(a)):
         raise LinearizationError("non-finite entries in the state matrix")
-    return StateSpaceModel(a, labels, solution, has_reference=bool(static_buses))
+    return StateSpaceModel(a, labels, has_reference=bool(static_buses))
 
 
 def eig_stability(ssm: StateSpaceModel, eps_margin: float = EPS_MARGIN) -> StabilityVerdict:
@@ -319,24 +315,21 @@ GFM_MIN_MW = 1e-3
 
 
 def build_units(grid: GridModel, op: OperatingPoint,
-                sg_params: SgParams | None = None,
-                gfor_params: GforParams | None = None,
-                gfol_params: GfolParams | None = None) -> list[DynUnit]:
+                sg_params: SgParams = SgParams(inertia_h=3.5, damping_d=2.0),
+                gfor_params: GforParams = GforParams(),
+                gfol_params: GfolParams = GfolParams()) -> list[DynUnit]:
     """Dynamic units for an operating point: one machine unit per dispatched
     SG group, and per IBR group a grid-forming and/or grid-following
     sub-unit sized by the point's GFM/GFL split."""
-    sg_params = sg_params or SgParams(inertia_h=3.5, damping_d=2.0)
-    gfor_params = gfor_params or GforParams()
-    gfol_params = gfol_params or GfolParams()
     units: list[DynUnit] = []
     for g in grid.gen_groups:
         if g.tech == SG_TECH:
             p = op.var_values.get(f"P_SG_{g.bus}", 0.0)
-            if p > 1e-6:
+            if p > ZERO_DISPATCH:
                 units.append(DynUnit(KIND_SG, g.bus, sg_params, g.s_rated, p))
         else:
             p_total = op.var_values.get(f"P_IBR_{g.bus}", 0.0)
-            if p_total <= 1e-6:
+            if p_total <= ZERO_DISPATCH:
                 continue
             p_gfm = op.var_values.get(f"P_GFM_{g.bus}", 0.0)
             p_gfl = op.var_values.get(f"P_GFL_{g.bus}", p_total - p_gfm)

@@ -189,7 +189,7 @@ def test_criterion_5_small_signal_oracle():
     assert sol.converged
     g2 = grid.gen_groups[1]
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, 60.0)]
-    ssm = linearize(grid, sol, units, {1: 200.0}, load_pf=1.0)
+    ssm = linearize(grid, sol, units)
     eig = np.sort_complex(np.linalg.eigvals(ssm.a_matrix))
     k_s = (sol.vm[0] * sol.vm[1] * math.cos(sol.va[1] - sol.va[0]) / x  # buses 1, 2
            * grid.base_mva / g2.s_rated)
@@ -224,7 +224,7 @@ def test_criterion_5_small_signal_oracle():
     sol3 = solve_pf(grid3, pf_case(grid3, op3))
     assert sol3.converged
     from stabgen.smallsignal import build_units
-    ssm3 = linearize(grid3, sol3, build_units(grid3, op3), {3: 242.5})
+    ssm3 = linearize(grid3, sol3, build_units(grid3, op3))
     eig3 = np.linalg.eigvals(ssm3.a_matrix)
     pool = [lam for lam in eig3 if abs(lam.imag) > 1e-10]
     while pool:

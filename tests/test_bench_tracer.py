@@ -46,7 +46,7 @@ grid = fixture_3bus()
 space = build_space(grid, [("tau_u", 0.01, 1.0)])
 cell = space.root_cell()
 config = ExplorationConfig(n_samples=6, n_cases=1)
-for op in hierarchical_sample(cell, 6, 1, grid, space, seed=0):
+for op in hierarchical_sample(cell, 6, 1, grid, seed=0):
     explorer.assess(grid, op, cell, config, 0)
 print(json.dumps(tracer.calls))
 """
@@ -71,10 +71,14 @@ def test_traced_explore_runs_in_process_pool():
 
 
 def test_tracer_sees_the_power_flow():
-    # The per-layer feasibility metrics read 0 if solve_pf is called under
-    # a name the tracer does not wrap.
+    # The per-layer feasibility and smallsignal metrics read 0 if solve_pf,
+    # linearize or eig_stability is called under a name the tracer does not
+    # wrap; the linearization runs only for Feasible points.
     proc = _run(TRACED_ASSESS)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])
     assert calls["feasibility.solve_pf"] > 0
     assert calls.get("grid.build_admittance", 0) <= 1
+    assert calls.get("repair.Feasible", 0) > 0
+    assert calls["smallsignal.linearize"] > 0
+    assert calls["smallsignal.eig"] > 0

@@ -171,9 +171,9 @@ def test_fixed_split_dims_accepts_control_names(tmp_path):
 
 def test_every_exploration_field_is_a_key():
     # A field without a key cannot be set; a key without a field parses and
-    # does nothing.  The unit parameter dataclasses are not flat values.
+    # does nothing.
     names = {f.name for f in dataclasses.fields(ExplorationConfig)}
-    assert set(_EXPLORATION_KEYS) == names - {"sg_params", "gfor_params", "gfol_params"}
+    assert set(_EXPLORATION_KEYS) == names
 
 
 def test_config_as_dict_serializable(tmp_path):

@@ -166,7 +166,7 @@ def test_admittance_built_once_per_grid(monkeypatch):
     space = build_space(grid, CONTROL)
     cell = space.root_cell()
     records = [assess(grid, op, cell, _fast_config(), 0)
-               for op in hierarchical_sample(cell, 20, 1, grid, space, seed=3)]
+               for op in hierarchical_sample(cell, 20, 1, grid, seed=3)]
     assert any(r.verdict == "Feasible" for r in records)  # linearize ran
     assert len(builds) <= 1
 

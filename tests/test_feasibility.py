@@ -118,6 +118,7 @@ def test_pv_to_pq_switching_respects_q_limits():
 
 
 # -- constraint checks --------------------------------------------------------
+# check_constraints reads no loads, so the solutions built here carry no case.
 
 def _flat_solution(grid, v, group_p, group_q):
     n = len(grid.buses)
@@ -125,7 +126,7 @@ def _flat_solution(grid, v, group_p, group_q):
         vm=np.full(n, v), va=np.zeros(n),
         gen_p=np.array([group_p[g.name] for g in grid.gen_groups]),
         gen_q=np.array([group_q[g.name] for g in grid.gen_groups]),
-        converged=True, iterations=3, max_mismatch=1e-10)
+        converged=True, iterations=3, max_mismatch=1e-10, case=None)
 
 
 def test_voltage_violation_magnitude():
@@ -168,7 +169,7 @@ def test_line_overload_magnitude():
         vm=np.array([1.0, 1.0, 1.0]),
         va=np.array([0.0, 0.0, -0.5]),  # large angle across lines to bus 3
         gen_p=np.array([150.0, 100.0]), gen_q=np.array([0.0, 0.0]),
-        converged=True, iterations=3, max_mismatch=1e-10)
+        converged=True, iterations=3, max_mismatch=1e-10, case=None)
     rep = check_constraints(sol, grid)
     overloads = [cid for cid, _ in rep.violations if cid.startswith("line_")]
     assert "line_1_3" in overloads and "line_2_3" in overloads
@@ -274,7 +275,7 @@ def test_adjust_solves_each_dispatch_once(monkeypatch):
 
     monkeypatch.setattr(feasibility, "solve_pf", counting)
     repaired = 0
-    for op in hierarchical_sample(root, 30, 1, grid, space, seed=1000):
+    for op in hierarchical_sample(root, 30, 1, grid, seed=1000):
         solved.clear()
         adjust_to_feasible(grid, op, root)
         assert len(set(solved)) == len(solved), solved
@@ -302,7 +303,7 @@ def test_check_constraints_order_and_kinds(fixture):
         sol = PowerFlowSolution(
             vm=rng.uniform(0.9, 1.1, n), va=rng.uniform(-0.3, 0.3, n),
             gen_p=gen_p, gen_q=rng.uniform(1.5 * net.gen_q_min, 1.5 * net.gen_q_max),
-            converged=True, iterations=4, max_mismatch=1e-10)
+            converged=True, iterations=4, max_mismatch=1e-10, case=None)
         viols = check_constraints(sol, grid).violations
         ids = [cid for cid, _ in viols]
         assert ids == sorted(set(ids), key=order.index)
@@ -328,7 +329,7 @@ def test_infeasible_distance_is_that_of_the_returned_dispatch(monkeypatch):
     slack = grid.slack_bus.id
     keys = [f"P_{g.tech}_{g.bus}" for g in grid.gen_groups if g.bus != slack]
     searched = 0
-    for op in hierarchical_sample(root, 20, 1, grid, space, seed=7):
+    for op in hierarchical_sample(root, 20, 1, grid, seed=7):
         solves.clear()
         adj, _sol, verdict = adjust_to_feasible(grid, op, root)
         if verdict.status != INFEASIBLE:

@@ -114,7 +114,7 @@ def test_hierarchical_sample_shape_and_containment():
     g = fixture_3bus()
     space = build_space(g, CONTROL)
     cell = space.root_cell()
-    pts = hierarchical_sample(cell, 10, 3, g, space, seed=0)
+    pts = hierarchical_sample(cell, 10, 3, g, seed=0)
     assert len(pts) == 30
     for p in pts:
         assert contains_values(cell, p.dim_values)
@@ -135,10 +135,10 @@ def test_hierarchical_sample_deterministic():
     g = fixture_9bus()
     space = build_space(g, CONTROL)
     cell = space.root_cell()
-    a = hierarchical_sample(cell, 5, 2, g, space, seed=7)
-    b = hierarchical_sample(cell, 5, 2, g, space, seed=7)
+    a = hierarchical_sample(cell, 5, 2, g, seed=7)
+    b = hierarchical_sample(cell, 5, 2, g, seed=7)
     assert a == b
-    c = hierarchical_sample(cell, 5, 2, g, space, seed=8)
+    c = hierarchical_sample(cell, 5, 2, g, seed=8)
     assert a != c
 
 
@@ -148,14 +148,14 @@ def test_hierarchical_sample_child_cell_containment():
     space = build_space(g, CONTROL)
     l, h = split(space.root_cell(), "P_SG", 0.01)
     for cell in (l, h):
-        for p in hierarchical_sample(cell, 8, 1, g, space, seed=3):
+        for p in hierarchical_sample(cell, 8, 1, g, seed=3):
             assert contains_values(cell, p.dim_values)
 
 
 def test_randomized_loads_within_bounds_and_sum():
     g = fixture_9bus()
     space = build_space(g, CONTROL)
-    pts = hierarchical_sample(space.root_cell(), 20, 3, g, space, seed=5,
+    pts = hierarchical_sample(space.root_cell(), 20, 3, g, seed=5,
                               randomize_loads=True)
     max_dev = 0.0
     for p in pts:
@@ -174,6 +174,6 @@ def test_hierarchical_sample_rejects_bad_counts():
     g = fixture_3bus()
     space = build_space(g, CONTROL)
     with pytest.raises(ValueError):
-        hierarchical_sample(space.root_cell(), 0, 1, g, space, seed=0)
+        hierarchical_sample(space.root_cell(), 0, 1, g, seed=0)
     with pytest.raises(ValueError):
-        hierarchical_sample(space.root_cell(), 1, 0, g, space, seed=0)
+        hierarchical_sample(space.root_cell(), 1, 0, g, seed=0)

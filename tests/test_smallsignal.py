@@ -1,18 +1,22 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stabgen.feasibility import pf_case, solve_pf
+from stabgen import smallsignal
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
-                          fixture_3bus)
+                          fixture_3bus, fixture_9bus, power_jacobian)
+from stabgen.sampling import hierarchical_sample
 from stabgen.smallsignal import (ConverterUnit, DynUnit, GfolParams,
                                  GforParams, KIND_GFOL, KIND_GFOR, KIND_SG,
                                  LinearizationError, OMEGA_BASE,
                                  SgParams, StateSpaceModel, admittance_scan,
                                  aggregate_ibrs, build_units, eig_stability,
                                  linearize, terminal_model)
-from stabgen.space import OperatingPoint
+from stabgen.space import OperatingPoint, build_space
 
 from oracles import smib_analytic_eigs
 
@@ -31,7 +35,7 @@ def _smib_setup(h=4.0, d=1.5, x=0.1, p=60.0):
     assert sol.converged
     g2 = grid.gen_groups[1]
     units = [DynUnit(KIND_SG, 2, SgParams(h, d, droop_r=None), g2.s_rated, p)]
-    ssm = linearize(grid, sol, units, {1: 200.0}, load_pf=1.0)
+    ssm = linearize(grid, sol, units)
     k_s = (sol.vm[0] * sol.vm[1] * math.cos(sol.va[1] - sol.va[0]) / x  # buses 1, 2
            * grid.base_mva / g2.s_rated)
     return grid, sol, ssm, k_s
@@ -70,21 +74,65 @@ def test_smib_matches_finite_difference_jacobian():
     assert np.max(np.abs(fd - ssm.a_matrix)) < 1e-6
 
 
-def _mixed_case(pct_gfm=0.5, tau_w=0.1, tau_u=0.1):
+def _mixed_op(pct_gfm=0.5):
     grid = fixture_3bus()
     p_sg, p_ibr = 100.0, 150.0
     load = 0.97 * (p_sg + p_ibr)
     gfm = pct_gfm * p_ibr
     varv = {"P_SG_1": p_sg, "P_IBR_2": p_ibr, "P_GFM_2": gfm,
             "P_GFL_2": p_ibr - gfm, "P_L_3": load}
-    op = OperatingPoint({}, varv, {1: 1.0, 2: 1.0, 3: 1.0})
+    return grid, OperatingPoint({}, varv, {1: 1.0, 2: 1.0, 3: 1.0})
+
+
+def _mixed_case(pct_gfm=0.5, tau_w=0.1, tau_u=0.1):
+    grid, op = _mixed_op(pct_gfm)
     sol = solve_pf(grid, pf_case(grid, op))
     assert sol.converged
     units = build_units(grid, op,
                         gfor_params=GforParams(tau_u=tau_u, tau_w=tau_w),
                         gfol_params=GfolParams(tau_u=tau_u, tau_w=tau_w))
-    ssm = linearize(grid, sol, units, {3: load})
+    ssm = linearize(grid, sol, units)
     return ssm
+
+
+def test_linearize_follows_the_solved_load_model():
+    grid, op = _mixed_op()
+    units = build_units(grid, op)
+    sols = [solve_pf(grid, pf_case(grid, op, load_pf)) for load_pf in (1.0, 0.9)]
+    assert all(sol.converged for sol in sols)
+    unity, lagging = (linearize(grid, sol, units).a_matrix for sol in sols)
+    assert not np.allclose(unity, lagging)
+    # At the lagging point's voltages, the unity-factor loads alone change A:
+    # the loads' reactive power reaches the linearization through the solution.
+    swapped = replace(sols[1], case=sols[0].case)
+    assert not np.allclose(linearize(grid, swapped, units).a_matrix, lagging)
+
+
+def test_load_admittance_matches_a_per_load_loop():
+    # Reference: each load's conj(S) / |V|^2 added to its diagonal entry in
+    # turn, with S = P + jP tan(acos(load_pf)) in pu.  No bus is eliminated,
+    # so the reduced Jacobian is the full one of the loaded admittance matrix.
+    grid = fixture_9bus()
+    cell = build_space(grid, [("tau_u", 0.01, 1.0)]).root_cell()
+    load_pf = 0.9
+    tan_phi = math.tan(math.acos(load_pf))
+    idx = grid.bus_index
+    solved = 0
+    for op in hierarchical_sample(cell, 10, 1, grid, seed=7):
+        sol = solve_pf(grid, pf_case(grid, op, load_pf))
+        if not sol.converged:
+            continue
+        vm, va = sol.vm.tolist(), sol.va.tolist()
+        y = grid.network.ybus.copy()
+        for ld in grid.loads:
+            i = idx[ld.bus]
+            mw = op.var_values[f"P_L_{ld.bus}"]
+            y[i, i] += np.conj(complex(mw, mw * tan_phi) / grid.base_mva) / vm[i] ** 2
+        v = np.array([m * cmath.exp(1j * a) for m, a in zip(vm, va)])
+        jac = smallsignal._reduced_jacobian(grid, sol, [b.id for b in grid.buses])
+        assert np.array_equal(jac, power_jacobian(y, v))
+        solved += 1
+    assert solved
 
 
 def test_eigenvalues_in_conjugate_pairs():
@@ -110,7 +158,7 @@ def test_zero_mode_deflated_without_reference():
 
 
 def test_marginal_mode_counts_unstable():
-    ssm = StateSpaceModel(np.array([[0.0]]), [("SG_1", "delta")], None, True)
+    ssm = StateSpaceModel(np.array([[0.0]]), [("SG_1", "delta")], True)
     verdict = eig_stability(ssm)
     assert not verdict.stable
     assert verdict.max_real == pytest.approx(0.0)
@@ -118,7 +166,7 @@ def test_marginal_mode_counts_unstable():
 
 def test_strictly_damped_is_stable():
     a = np.diag([-1.0, -2.0, -0.5])
-    ssm = StateSpaceModel(a, [("u", f"x{i}") for i in range(3)], None, True)
+    ssm = StateSpaceModel(a, [("u", f"x{i}") for i in range(3)], True)
     verdict = eig_stability(ssm)
     assert verdict.stable
     assert verdict.max_real == pytest.approx(-0.5)
@@ -149,11 +197,11 @@ def test_slow_q_filter_destabilizes():
 def test_linearize_rejects_empty_and_conflicting_units():
     grid, sol, _, _ = _smib_setup()
     with pytest.raises(LinearizationError):
-        linearize(grid, sol, [], {1: 200.0})
+        linearize(grid, sol, [])
     two = [DynUnit(KIND_SG, 2, SgParams(4.0, 1.5), 100.0, 50.0),
            DynUnit(KIND_GFOR, 2, GforParams(), 100.0, 50.0)]
     with pytest.raises(LinearizationError):
-        linearize(grid, sol, two, {1: 200.0})
+        linearize(grid, sol, two)
 
 
 def test_param_validation():
