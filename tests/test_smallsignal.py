@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stabgen.feasibility import pf_case, solve_pf
 from stabgen import smallsignal
+from stabgen.feasibility import pf_case, solve_pf
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus, fixture_9bus, power_jacobian)
 from stabgen.sampling import hierarchical_sample
