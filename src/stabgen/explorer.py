@@ -17,8 +17,8 @@ from itertools import islice
 
 import numpy as np
 
-from .feasibility import (DISCARDED, FEASIBLE, INFEASIBLE, ConstraintReport,
-                          FeasibilityVerdict, adjust_to_feasible)
+from .feasibility import (DEFAULT_LOAD_PF, DISCARDED, FEASIBLE, INFEASIBLE,
+                          ConstraintReport, FeasibilityVerdict, adjust_to_feasible)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
@@ -52,7 +52,7 @@ class ExplorationConfig:
     workers: int = 1
     dev_bound: float = 0.02
     randomize_loads: bool = False
-    load_pf: float = 0.98
+    load_pf: float = DEFAULT_LOAD_PF
     forest_trees: int = 100
     forest_depth: int = 8
 

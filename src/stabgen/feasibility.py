@@ -43,6 +43,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     case: PfCase        # the inputs that were solved, loads included
+    pv: np.ndarray | None = None  # PV mask of the Newton round that gave vm/va
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,41 @@ def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
     return np.divide(weight, total, out=1.0 / count, where=total > 0)
 
 
+def _index_sets(is_pv: np.ndarray, slack: int) -> tuple[np.ndarray, ...]:
+    """PV and PQ bus indices of a PV mask, and the Newton unknowns: [P; Q]
+    rows and [theta; |V|] columns at ``pvpq`` and ``n + pq``."""
+    n = len(is_pv)
+    pv = is_pv.nonzero()[0]
+    pq = (~is_pv & (np.arange(n) != slack)).nonzero()[0]
+    pvpq = np.concatenate([pv, pq])
+    return pv, pq, pvpq, np.concatenate([pvpq, n + pq])
+
+
+def _solution(grid: GridModel, case: PfCase, gen_p: np.ndarray, vm: np.ndarray,
+              va: np.ndarray, converged: bool, iterations: int,
+              max_mismatch: float, pv: np.ndarray) -> PowerFlowSolution:
+    """The solution at bus voltages ``vm``, ``va`` of dispatch ``gen_p``: each
+    dispatched group's Q is its ``gen_q_max`` share of its bus's injection,
+    and the slack bus's groups share its P by ``gen_p_max``."""
+    net = grid.network
+    n = len(net.bus_ids)
+    base = net.base_mva
+    v = vm * np.exp(1j * va)
+    s_calc = v * np.conj(net.ybus @ v)
+    on = gen_p > ZERO_DISPATCH
+    bus_on = net.gen_bus[on]
+    gen_q = np.zeros(len(gen_p))
+    gen_q[on] = ((s_calc.imag + case.q_load) * base)[bus_on] * _shares(
+        net.gen_q_max[on], bus_on, n)
+    gen_p_out = gen_p.copy()
+    at_slack = on & (net.gen_bus == net.slack)
+    if at_slack.any():
+        gen_p_out[at_slack] = (s_calc.real[net.slack] + case.p_load[net.slack]) * base * _shares(
+            net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
+    return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
+                             iterations, max_mismatch, case, pv)
+
+
 def solve_pf(grid: GridModel, case: PfCase,
              gen_p: np.ndarray | None = None) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow of one dispatch (MW per group,
@@ -114,7 +150,8 @@ def solve_pf(grid: GridModel, case: PfCase,
     Generator buses with dispatched groups are held at the sampled voltage
     magnitude (PV); their reactive output is limited to the summed group
     capability with PV->PQ switching.  The slack bus absorbs the active
-    residual.  Non-convergence is reported, not raised.
+    residual.  Non-convergence is reported, not raised.  The solution's
+    ``pv`` is the PV mask that its voltages were solved on.
     """
     net = grid.network
     if gen_p is None:
@@ -133,7 +170,6 @@ def solve_pf(grid: GridModel, case: PfCase,
     # PV where a dispatched generator can hold voltage; everything else PQ
     is_pv = np.bincount(bus_on, minlength=n) > 0
     is_pv[slack] = False
-    not_slack = np.arange(n) != slack
     p_spec = p_gen - p_load
     q_spec = -q_load  # PQ buses without generation
 
@@ -145,10 +181,8 @@ def solve_pf(grid: GridModel, case: PfCase,
     for _round in range(5):  # PV->PQ switching rounds
         x = x0.copy()
         va, vm = x[:n], x[n:]
-        pv = is_pv.nonzero()[0]
-        pq = (~is_pv & not_slack).nonzero()[0]
-        pvpq = np.concatenate([pv, pq])
-        rc = np.concatenate([pvpq, n + pq])  # [P; Q] rows and [theta; |V|] cols
+        round_pv = is_pv.copy()  # the switch below changes is_pv
+        pv, pq, pvpq, rc = _index_sets(round_pv, slack)
         rows_cols = (rc[:, None], rc)
         spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
         # the same rows of S viewed as interleaved (P, Q) floats
@@ -185,19 +219,44 @@ def solve_pf(grid: GridModel, case: PfCase,
         q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
         is_pv[pv[high | low]] = False
 
-    if not converged:
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(ybus @ v)
-    gen_q = np.zeros(len(gen_p))
-    gen_q[on] = ((s_calc.imag + q_load) * base)[bus_on] * _shares(
-        net.gen_q_max[on], bus_on, n)
-    gen_p_out = gen_p.copy()
-    at_slack = on & (net.gen_bus == slack)
-    if at_slack.any():
-        gen_p_out[at_slack] = (s_calc.real[slack] + p_load[slack]) * base * _shares(
-            net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
-    return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
-                             iterations, max_mismatch, case)
+    return _solution(grid, case, gen_p, vm, va, converged, iterations,
+                     max_mismatch, round_pv)
+
+
+def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
+                       gen_p: np.ndarray, groups: list[int],
+                       steps: list[float]) -> list[PowerFlowSolution]:
+    """Predicted solutions of dispatch ``gen_p`` with ``gen_p[groups[c]]``
+    moved to ``steps[c]``, one per trial ``c``.
+
+    Each is one Newton step from ``sol``, the converged solution of
+    ``gen_p``, on its PV/PQ split: the Jacobian at its voltages is factored
+    once, with one right-hand side per trial that holds the step in the P
+    row of the group's bus.  Their ``max_mismatch`` is not evaluated (nan).
+    Raises ``np.linalg.LinAlgError`` if that Jacobian is singular.
+    """
+    net = grid.network
+    n = len(net.bus_ids)
+    _pv, _pq, pvpq, rc = _index_sets(sol.pv, net.slack)
+    x = np.concatenate([sol.va, sol.vm])
+    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[rc[:, None], rc]
+    row = np.empty(n, dtype=int)
+    row[pvpq] = np.arange(len(pvpq))
+    rhs = np.zeros((len(rc), len(groups)))
+    rhs[row[net.gen_bus[groups]], np.arange(len(groups))] = (
+        (np.asarray(steps) - gen_p[groups]) / net.base_mva)
+    dx = np.linalg.solve(jac, rhs)
+    if not np.isfinite(dx).all():
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    trials = []
+    for c, (i, step) in enumerate(zip(groups, steps)):
+        x_c = x.copy()
+        x_c[rc] += dx[:, c]
+        trial = gen_p.copy()
+        trial[i] = step
+        trials.append(_solution(grid, sol.case, trial, x_c[n:], x_c[:n], True, 1,
+                                math.nan, sol.pv))
+    return trials
 
 
 def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> ConstraintReport:
@@ -275,20 +334,36 @@ def _apply_dispatch(grid: GridModel, op: OperatingPoint,
     return replace(op, dim_values=dims, var_values=varv)
 
 
+def _violation_total(report: ConstraintReport, base_mva: float) -> float:
+    """The repair's objective: violation magnitudes summed, with voltages
+    already in pu and MVA/MW/MVAr scaled to pu by ``base_mva``."""
+    tot = 0.0
+    for cid, mag in report.violations:
+        tot += mag / base_mva if cid.split("_")[0] in (
+            "line", "pmin", "pmax", "qmin", "qmax") else mag
+    return tot
+
+
 def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                        load_pf: float = DEFAULT_LOAD_PF,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
     """Repair an operating point toward constraint-clean feasibility.
 
     Iterative projected redispatch: group set points are clipped to their
-    capability boxes and then moved along a finite-difference descent
-    direction of the total constraint violation, the slack group absorbing
-    the residual.  The first constraint-clean iterate (the closest to the
-    sampled set points along the descent path) is accepted; its squared
-    set-point deviation is recorded.  All failure modes classify as
+    capability boxes and then moved along a descent direction of the total
+    constraint violation, the slack group absorbing the residual.  The
+    direction is a 1 MW finite difference per adjustable group, taken on
+    the linearized power flow: each group's trial is one Newton step from
+    the iterate's converged solution, and all of them share one factored
+    Jacobian, so an iteration costs one power flow at the iterate plus up
+    to three line-search power flows.  The first constraint-clean iterate
+    (the closest to the sampled set points along the descent path) is
+    accepted; its squared set-point deviation is recorded.  All failure
+    modes, a singular Jacobian at the iterate included, classify as
     Infeasible.
     """
     net = grid.network
+    base = grid.base_mva
     case = pf_case(grid, op, load_pf)
     setpoints = case.gen_p
     non_slack = net.gen_bus != net.slack
@@ -303,19 +378,6 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
         return sum((a - b) ** 2 for a, b in zip(dispatch[non_slack].tolist(),
                                                  setpoints[non_slack].tolist()))
 
-    def solve_and_check(dispatch: np.ndarray) -> tuple[float, PowerFlowSolution,
-                                                       ConstraintReport]:
-        sol = solve_pf(grid, case, dispatch)
-        if not sol.converged:
-            return math.inf, sol, ConstraintReport([("pf_diverged", 1.0)])
-        rep = check_constraints(sol, grid)
-        # normalize: voltages already pu, MVA/MW/MVAr scaled to base
-        tot = 0.0
-        for cid, mag in rep.violations:
-            tot += mag / grid.base_mva if cid.split("_")[0] in (
-                "line", "pmin", "pmax", "qmin", "qmax") else mag
-        return tot, sol, rep
-
     # An accepted line-search trial is the next outer iterate: solve it once.
     solved: dict[tuple[float, ...], tuple] = {}
 
@@ -323,7 +385,12 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                                                        ConstraintReport]:
         key = tuple(dispatch.tolist())
         if key not in solved:
-            solved[key] = solve_and_check(dispatch)
+            sol = solve_pf(grid, case, dispatch)
+            if sol.converged:
+                rep = check_constraints(sol, grid)
+                solved[key] = _violation_total(rep, base), sol, rep
+            else:
+                solved[key] = math.inf, sol, ConstraintReport([("pf_diverged", 1.0)])
         return solved[key]
 
     prev = math.inf
@@ -339,20 +406,27 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
         if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
             break
         prev = tot
-        # finite-difference descent on adjustable group set points
+        # finite-difference descent on adjustable group set points, a
+        # forward 1 MW step unless the capability box forces a backward one
         h = 1.0  # MW
-        grad = np.zeros(len(adjustable))
+        moved, groups, steps = [], [], []
         for k, (i, p_i) in enumerate(zip(adjustable.tolist(), p[adjustable].tolist())):
             step = min(max(p_i + h, p_min[k]), p_max[k])
             if step == p_i:
                 step = max(p_i - h, p_min[k])
                 if step == p_i:
                     continue
-            trial = p.copy()
-            trial[i] = step
-            t_tot, _, _ = violation_total(trial)
-            if math.isfinite(t_tot):
-                grad[k] = (t_tot - tot) / (step - p_i)
+            moved.append(k)
+            groups.append(i)
+            steps.append(step)
+        try:
+            trials = _newton_step_trials(grid, sol, p, groups, steps)
+        except np.linalg.LinAlgError:
+            break
+        grad = np.zeros(len(adjustable))
+        for k, i, step, t_sol in zip(moved, groups, steps, trials):
+            t_tot = _violation_total(check_constraints(t_sol, grid), base)
+            grad[k] = (t_tot - tot) / (step - p[i])
         gmax = float(np.abs(grad).max())
         if gmax <= 0:
             break
