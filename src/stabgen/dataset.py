@@ -18,7 +18,7 @@ import numpy as np
 
 from .explorer import ExplorationNode, LabeledRecord, entropy
 from .feasibility import DISCARDED, FEASIBLE, INFEASIBLE
-from .forest import LabeledDataset, SensitivityUnavailableError, kfold_accuracy
+from .forest import LabeledDataset, kfold_accuracy
 from .space import OperatingSpaceSpec
 
 FIXED_COLUMNS = ["cell_path", "depth", "sample_index", "case_index"]
@@ -135,11 +135,8 @@ def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
         if len(cum_y) >= 2 * kfold and len(np.unique(y)) == 2 \
                 and min(np.bincount(y)) >= kfold:
             data = LabeledDataset(np.array(cum_x), y, dim_names)
-            try:
-                acc_mean, acc_std = kfold_accuracy(data, kfold, forest_trees,
-                                                   forest_depth, seed)
-            except (SensitivityUnavailableError, ValueError):
-                pass
+            acc_mean, acc_std = kfold_accuracy(data, kfold, forest_trees,
+                                               forest_depth, seed)
         imps = (importances_by_depth or {}).get(depth, {})
         out.append(MetricsRow(
             depth=depth, n_cells=len(groups),

@@ -5,6 +5,16 @@ subsampling per node.  Feature importances (mean decrease in impurity)
 rank the operating-space dimensions for split selection; stratified k-fold
 accuracy quantifies dataset quality.  Fully deterministic for a fixed
 (data, hyperparameters, seed).
+
+Each tree sorts its bootstrap sample once per feature and grows from those
+presorted rows: a split partitions them stably, and every candidate
+feature of a node is scored in one array pass.  A tree is stored as flat
+node arrays and predicts level by level.  The random stream is a contract:
+per tree one ``integers(0, n, n)`` bootstrap, then one
+``choice(d, n_sub, replace=False)`` per splittable node, depth-first and
+left-first.  Together with the 1e-12 gain floor, the first strict maximum
+over ascending features, midpoint thresholds and partitions by value, it
+fixes every split, so output bytes do not depend on how a tree is grown.
 """
 
 from __future__ import annotations
@@ -33,107 +43,112 @@ class LabeledDataset:
             raise ValueError("features contain non-finite values")
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    prediction: int = 0
+@dataclass(frozen=True)
+class Tree:
+    """One CART tree as flat node arrays; node 0 is the root.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    A leaf has feature -1 and is its own left and right child, so a
+    prediction can step every row down ``depth`` levels without branching.
+    """
+    feature: np.ndarray        # (nodes,) split feature, -1 at a leaf
+    threshold: np.ndarray      # (nodes,) rows with x[feature] <= threshold go left
+    left: np.ndarray           # (nodes,) child node indices
+    right: np.ndarray
+    prediction: np.ndarray     # (nodes,) majority class, ties to 0
+    depth: int                 # deepest node's level
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        node = np.zeros(len(x), dtype=np.intp)
+        rows = np.arange(len(x))
+        for _ in range(self.depth):
+            go_left = x[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.prediction[node]
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
+               importances: np.ndarray, rng: np.random.Generator) -> Tree:
+    """Grow one tree on a bootstrap sample, depth-first and left-first.
 
-
-def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray
-                ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over candidate features."""
-    n = len(y)
-    parent = _gini(np.bincount(y, minlength=2))
-    best = None
-    best_gain = 1e-12
-    for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        ones_left = np.cumsum(ys)[:-1]
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        ones_right = ones_left[-1] + ys[-1] - ones_left
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
+    ``rows[j]`` lists a node's rows in ascending order of feature j, ties in
+    row order: the order a stable argsort of that node's values gives.  A
+    split partitions every such list stably, so no node sorts again.  Each
+    splittable node draws its candidate features when it leaves the stack,
+    and the left child is popped first, so the draws come in the order of
+    a recursive depth-first, left-first growth.
+    """
+    n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
+    sizes = np.arange(n + 1)
+    ones = int(y.sum())
+    # One [feature, threshold, left, right, prediction] per node; a node is
+    # made a leaf and becomes a split when its turn in the stack comes.
+    nodes = [[-1, 0.0, 0, 0, int(2 * ones > n)]]
+    deepest = 0
+    stack = [(0, np.argsort(xt, axis=1, kind="stable"), ones, 0)]
+    while stack:
+        i, rows, ones, depth = stack.pop()
+        m = rows.shape[1]
+        if depth >= max_depth or ones == 0 or ones == m:
             continue
+        fs = rng.choice(d, size=n_sub, replace=False)
+        fs.sort()
+        cand = rows[fs]
+        xs = xt[fs[:, None], cand]
+        cum = y[cand].cumsum(axis=1)
+        ones_left = cum[:, :-1]
+        n_left = sizes[1:m]                # 1 .. m-1
+        n_right = sizes[m - 1:0:-1]        # m-1 .. 1
+        ones_right = ones - ones_left
+        p0 = (m - ones) / m
+        p1 = ones / m
+        parent = 1.0 - (p0 * p0 + p1 * p1)
         p1l = ones_left / n_left
         p1r = ones_right / n_right
         gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
         gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
-        gain = parent - (n_left * gini_l + n_right * gini_r) / n
-        gain[~valid] = -1.0
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best = (int(f), float(0.5 * (xs[k] + xs[k + 1])), best_gain)
-    return best
-
-
-def _grow(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
-          max_depth: int, n_sub: int, n_total: int,
-          importances: np.ndarray, rng: np.random.Generator) -> _Node:
-    counts = np.bincount(y[idx], minlength=2)
-    node = _Node(prediction=int(np.argmax(counts)))
-    if depth >= max_depth or counts.min() == 0 or len(idx) < 2:
-        return node
-    features = np.sort(rng.choice(x.shape[1], size=n_sub, replace=False))
-    best = _best_split(x[idx], y[idx], features)
-    if best is None:
-        return node
-    f, thr, gain = best
-    importances[f] += gain * len(idx) / n_total
-    mask = x[idx, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow(x, y, idx[mask], depth + 1, max_depth, n_sub, n_total,
-                      importances, rng)
-    node.right = _grow(x, y, idx[~mask], depth + 1, max_depth, n_sub, n_total,
-                       importances, rng)
-    return node
-
-
-def _predict_tree(node: _Node, x: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x), dtype=int)
-    stack = [(node, np.arange(len(x)))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.prediction
+        gain = parent - (n_left * gini_l + n_right * gini_r) / m
+        gain[xs[:, 1:] == xs[:, :-1]] = -1.0
+        # The first maximum in (feature, position) order: features ascend.
+        c, k = divmod(int(gain.argmax()), m - 1)
+        best = float(gain[c, k])
+        if not best > 1e-12:
             continue
-        mask = x[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return out
+        f = int(fs[c])
+        thr = float(0.5 * (xs[c, k] + xs[c, k + 1]))
+        importances[f] += best * m / n
+        # Partition by value: the midpoint of adjacent floats can round up
+        # to xs[c, k + 1], which then goes left with every row equal to it.
+        m_left = int(xs[c].searchsorted(thr, side="right"))
+        ones_l = int(cum[c, m_left - 1])
+        j = len(nodes)
+        nodes[i][:4] = f, thr, j, j + 1
+        nodes.append([-1, 0.0, j, j, int(2 * ones_l > m_left)])
+        nodes.append([-1, 0.0, j + 1, j + 1,
+                      int(2 * (ones - ones_l) > m - m_left)])
+        deepest = max(deepest, depth + 1)
+        # A child that is a leaf by depth or purity needs no rows.
+        if depth + 1 < max_depth and (0 < ones_l < m_left
+                                      or 0 < ones - ones_l < m - m_left):
+            go_left = (xt[f] <= thr)[rows]
+            stack.append((j + 1, rows[~go_left].reshape(d, m - m_left),
+                          ones - ones_l, depth + 1))
+            stack.append((j, rows[go_left].reshape(d, m_left), ones_l,
+                          depth + 1))
+    feature, threshold, left, right, prediction = map(np.array, zip(*nodes))
+    return Tree(feature, threshold, left, right, prediction, deepest)
 
 
 @dataclass
 class ForestModel:
-    trees: list[_Node]
+    trees: list[Tree]
     importances: np.ndarray    # normalized, sums to 1
     feature_names: list[str]
     seed: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        votes = np.zeros(len(x))
-        for t in self.trees:
-            votes += _predict_tree(t, x)
+        votes = sum(t.predict(x) for t in self.trees)
         return (votes * 2 > len(self.trees)).astype(int)
 
 
@@ -148,13 +163,12 @@ def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
     n, d = x.shape
     n_sub = max(1, int(round(np.sqrt(d))))
     rng = np.random.default_rng(seed)
-    trees: list[_Node] = []
+    trees: list[Tree] = []
     raw = np.zeros(d)
     for _ in range(n_trees):
         boot = rng.integers(0, n, n)
         imp = np.zeros(d)
-        trees.append(_grow(x[boot], y[boot], np.arange(n), 0, max_depth, n_sub,
-                           n, imp, rng))
+        trees.append(_grow_tree(x[boot], y[boot], max_depth, n_sub, imp, rng))
         tot = imp.sum()
         raw += imp / tot if tot > 0 else imp
     total = raw.sum()
@@ -179,16 +193,15 @@ def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
     if counts.min() < k:
         raise ValueError(f"smallest class has {counts.min()} samples, cannot stratify into {k} folds")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(len(y), dtype=int)
     for c in classes:
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
-        for i, j in enumerate(idx):
-            folds[i % k].append(int(j))
+        fold[idx] = np.arange(len(idx)) % k
     accs = []
     for i in range(k):
-        test = np.array(sorted(folds[i]))
-        train = np.array(sorted(j for f in folds for j in f if f is not folds[i]))
+        test = np.flatnonzero(fold == i)
+        train = np.flatnonzero(fold != i)
         sub = LabeledDataset(data.features[train], y[train], data.feature_names)
         model = train_forest(sub, n_trees, max_depth, seed + 1 + i)
         accs.append(float(np.mean(model.predict(data.features[test]) == y[test])))

@@ -129,3 +129,134 @@ def smib_analytic_eigs(inertia_h: float, damping_d: float, k_s: float,
                        omega_b: float) -> np.ndarray:
     """Roots of 2H lambda^2 + D lambda + K_s omega_b = 0."""
     return np.roots([2.0 * inertia_h, damping_d, k_s * omega_b])
+
+
+class ReferenceForest:
+    """Recursive CART forest: the package's forest, one node object at a time.
+
+    The package grows each tree from presorted rows into flat arrays; this
+    is the straightforward form of the same algorithm (one stable argsort
+    per candidate feature per node, recursion depth-first and left-first),
+    so equal importance bytes and predictions show that the fast growth
+    keeps every split and every draw of the random generator.
+    """
+
+    class Node:
+        def __init__(self, prediction):
+            self.feature = -1
+            self.threshold = 0.0
+            self.left = None
+            self.right = None
+            self.prediction = prediction
+
+    def __init__(self, x, y, n_trees=100, max_depth=8, seed=0):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=int)
+        n, d = x.shape
+        self.max_depth = max_depth
+        self.n_sub = max(1, int(round(np.sqrt(d))))
+        rng = np.random.default_rng(seed)
+        self.trees = []
+        raw = np.zeros(d)
+        for _ in range(n_trees):
+            boot = rng.integers(0, n, n)
+            imp = np.zeros(d)
+            self.trees.append(self._grow(x[boot], y[boot], np.arange(n), 0,
+                                         n, imp, rng))
+            tot = imp.sum()
+            raw += imp / tot if tot > 0 else imp
+        total = raw.sum()
+        self.importances = raw / total if total > 0 else np.full(d, 1.0 / d)
+
+    @staticmethod
+    def _gini(counts):
+        n = counts.sum()
+        if n == 0:
+            return 0.0
+        p = counts / n
+        return float(1.0 - (p * p).sum())
+
+    @classmethod
+    def _best_split(cls, x, y, features):
+        n = len(y)
+        parent = cls._gini(np.bincount(y, minlength=2))
+        best = None
+        best_gain = 1e-12
+        for f in features:
+            order = np.argsort(x[:, f], kind="stable")
+            xs = x[order, f]
+            ys = y[order]
+            ones_left = np.cumsum(ys)[:-1]
+            n_left = np.arange(1, n)
+            n_right = n - n_left
+            ones_right = ones_left[-1] + ys[-1] - ones_left
+            valid = xs[1:] > xs[:-1]
+            if not valid.any():
+                continue
+            p1l = ones_left / n_left
+            p1r = ones_right / n_right
+            gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
+            gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
+            gain = parent - (n_left * gini_l + n_right * gini_r) / n
+            gain[~valid] = -1.0
+            k = int(np.argmax(gain))
+            if gain[k] > best_gain:
+                best_gain = float(gain[k])
+                best = (int(f), float(0.5 * (xs[k] + xs[k + 1])), best_gain)
+        return best
+
+    def _grow(self, x, y, idx, depth, n_total, importances, rng):
+        counts = np.bincount(y[idx], minlength=2)
+        node = self.Node(int(np.argmax(counts)))
+        if depth >= self.max_depth or counts.min() == 0 or len(idx) < 2:
+            return node
+        features = np.sort(rng.choice(x.shape[1], size=self.n_sub, replace=False))
+        best = self._best_split(x[idx], y[idx], features)
+        if best is None:
+            return node
+        f, thr, gain = best
+        importances[f] += gain * len(idx) / n_total
+        mask = x[idx, f] <= thr
+        node.feature = f
+        node.threshold = thr
+        node.left = self._grow(x, y, idx[mask], depth + 1, n_total, importances, rng)
+        node.right = self._grow(x, y, idx[~mask], depth + 1, n_total, importances, rng)
+        return node
+
+    def predict(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        votes = np.zeros(len(x))
+        for tree in self.trees:
+            out = np.empty(len(x), dtype=int)
+            stack = [(tree, np.arange(len(x)))]
+            while stack:
+                nd, idx = stack.pop()
+                if nd.left is None:
+                    out[idx] = nd.prediction
+                    continue
+                mask = x[idx, nd.feature] <= nd.threshold
+                stack.append((nd.left, idx[mask]))
+                stack.append((nd.right, idx[~mask]))
+            votes += out
+        return (votes * 2 > len(self.trees)).astype(int)
+
+
+def reference_kfold(x, y, k=5, n_trees=100, max_depth=8, seed=0):
+    """Stratified k-fold accuracy (mean, std) of ``ReferenceForest``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    classes = np.unique(y)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for c in classes:
+        idx = np.flatnonzero(y == c)
+        rng.shuffle(idx)
+        for i, j in enumerate(idx):
+            folds[i % k].append(int(j))
+    accs = []
+    for i in range(k):
+        test = np.array(sorted(folds[i]))
+        train = np.array(sorted(j for f in folds for j in f if f is not folds[i]))
+        model = ReferenceForest(x[train], y[train], n_trees, max_depth, seed + 1 + i)
+        accs.append(float(np.mean(model.predict(x[test]) == y[test])))
+    return float(np.mean(accs)), float(np.std(accs))

@@ -52,6 +52,22 @@ print(json.dumps(tracer.calls))
 """
 
 
+TRACED_METRICS = """
+import json
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from stabgen.dataset import compute_metrics
+from stabgen.explorer import LabeledRecord
+rows = [LabeledRecord("R" + ".x" * depth, depth, i, 0, {"x": float(i)}, {},
+                      "Feasible", i % 3 == 0, -1.0, 0.0, 1.0, 0.0, "", 3)
+        for depth in (0, 1) for i in range(30)]
+metrics = compute_metrics(rows, ["x"], forest_trees=3, kfold=5)
+print(json.dumps({"calls": tracer.calls, "counts": tracer.counts,
+                  "depths": sum(m.accuracy_mean is not None for m in metrics)}))
+"""
+
+
 def _run(code):
     src = str(Path(stabgen.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -82,3 +98,16 @@ def test_tracer_sees_the_power_flow():
     assert calls.get("repair.Feasible", 0) > 0
     assert calls["smallsignal.linearize"] > 0
     assert calls["smallsignal.eig"] > 0
+
+
+def test_tracer_sees_the_forest():
+    # forest.ms_per_kfold, forest.ms_per_train and forest.trees_trained read
+    # 0 if compute_metrics, kfold_accuracy or train_forest stops calling the
+    # next one through the module attribute that the tracer wraps.
+    proc = _run(TRACED_METRICS)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["depths"] == 2
+    assert out["calls"]["forest.kfold"] == 2
+    assert out["calls"]["forest.train_kfold"] == 2 * 5
+    assert out["counts"]["trees"] == 5 * 3 * out["depths"]

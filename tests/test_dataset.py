@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from stabgen import dataset
 from stabgen.dataset import (FIXED_COLUMNS, TAIL_COLUMNS, compute_metrics,
                              dataset_columns, importances_by_depth,
                              node_to_dict, read_dataset, write_dataset,
@@ -77,6 +78,21 @@ def test_metrics_accuracy_gating():
             for i in range(6)]
     metrics = compute_metrics(rows, ["x"])
     assert metrics[0].accuracy_mean is None
+
+
+def test_forest_fault_propagates(monkeypatch):
+    # Past the gate (two classes, at least kfold rows each) a forest error
+    # is a bug; it must not turn into an empty accuracy cell.
+    rows = [LabeledRecord("R", 0, i, 0, {"x": float(i)}, {}, "Feasible",
+                          i % 2 == 0, -1.0, 0.0, 1.0, 0.0, "", 3)
+            for i in range(20)]
+
+    def broken(*args, **kwargs):
+        raise ValueError("forest fault")
+
+    monkeypatch.setattr(dataset, "kfold_accuracy", broken)
+    with pytest.raises(ValueError, match="forest fault"):
+        compute_metrics(rows, ["x"])
 
 
 def test_write_metrics_csv(small_run, tmp_path):

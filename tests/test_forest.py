@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgen.forest import (LabeledDataset, SensitivityUnavailableError,
-                            feature_importance, kfold_accuracy, train_forest,
-                            _predict_tree)
+                            feature_importance, kfold_accuracy, train_forest)
+
+from oracles import ReferenceForest, reference_kfold
 
 
 def _threshold_data(n=300, d=4, seed=0, noise=0.0):
@@ -56,16 +58,16 @@ def test_permuting_informative_feature_destroys_importance():
 def test_single_tree_forest_equals_tree():
     data = _threshold_data(seed=4)
     model = train_forest(data, n_trees=1, seed=11)
-    tree_pred = _predict_tree(model.trees[0], data.features)
+    tree_pred = model.trees[0].predict(data.features)
     assert np.array_equal(model.predict(data.features), tree_pred)
 
 
 def test_depth_one_stump_finds_threshold():
     data = _threshold_data(n=2000, seed=5)
     model = train_forest(data, n_trees=200, max_depth=1, seed=0)
-    roots = [t for t in model.trees if not t.is_leaf and t.feature == 0]
+    roots = [t for t in model.trees if t.feature[0] == 0]
     assert roots
-    thresholds = np.array([t.threshold for t in roots])
+    thresholds = np.array([t.threshold[0] for t in roots])
     assert abs(np.median(thresholds) - 0.5) < 0.05
 
 
@@ -110,3 +112,40 @@ def test_noise_tolerance():
     assert feature_importance(model)[0] >= 0.5
     mean, _ = kfold_accuracy(data, k=5, n_trees=30, seed=8)
     assert mean > 0.8
+
+
+@st.composite
+def _small_datasets(draw):
+    """Rounded ties, a column of adjacent floats and both classes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(6, 60))
+    d = draw(st.integers(1, 9))
+    x = rng.random((n, d))
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    if draw(st.booleans()):
+        # A midpoint of two adjacent floats can round up to the upper one,
+        # so the split must partition by value, not by sorted position.
+        col = np.full(n, 1.0 + rng.random())
+        for i, steps in enumerate(rng.integers(0, 4, n)):
+            for _ in range(steps):
+                col[i] = np.nextafter(col[i], 2.0)
+        x[:, rng.integers(d)] = col
+    y = (rng.random(n) < draw(st.floats(0.2, 0.8))).astype(int)
+    y[:3], y[3:6] = 0, 1    # three of each class, enough for 3 folds
+    depth = draw(st.integers(1, 9))
+    return x, y, depth, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_datasets())
+def test_forest_equals_recursive_reference(case):
+    x, y, depth, seed = case
+    data = LabeledDataset(x, y)
+    model = train_forest(data, n_trees=5, max_depth=depth, seed=seed)
+    ref = ReferenceForest(x, y, n_trees=5, max_depth=depth, seed=seed)
+    assert model.importances.tobytes() == ref.importances.tobytes()
+    probe = np.vstack([x, np.random.default_rng(seed).random((20, x.shape[1]))])
+    assert np.array_equal(model.predict(probe), ref.predict(probe))
+    assert kfold_accuracy(data, 3, 4, depth, seed) == reference_kfold(x, y, 3, 4, depth, seed)
