@@ -17,7 +17,7 @@ import numpy as np
 
 # build_admittance stays importable here for bench/tracer.py, which wraps it
 # by this module's name; the compiled network (GridModel.network) calls it.
-from .grid import (GridModel, IBR, SG, build_admittance,  # noqa: F401
+from .grid import (GridModel, IBR, SG, Network, build_admittance,  # noqa: F401
                    power_jacobian)
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)
 
@@ -49,12 +49,17 @@ class PowerFlowSolution:
 @dataclass(frozen=True)
 class PfCase:
     """One operating point's power-flow inputs, built once and shared by all
-    of its solves; each solve brings its own dispatch (default ``gen_p``)."""
+    of its solves; each solve brings its own dispatch (default ``gen_p``).
+    Every Newton round of every solve starts flat, at ``vm`` with zero
+    angles, so the voltages, injections and Jacobian there are kept too."""
 
     p_load: np.ndarray  # active demand per bus, pu
     q_load: np.ndarray  # reactive demand per bus, pu
     vm: np.ndarray      # sampled voltage magnitude per bus, pu
     gen_p: np.ndarray   # sampled set point per group, MW
+    v0: np.ndarray      # flat-start complex voltage per bus, pu
+    s0: np.ndarray      # its bus injections v0 conj(Y v0), pu
+    jac0: np.ndarray    # its full power-flow Jacobian
 
 
 @dataclass
@@ -96,7 +101,10 @@ def pf_case(grid: GridModel, op: OperatingPoint,
     vm = np.array([op.voltage_profile.get(b, 1.0) for b in net.bus_ids])
     gen_p = np.array([op.var_values.get(f"P_{g.tech}_{g.bus}", 0.0)
                       for g in grid.gen_groups])
-    return PfCase(p_load, q_load, vm, gen_p)
+    v0 = vm * np.exp(1j * np.zeros(n))  # solve_pf's v at zero angles, bit for bit
+    ibus0 = net.ybus @ v0
+    return PfCase(p_load, q_load, vm, gen_p, v0, v0 * np.conj(ibus0),
+                  power_jacobian(net.ybus, v0, ibus0))
 
 
 def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
@@ -107,37 +115,96 @@ def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
     return np.divide(weight, total, out=1.0 / count, where=total > 0)
 
 
-def _index_sets(is_pv: np.ndarray, slack: int) -> tuple[np.ndarray, ...]:
-    """PV and PQ bus indices of a PV mask, and the Newton unknowns: [P; Q]
-    rows and [theta; |V|] columns at ``pvpq`` and ``n + pq``."""
-    n = len(is_pv)
-    pv = is_pv.nonzero()[0]
-    pq = (~is_pv & (np.arange(n) != slack)).nonzero()[0]
-    pvpq = np.concatenate([pv, pq])
-    return pv, pq, pvpq, np.concatenate([pvpq, n + pq])
+@dataclass(frozen=True)
+class _Dispatched:
+    """What a power flow takes from its mask of dispatched groups alone."""
+
+    on: np.ndarray        # the mask, per group
+    bus: np.ndarray       # bus index per dispatched group
+    is_pv: np.ndarray     # PV buses: a dispatched group holds the voltage
+    q_min: np.ndarray     # summed reactive limits per bus, pu
+    q_max: np.ndarray
+    q_share: np.ndarray   # per dispatched group: its share of its bus's Q
+    at_slack: np.ndarray  # per group: dispatched and at the slack bus
+    p_share: np.ndarray   # per group at_slack: its share of the slack bus's P
 
 
-def _solution(grid: GridModel, case: PfCase, gen_p: np.ndarray, vm: np.ndarray,
-              va: np.ndarray, converged: bool, iterations: int,
-              max_mismatch: float, pv: np.ndarray) -> PowerFlowSolution:
-    """The solution at bus voltages ``vm``, ``va`` of dispatch ``gen_p``: each
-    dispatched group's Q is its ``gen_q_max`` share of its bus's injection,
-    and the slack bus's groups share its P by ``gen_p_max``."""
-    net = grid.network
-    n = len(net.bus_ids)
-    base = net.base_mva
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(net.ybus @ v)
+def _read_only(*arrays: np.ndarray) -> None:
+    """Guard arrays that every later solve on the network shares."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _dispatched(net: Network, gen_p: np.ndarray) -> _Dispatched:
+    """The mask terms of dispatch ``gen_p``, built once per mask and network.
+
+    Reactive power is shared by ``gen_q_max`` among a bus's dispatched
+    groups, and the slack bus's active power by ``gen_p_max``."""
     on = gen_p > ZERO_DISPATCH
-    bus_on = net.gen_bus[on]
+    key = ("on", on.tobytes())
+    terms = net.by_mask.get(key)
+    if terms is None:
+        n = len(net.bus_ids)
+        base = net.base_mva
+        bus = net.gen_bus[on]
+        # PV where a dispatched generator can hold voltage; everything else PQ
+        is_pv = np.bincount(bus, minlength=n) > 0
+        is_pv[net.slack] = False
+        at_slack = on & (net.gen_bus == net.slack)
+        terms = net.by_mask[key] = _Dispatched(
+            on, bus, is_pv,
+            np.bincount(bus, net.gen_q_min[on] / base, n),
+            np.bincount(bus, net.gen_q_max[on] / base, n),
+            _shares(net.gen_q_max[on], bus, n), at_slack,
+            _shares(net.gen_p_max[at_slack], net.gen_bus[at_slack], n))
+        _read_only(*vars(terms).values())
+    return terms
+
+
+def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
+    """PV and PQ bus indices of a PV mask and its Newton unknowns, built
+    once per mask and network: ``(pv, pq, pvpq, rc, jac_index, s_rows)``.
+
+    The unknowns are the [P; Q] rows and [theta; |V|] columns ``rc`` at
+    ``pvpq`` and ``n + pq``; ``jac_index`` picks their block of the full
+    Jacobian, and ``s_rows`` their rows of S viewed as interleaved (P, Q)
+    floats."""
+    key = ("pv", is_pv.tobytes())
+    sets = net.by_mask.get(key)
+    if sets is None:
+        n = len(is_pv)
+        pv = is_pv.nonzero()[0]
+        pq = (~is_pv & (np.arange(n) != net.slack)).nonzero()[0]
+        pvpq = np.concatenate([pv, pq])
+        rc = np.concatenate([pvpq, n + pq])
+        s_rows = np.concatenate([2 * pvpq, 2 * pq + 1])
+        _read_only(pv, pq, pvpq, rc, s_rows)
+        sets = net.by_mask[key] = (pv, pq, pvpq, rc, (rc[:, None], rc), s_rows)
+    return sets
+
+
+def _solution(net: Network, case: PfCase, gen_p: np.ndarray, vm: np.ndarray,
+              va: np.ndarray, converged: bool, iterations: int,
+              max_mismatch: float, pv: np.ndarray,
+              injections: tuple[np.ndarray, np.ndarray] | None = None,
+              ) -> PowerFlowSolution:
+    """The solution at bus voltages ``vm``, ``va`` of dispatch ``gen_p``: each
+    dispatched group's Q is its share of its bus's injection, and the slack
+    bus's groups share its P.  ``injections`` is the pair ``v = vm e^(j va)``,
+    ``v conj(Y v)`` when the caller already has it."""
+    if injections is None:
+        v = vm * np.exp(1j * va)
+        injections = v, v * np.conj(net.ybus @ v)
+    v, s_calc = injections
+    base = net.base_mva
+    terms = _dispatched(net, gen_p)
+    on, at_slack = terms.on, terms.at_slack
     gen_q = np.zeros(len(gen_p))
-    gen_q[on] = ((s_calc.imag + case.q_load) * base)[bus_on] * _shares(
-        net.gen_q_max[on], bus_on, n)
+    gen_q[on] = ((s_calc.imag + case.q_load) * base)[terms.bus] * terms.q_share
     gen_p_out = gen_p.copy()
-    at_slack = on & (net.gen_bus == net.slack)
     if at_slack.any():
-        gen_p_out[at_slack] = (s_calc.real[net.slack] + case.p_load[net.slack]) * base * _shares(
-            net.gen_p_max[at_slack], net.gen_bus[at_slack], n)
+        slack_p = (s_calc.real[net.slack] + case.p_load[net.slack]) * base
+        gen_p_out[at_slack] = slack_p * terms.p_share
     return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
                              iterations, max_mismatch, case, pv)
 
@@ -158,19 +225,11 @@ def solve_pf(grid: GridModel, case: PfCase,
         gen_p = case.gen_p
     n = len(net.bus_ids)
     ybus = net.ybus
-    base = net.base_mva
-    slack = net.slack
-    p_load, q_load = case.p_load, case.q_load
-
-    on = gen_p > ZERO_DISPATCH
-    bus_on = net.gen_bus[on]
-    p_gen = np.bincount(bus_on, gen_p[on] / base, n)
-    q_min = np.bincount(bus_on, net.gen_q_min[on] / base, n)
-    q_max = np.bincount(bus_on, net.gen_q_max[on] / base, n)
-    # PV where a dispatched generator can hold voltage; everything else PQ
-    is_pv = np.bincount(bus_on, minlength=n) > 0
-    is_pv[slack] = False
-    p_spec = p_gen - p_load
+    q_load = case.q_load
+    terms = _dispatched(net, gen_p)
+    q_min, q_max = terms.q_min, terms.q_max
+    is_pv = terms.is_pv.copy()
+    p_spec = np.bincount(terms.bus, gen_p[terms.on] / net.base_mva, n) - case.p_load
     q_spec = -q_load  # PQ buses without generation
 
     x0 = np.concatenate([np.zeros(n), case.vm])  # flat start [theta; |V|]
@@ -182,24 +241,27 @@ def solve_pf(grid: GridModel, case: PfCase,
         x = x0.copy()
         va, vm = x[:n], x[n:]
         round_pv = is_pv.copy()  # the switch below changes is_pv
-        pv, pq, pvpq, rc = _index_sets(round_pv, slack)
-        rows_cols = (rc[:, None], rc)
+        pv, pq, pvpq, rc, jac_index, s_rows = _unknowns(net, round_pv)
         spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
-        # the same rows of S viewed as interleaved (P, Q) floats
-        s_rows = np.concatenate([2 * pvpq, 2 * pq + 1])
         converged = False
         for it in range(1, PF_MAX_ITER + 1):
-            v = vm * np.exp(1j * va)
-            ibus = ybus @ v
-            s_calc = v * np.conj(ibus)
+            if it == 1:  # x is the flat start
+                v, s_calc, jac = case.v0, case.s0, case.jac0
+            else:
+                v = vm * np.exp(1j * va)
+                ibus = ybus @ v
+                s_calc = v * np.conj(ibus)
+                jac = None
             mism = spec - s_calc.view(float)[s_rows]
             max_mismatch = float(np.abs(mism).max()) if mism.size else 0.0
             iterations = it
             if max_mismatch < PF_TOL:
                 converged = True
                 break
+            if jac is None:
+                jac = power_jacobian(ybus, v, ibus)
             try:
-                dx = np.linalg.solve(power_jacobian(ybus, v, ibus)[rows_cols], mism)
+                dx = np.linalg.solve(jac[jac_index], mism)
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(dx).all():
@@ -219,8 +281,9 @@ def solve_pf(grid: GridModel, case: PfCase,
         q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
         is_pv[pv[high | low]] = False
 
-    return _solution(grid, case, gen_p, vm, va, converged, iterations,
-                     max_mismatch, round_pv)
+    # a converged round's v and s_calc are those of x; otherwise x has moved
+    return _solution(net, case, gen_p, vm, va, converged, iterations, max_mismatch,
+                     round_pv, (v, s_calc) if converged else None)
 
 
 def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
@@ -237,9 +300,9 @@ def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
     """
     net = grid.network
     n = len(net.bus_ids)
-    _pv, _pq, pvpq, rc = _index_sets(sol.pv, net.slack)
+    _pv, _pq, pvpq, rc, jac_index, _s_rows = _unknowns(net, sol.pv)
     x = np.concatenate([sol.va, sol.vm])
-    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[rc[:, None], rc]
+    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[jac_index]
     row = np.empty(n, dtype=int)
     row[pvpq] = np.arange(len(pvpq))
     rhs = np.zeros((len(rc), len(groups)))
@@ -254,7 +317,7 @@ def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
         x_c[rc] += dx[:, c]
         trial = gen_p.copy()
         trial[i] = step
-        trials.append(_solution(grid, sol.case, trial, x_c[n:], x_c[:n], True, 1,
+        trials.append(_solution(net, sol.case, trial, x_c[n:], x_c[:n], True, 1,
                                 math.nan, sol.pv))
     return trials
 
@@ -267,21 +330,22 @@ def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> Constrain
     """
     tol = 1e-6
     viols: list[tuple[str, float]] = []
-    vm, va = solution.vm.tolist(), solution.va.tolist()
-    for b, v in zip(grid.buses, vm):
+    for b, v in zip(grid.buses, solution.vm.tolist()):
         if v < b.v_min - tol:
             viols.append((f"v_{b.id}", b.v_min - v))
         elif v > b.v_max + tol:
             viols.append((f"v_{b.id}", v - b.v_max))
-    base = grid.base_mva
-    vc = {b.id: v * np.exp(1j * a) for b, v, a in zip(grid.buses, vm, va)}
-    for ln in grid.lines:
-        y_series = 1.0 / complex(ln.r, ln.x)
-        y_shunt = 0.5j * ln.b
-        vf, vt = vc[ln.from_bus], vc[ln.to_bus]
+    net = grid.network
+    base = net.base_mva
+    vc = (solution.vm * np.exp(1j * solution.va)).tolist()
+    for ln, i, j, y_series, y_shunt in zip(grid.lines, net.line_from.tolist(),
+                                           net.line_to.tolist(),
+                                           net.line_y_series.tolist(),
+                                           net.line_y_shunt.tolist()):
+        vf, vt = vc[i], vc[j]
         i_f = (vf - vt) * y_series + vf * y_shunt
         i_t = (vt - vf) * y_series + vt * y_shunt
-        s = max(abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))) * base
+        s = max(abs(vf * i_f.conjugate()), abs(vt * i_t.conjugate())) * base
         if s > ln.s_max + tol:
             viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
     for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):

@@ -194,12 +194,16 @@ class GridModel:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A grid as arrays in bus and group order, shared by every power flow
-    and linearization on that grid."""
+    """A grid as arrays in bus, line and group order, shared by every power
+    flow and linearization on that grid."""
 
     ybus: np.ndarray           # complex bus admittance matrix, pu
     slack: int                 # slack bus index
     bus_ids: tuple[int, ...]
+    line_from: np.ndarray      # from-bus index per line
+    line_to: np.ndarray        # to-bus index per line
+    line_y_series: np.ndarray  # complex series admittance per line, pu
+    line_y_shunt: np.ndarray   # complex admittance of each half shunt, pu
     gen_bus: np.ndarray        # bus index per group
     gen_p_min: np.ndarray      # MW, per group
     gen_p_max: np.ndarray
@@ -207,6 +211,9 @@ class Network:
     gen_q_max: np.ndarray
     load_bus: np.ndarray       # bus index per load
     base_mva: float
+    # the power flow's terms of each mask of dispatched groups or of PV
+    # buses, keyed by the mask and built on first use
+    by_mask: dict = field(default_factory=dict, repr=False)
 
 
 def build_admittance(grid: GridModel) -> np.ndarray:
@@ -242,6 +249,10 @@ def compile_network(grid: GridModel) -> Network:
         ybus=build_admittance(grid),
         slack=idx[grid.slack_bus.id],
         bus_ids=tuple(b.id for b in grid.buses),
+        line_from=col((idx[ln.from_bus] for ln in grid.lines), int),
+        line_to=col((idx[ln.to_bus] for ln in grid.lines), int),
+        line_y_series=col((1.0 / complex(ln.r, ln.x) for ln in grid.lines), complex),
+        line_y_shunt=col((0.5j * ln.b for ln in grid.lines), complex),
         gen_bus=col((idx[g.bus] for g in groups), int),
         gen_p_min=col(g.p_min for g in groups),
         gen_p_max=col(g.p_max for g in groups),
@@ -256,17 +267,26 @@ def power_jacobian(ybus: np.ndarray, v: np.ndarray,
                    ibus: np.ndarray | None = None) -> np.ndarray:
     """Real 2n x 2n Jacobian d[P; Q]/d[theta; |V|] of S = V conj(Y V).
 
-    Dense MATPOWER ``dSbus_dV`` form (Zimmerman et al., IEEE Trans. Power
-    Systems 26(1), 2011) at complex bus voltages ``v``; ``ibus = Y v`` when
+    MATPOWER's ``dSbus_dV`` (Zimmerman et al., IEEE Trans. Power Systems
+    26(1), 2011) at complex bus voltages ``v``, with its diagonal matrices
+    applied as row and column scalings of Y, O(n^2); ``ibus = Y v`` when
     the caller already has it.
     """
     if ibus is None:
         ibus = ybus @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vn = np.diag(v / np.abs(v))
-    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    n = len(v)
+    vn = v / np.abs(v)
+    by_row = v[:, None]  # scales row i by v[i]
+    # dS/dtheta = 1j diag(V) conj(diag(I) - Y diag(V)) and
+    # dS/d|V| = diag(V) conj(Y diag(Vn)) + conj(diag(I)) diag(Vn), Vn = V / |V|,
+    # each diagonal term added in place; the order of the products sets the
+    # last bits of the result
+    a = ybus * v
+    np.negative(a, out=a)
+    a.reshape(-1)[::n + 1] += ibus
+    ds_dva = (1j * by_row) * np.conj(a)
+    ds_dvm = by_row * np.conj(ybus * vn)
+    ds_dvm.reshape(-1)[::n + 1] += np.conj(ibus) * vn
     ds = np.concatenate((ds_dva, ds_dvm), axis=1)
     return np.concatenate((ds.real, ds.imag))
 

@@ -22,6 +22,19 @@ def binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1 - p) * math.log(1 - p)
 
 
+def dense_power_jacobian(ybus: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n Jacobian d[P; Q]/d[theta; |V|] in MATPOWER's ``dSbus_dV``
+    matrix form: dense diagonal matrices and O(n^3) matrix products."""
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds = np.concatenate((ds_dva, ds_dvm), axis=1)
+    return np.concatenate((ds.real, ds.imag))
+
+
 def gauss_seidel_pf(grid: GridModel, op: OperatingPoint,
                     group_p: dict[str, float] | None = None,
                     load_pf: float = 0.98, tol: float = 1e-10,

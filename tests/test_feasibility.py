@@ -118,6 +118,38 @@ def test_pv_to_pq_switching_respects_q_limits():
     assert g.q_min - 1e-6 <= sol.gen_q[1] <= g.q_max + 1e-6
 
 
+@pytest.mark.parametrize("p_sg, p_ibr, load, kind", [
+    (150.0, 100.0, 240.0, "plain"),
+    (250.0, 150.0, 390.0, "switched"),   # the IBR bus ends at its Q limit
+    (150.0, 0.0, 145.0, "offline"),      # the IBR group is not dispatched
+    (300.0, 200.0, 2000.0, "diverged"),  # stops with |V| <= 0.05 after a step
+])
+def test_solution_reuses_the_injections_of_its_voltages(monkeypatch, p_sg, p_ibr,
+                                                         load, kind):
+    # solve_pf hands _solution the v and S of its last iteration instead of
+    # having them recomputed; the result must be that of recomputing them
+    # from the vm and va it hands over, bit for bit.  (The solution's own vm
+    # is |v|, which can differ from those magnitudes in the last bit.)
+    real = feasibility._solution
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, "_solution", spy)
+    grid = fixture_3bus()
+    case = pf_case(grid, _op_3bus(p_sg, p_ibr, load))
+    sol = solve_pf(grid, case)
+    assert sol.converged == (kind != "diverged")
+    start = np.array([False, p_ibr > ZERO_DISPATCH, False])
+    assert np.array_equal(sol.pv, start) == (kind != "switched")
+    (args,) = calls
+    recomputed = real(*args[:9])  # without the handed-over injections
+    for field in ("vm", "va", "gen_p", "gen_q"):
+        assert getattr(sol, field).tobytes() == getattr(recomputed, field).tobytes(), field
+
+
 # -- constraint checks --------------------------------------------------------
 # check_constraints reads no loads, so the solutions built here carry no case.
 

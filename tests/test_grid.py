@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgen.grid import (Bus, GenGroup, GridError, GridModel, Line, Load,
                           build_admittance, capability_limits, export_tables,
                           fixture_3bus, fixture_9bus, get_fixture, load_grid,
                           power_jacobian)
+
+from oracles import dense_power_jacobian
 
 
 def test_capability_limits_reference_values():
@@ -145,3 +148,34 @@ def test_power_jacobian_matches_central_differences(fixture):
     # all four blocks [[dP/dtheta, dP/d|V|], [dQ/dtheta, dQ/d|V|]] at once
     np.testing.assert_allclose(power_jacobian(y, vm * np.exp(1j * va)), fd,
                                rtol=1e-6, atol=1e-6)
+
+
+@st.composite
+def _admittances_and_voltages(draw):
+    """A fixture's Y, or a random complex symmetric one of 1 to 8 buses with
+    some branches missing, and random bus voltages."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["3bus", "9bus", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 8))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        y = a + a.T
+        cut = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 0.8)), 1)
+        y[cut | cut.T] = 0.0
+    else:
+        y = get_fixture(kind).network.ybus
+    n = len(y)
+    vm = rng.uniform(0.5, 1.5, n)
+    va = rng.uniform(-math.pi, math.pi, n)
+    return y, vm * np.exp(1j * va)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_admittances_and_voltages())
+def test_power_jacobian_matches_dense_oracle(case):
+    # An entry that cancels to about zero carries the rounding of its terms,
+    # so the bound is relative to the largest entry as well as elementwise.
+    y, v = case
+    expected = dense_power_jacobian(y, v)
+    np.testing.assert_allclose(power_jacobian(y, v), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
