@@ -1,11 +1,15 @@
 """Breadth-first operating-space exploration, one depth at a time.
 
-All frontier cells are sampled, the depth's points assessed in one ordered
-map over a pool of ``workers`` forked processes; then each cell in turn gets
-entropy, cutoffs, split dimensions (fixed list or forest-importance
-ranking) and children for the next frontier.  Determinism comes from seed
-keying on (seed, cell path, sample index, case index), never from execution
-order.  The pool lives only inside one ``explore`` call.
+All frontier cells are sampled, and the depth's points, in frontier order,
+are cut into one contiguous chunk per worker, which one ordered map hands
+to a pool of ``workers`` forked processes.  A worker repairs its chunk's
+points in lock step (``assess_many``), then labels each one.  Then each
+cell in turn gets entropy, cutoffs, split dimensions (fixed list or
+forest-importance ranking) and children for the next frontier.
+Determinism comes from seed keying on (seed, cell path, sample index, case
+index), never from execution order or chunking: a point's record does not
+depend on the points it is repaired with.  The pool lives only inside one
+``explore`` call.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .feasibility import (DEFAULT_LOAD_PF, DISCARDED, FEASIBLE, INFEASIBLE,
-                          ConstraintReport, FeasibilityVerdict, adjust_to_feasible)
+                          ConstraintReport, FeasibilityVerdict, adjust_many,
+                          adjust_to_feasible)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
@@ -198,8 +203,24 @@ def _with_controls(params, dim_values: dict[str, float]):
 def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
            depth: int) -> LabeledRecord:
     """Stability assessment of one sampled operating point (pure task)."""
-    adjusted, sol, verdict = adjust_to_feasible(grid, op, cell,
-                                                load_pf=config.load_pf)
+    return _label(grid, cell, config, depth,
+                  *adjust_to_feasible(grid, op, cell, load_pf=config.load_pf))
+
+
+def assess_many(grid: GridModel, config: ExplorationConfig,
+                points: list[tuple]) -> list[LabeledRecord]:
+    """``assess`` of each ``(op, cell, depth)`` in ``points``, record for
+    record, with all of their repairs run in lock step (``adjust_many``)."""
+    repaired = adjust_many(grid, [op for op, _, _ in points],
+                           [cell for _, cell, _ in points], load_pf=config.load_pf)
+    return [_label(grid, cell, config, depth, *result)
+            for (_, cell, depth), result in zip(points, repaired)]
+
+
+def _label(grid: GridModel, cell: Subregion, config: ExplorationConfig, depth: int,
+           adjusted, sol, verdict: FeasibilityVerdict) -> LabeledRecord:
+    """The record of a repaired point, with the small-signal verdict of a
+    Feasible one."""
     stable = max_real = freq = damping = None
     if verdict.status == FEASIBLE:
         gfor = _with_controls(GforParams(), adjusted.dim_values)
@@ -220,10 +241,18 @@ def assess(grid: GridModel, op, cell: Subregion, config: ExplorationConfig,
                          sol.iterations)
 
 
-def _assess_task(args) -> LabeledRecord:
-    """Pool entry point.  ``assess`` is looked up in the worker, which was
-    forked after any rebinding of it (test doubles, tracing wrappers)."""
-    return assess(*args)
+def _assess_task(args) -> list[LabeledRecord]:
+    """Pool entry point, one chunk of points.  ``assess_many`` is looked up
+    in the worker, which was forked after any rebinding of it (test
+    doubles, tracing wrappers)."""
+    return assess_many(*args)
+
+
+def _chunks(items: list, k: int) -> list[list]:
+    """``items`` cut into at most ``k`` contiguous, non-empty pieces whose
+    sizes differ by at most one."""
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _bisect(cell: Subregion, dims: list[str],
@@ -277,10 +306,11 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
                 node.cell, config.n_samples, config.n_cases, grid,
                 config.seed, config.loss_factor, config.dev_bound,
                 config.randomize_loads) for node, _ in frontier]
-            tasks = [(grid, op, node.cell, config, node.depth)
+            tasks = [(op, node.cell, node.depth)
                      for (node, _), pts in zip(frontier, points) for op in pts]
-            assessed = pool.map(_assess_task, tasks,
-                                chunksize=max(1, len(tasks) // (4 * config.workers)))
+            # one contiguous chunk per worker, whose repairs run in lock step
+            assessed = chain.from_iterable(pool.map(_assess_task, [
+                (grid, config, chunk) for chunk in _chunks(tasks, config.workers)]))
             next_frontier = []
             for (node, parent_entropy), pts in zip(frontier, points):
                 new_records = list(islice(assessed, len(pts)))

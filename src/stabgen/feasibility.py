@@ -212,7 +212,7 @@ def _solution(net: Network, case: PfCase, gen_p: np.ndarray, vm: np.ndarray,
 def solve_pf(grid: GridModel, case: PfCase,
              gen_p: np.ndarray | None = None) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow of one dispatch (MW per group,
-    default: the sampled set points).
+    default: the sampled set points): ``solve_many`` of one row.
 
     Generator buses with dispatched groups are held at the sampled voltage
     magnitude (PV); their reactive output is limited to the summed group
@@ -220,70 +220,132 @@ def solve_pf(grid: GridModel, case: PfCase,
     residual.  Non-convergence is reported, not raised.  The solution's
     ``pv`` is the PV mask that its voltages were solved on.
     """
+    return solve_many(grid, [case], [case.gen_p if gen_p is None else gen_p])[0]
+
+
+def solve_many(grid: GridModel, cases: list[PfCase],
+               gen_ps: list[np.ndarray]) -> list[PowerFlowSolution]:
+    """The power flows of dispatches ``gen_ps`` of ``cases``, row by row, in
+    lock step: every Newton iteration of every row that shares a PV mask is
+    one stacked array operation, with converged and broken-off rows left
+    out.  Each row's solution is bit-equal to that row solved alone, and
+    owns its arrays.
+
+    Up to five PV->PQ rounds: a row whose converged voltages put a PV bus
+    outside its summed reactive limits holds that bus's Q at the limit and
+    starts flat again in the next round, on its own PV mask.
+    """
     net = grid.network
-    if gen_p is None:
-        gen_p = case.gen_p
     n = len(net.bus_ids)
-    ybus = net.ybus
-    q_load = case.q_load
-    terms = _dispatched(net, gen_p)
-    q_min, q_max = terms.q_min, terms.q_max
-    is_pv = terms.is_pv.copy()
-    p_spec = np.bincount(terms.bus, gen_p[terms.on] / net.base_mva, n) - case.p_load
-    q_spec = -q_load  # PQ buses without generation
-
-    x0 = np.concatenate([np.zeros(n), case.vm])  # flat start [theta; |V|]
-    converged = False
-    iterations = 0
-    max_mismatch = math.inf
-
+    terms = [_dispatched(net, gen_p) for gen_p in gen_ps]
+    p_spec = [np.bincount(t.bus, gen_p[t.on] / net.base_mva, n) - case.p_load
+              for t, gen_p, case in zip(terms, gen_ps, cases)]
+    q_spec = [-case.q_load for case in cases]  # PQ buses without generation
+    is_pv = [t.is_pv.copy() for t in terms]
+    rounds: list = [None] * len(cases)  # each row's last Newton round
+    pending = list(range(len(cases)))
     for _round in range(5):  # PV->PQ switching rounds
-        x = x0.copy()
-        va, vm = x[:n], x[n:]
-        round_pv = is_pv.copy()  # the switch below changes is_pv
-        pv, pq, pvpq, rc, jac_index, s_rows = _unknowns(net, round_pv)
-        spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
-        converged = False
-        for it in range(1, PF_MAX_ITER + 1):
-            if it == 1:  # x is the flat start
-                v, s_calc, jac = case.v0, case.s0, case.jac0
-            else:
-                v = vm * np.exp(1j * va)
-                ibus = ybus @ v
-                s_calc = v * np.conj(ibus)
-                jac = None
-            mism = spec - s_calc.view(float)[s_rows]
-            max_mismatch = float(np.abs(mism).max()) if mism.size else 0.0
-            iterations = it
-            if max_mismatch < PF_TOL:
-                converged = True
-                break
-            if jac is None:
-                jac = power_jacobian(ybus, v, ibus)
-            try:
-                dx = np.linalg.solve(jac[jac_index], mism)
-            except np.linalg.LinAlgError:
-                break
-            if not np.isfinite(dx).all():
-                break
-            x[rc] += dx
-            if (vm <= 0.05).any():
-                break
-        if not converged:
+        by_mask: dict[bytes, list[int]] = {}
+        for r in pending:
+            by_mask.setdefault(is_pv[r].tobytes(), []).append(r)
+        pending = []
+        for rows in by_mask.values():
+            round_pv = is_pv[rows[0]].copy()  # the switch below changes is_pv
+            pv = _unknowns(net, round_pv)[0]
+            newton = _newton_round(net, round_pv, [cases[r] for r in rows],
+                                   np.array([p_spec[r] for r in rows]),
+                                   np.array([q_spec[r] for r in rows]))
+            for k, r in enumerate(rows):
+                rounds[r] = (round_pv,) + tuple(a[k] for a in newton)
+            # reactive limit check at PV buses, on the converged rows' injections
+            converged, s_calc = newton[0], newton[-1]
+            q_gen = s_calc.imag[:, pv] + np.array([cases[r].q_load[pv] for r in rows])
+            high = q_gen > np.array([terms[r].q_max[pv] for r in rows]) + 1e-9
+            low = ~high & (q_gen < np.array([terms[r].q_min[pv] for r in rows]) - 1e-9)
+            for k in np.flatnonzero(converged & (high | low).any(axis=1)).tolist():
+                r, hi, lo = rows[k], pv[high[k]], pv[low[k]]
+                q_load, q_min, q_max = cases[r].q_load, terms[r].q_min, terms[r].q_max
+                q_spec[r][hi] = q_max[hi] - q_load[hi]
+                q_spec[r][lo] = q_min[lo] - q_load[lo]
+                is_pv[r][hi] = is_pv[r][lo] = False
+                pending.append(r)
+        if not pending:
             break
-        # reactive limit check at PV buses (v and s_calc are the converged ones)
-        q_gen = s_calc.imag[pv] + q_load[pv]
-        high = q_gen > q_max[pv] + 1e-9
-        low = ~high & (q_gen < q_min[pv] - 1e-9)
-        if not (high.any() or low.any()):
-            break
-        q_spec[pv[high]] = q_max[pv[high]] - q_load[pv[high]]
-        q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
-        is_pv[pv[high | low]] = False
+    solutions = []
+    for case, gen_p, (round_pv, converged, iterations, max_mismatch, x, v,
+                      s_calc) in zip(cases, gen_ps, rounds):
+        # a converged row's v and s_calc are those of x; otherwise x has moved
+        solutions.append(_solution(
+            net, case, gen_p, x[n:], x[:n].copy(), bool(converged), int(iterations),
+            float(max_mismatch), round_pv.copy(), (v, s_calc) if converged else None))
+    return solutions
 
-    # a converged round's v and s_calc are those of x; otherwise x has moved
-    return _solution(net, case, gen_p, vm, va, converged, iterations, max_mismatch,
-                     round_pv, (v, s_calc) if converged else None)
+
+def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
+                  p_spec: np.ndarray, q_spec: np.ndarray) -> tuple:
+    """One flat-started Newton round of each row on PV mask ``is_pv``, in lock
+    step.  Per row: ``(converged, iterations, max_mismatch, x, v, s_calc)``
+    with ``x = [theta; |V|]`` of its last iterate; ``v`` and ``s_calc`` are
+    that iterate's voltages and injections where it converged."""
+    n = len(is_pv)
+    ybus = net.ybus
+    _pv, pq, pvpq, rc, _jac_index, s_rows = _unknowns(net, is_pv)
+    rows = len(cases)
+    spec = np.concatenate([p_spec[:, pvpq], q_spec[:, pq]], axis=1)
+    x = np.concatenate([np.zeros((rows, n)), [c.vm for c in cases]], axis=1)
+    converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    max_mismatch = np.full(rows, math.inf)
+    v_out = np.zeros((rows, n), dtype=complex)
+    s_out = np.zeros((rows, n), dtype=complex)
+    active = np.arange(rows)  # rows still iterating
+    for it in range(1, PF_MAX_ITER + 1):
+        if it == 1:  # x is the flat start
+            v = np.array([c.v0 for c in cases])
+            s_calc = np.array([c.s0 for c in cases])
+        else:
+            xa = x[active]
+            v = xa[:, n:] * np.exp(1j * xa[:, :n])
+            ibus = (ybus @ v[..., None])[..., 0]
+            s_calc = v * np.conj(ibus)
+        mism = spec[active] - s_calc.view(float)[:, s_rows]
+        peak = np.abs(mism).max(axis=1, initial=0.0)
+        iterations[active] = it
+        max_mismatch[active] = peak
+        done = peak < PF_TOL
+        if done.any():
+            converged[active[done]] = True
+            v_out[active[done]] = v[done]
+            s_out[active[done]] = s_calc[done]
+            go = ~done
+            active, v, mism = active[go], v[go], mism[go]
+            if it > 1:
+                ibus = ibus[go]
+            if not active.size:
+                break
+        if it == 1:
+            jac = np.array([cases[r].jac0 for r in active.tolist()])
+        else:
+            jac = power_jacobian(ybus, v, ibus)
+        block = jac[:, rc[:, None], rc]
+        try:
+            dx = np.linalg.solve(block, mism[..., None])[..., 0]
+            ok = np.isfinite(dx).all(axis=1)
+        except np.linalg.LinAlgError:  # only the singular rows break off
+            dx = np.zeros_like(mism)
+            ok = np.zeros(len(active), dtype=bool)
+            for k in range(len(active)):
+                try:
+                    dx[k] = np.linalg.solve(block[k], mism[k])
+                except np.linalg.LinAlgError:
+                    continue
+                ok[k] = np.isfinite(dx[k]).all()
+        active, dx = active[ok], dx[ok]
+        x[active[:, None], rc] += dx
+        active = active[~(x[active, n:] <= 0.05).any(axis=1)]
+        if not active.size:
+            break
+    return converged, iterations, max_mismatch, x, v_out, s_out
 
 
 def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
@@ -411,7 +473,50 @@ def _violation_total(report: ConstraintReport, base_mva: float) -> float:
 def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                        load_pf: float = DEFAULT_LOAD_PF,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
-    """Repair an operating point toward constraint-clean feasibility.
+    """Repair an operating point toward constraint-clean feasibility (see
+    ``_repair``), each of its power flows solved alone by ``solve_pf``."""
+    repair = _repair(grid, op, cell, load_pf)
+    request, result = _advance(repair)
+    while request is not None:
+        request, result = _advance(repair, solve_pf(grid, *request))
+    return result
+
+
+def adjust_many(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
+                load_pf: float = DEFAULT_LOAD_PF,
+                ) -> list[tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]]:
+    """``[adjust_to_feasible(grid, op, cell, load_pf) ...]``, bit for bit, with
+    the repairs run in lock step: each step solves the one pending power
+    flow of every unfinished repair in one ``solve_many`` call."""
+    repairs = [_repair(grid, op, cell, load_pf) for op, cell in zip(ops, cells)]
+    results: list = [None] * len(repairs)
+    live = dict.fromkeys(range(len(repairs)))  # repair -> the solution it awaits
+    while live:
+        requests = {}
+        for i, sol in live.items():
+            request, results[i] = _advance(repairs[i], sol)
+            if request is not None:
+                requests[i] = request
+        live = dict(zip(requests, solve_many(
+            grid, [case for case, _ in requests.values()],
+            [gen_p for _, gen_p in requests.values()])))
+    return results
+
+
+def _advance(repair, sol: PowerFlowSolution | None = None) -> tuple:
+    """Send ``sol`` into ``repair``: ``(request, None)`` while it asks for a
+    power flow, ``(None, result)`` once it has returned."""
+    try:
+        return repair.send(sol), None
+    except StopIteration as done:
+        return None, done.value
+
+
+def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float):
+    """Repair an operating point toward constraint-clean feasibility, as a
+    resumable computation: it yields each ``(case, dispatch)`` whose power
+    flow it needs, is sent that solution, and returns the repaired point,
+    its solution and its verdict.
 
     Iterative projected redispatch: group set points are clipped to their
     capability boxes and then moved along a descent direction of the total
@@ -445,11 +550,12 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
     # An accepted line-search trial is the next outer iterate: solve it once.
     solved: dict[tuple[float, ...], tuple] = {}
 
-    def violation_total(dispatch: np.ndarray) -> tuple[float, PowerFlowSolution,
-                                                       ConstraintReport]:
+    def violation_total(dispatch: np.ndarray):
+        """``(total, solution, report)`` of ``dispatch``; yields its power
+        flow unless it was solved before."""
         key = tuple(dispatch.tolist())
         if key not in solved:
-            sol = solve_pf(grid, case, dispatch)
+            sol = yield case, dispatch
             if sol.converged:
                 rep = check_constraints(sol, grid)
                 solved[key] = _violation_total(rep, base), sol, rep
@@ -460,7 +566,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
     prev = math.inf
     for _it in range(REPAIR_MAX_OUTER):
         solved_p = p  # the dispatch of sol and rep, also when the loop runs out
-        tot, sol, rep = violation_total(p)
+        tot, sol, rep = yield from violation_total(p)
         if rep.clean and sol.converged:
             adjusted = _apply_dispatch(grid, op, sol.gen_p)
             verdict = classify(adjusted, sol, rep, cell, distance(p))
@@ -499,7 +605,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
         for alpha in (scale, scale / 4, scale / 16):
             trial = p.copy()
             trial[adjustable] = np.clip(p[adjustable] - alpha * grad, p_min, p_max)
-            t_tot, _, _ = violation_total(trial)
+            t_tot, _, _ = yield from violation_total(trial)
             if t_tot < tot:
                 p = trial
                 improved = True

@@ -270,25 +270,27 @@ def power_jacobian(ybus: np.ndarray, v: np.ndarray,
     MATPOWER's ``dSbus_dV`` (Zimmerman et al., IEEE Trans. Power Systems
     26(1), 2011) at complex bus voltages ``v``, with its diagonal matrices
     applied as row and column scalings of Y, O(n^2); ``ibus = Y v`` when
-    the caller already has it.
+    the caller already has it.  ``v`` of shape ``(..., n)`` gives one
+    Jacobian per leading index, each bit-equal to that of its own row.
     """
     if ibus is None:
-        ibus = ybus @ v
-    n = len(v)
+        ibus = (ybus @ v[..., None])[..., 0]
+    n = v.shape[-1]
     vn = v / np.abs(v)
-    by_row = v[:, None]  # scales row i by v[i]
+    by_row = v[..., :, None]  # scales row i by v[i]
+    diag = (..., np.arange(n), np.arange(n))
     # dS/dtheta = 1j diag(V) conj(diag(I) - Y diag(V)) and
     # dS/d|V| = diag(V) conj(Y diag(Vn)) + conj(diag(I)) diag(Vn), Vn = V / |V|,
     # each diagonal term added in place; the order of the products sets the
     # last bits of the result
-    a = ybus * v
+    a = ybus * v[..., None, :]
     np.negative(a, out=a)
-    a.reshape(-1)[::n + 1] += ibus
+    a[diag] += ibus
     ds_dva = (1j * by_row) * np.conj(a)
-    ds_dvm = by_row * np.conj(ybus * vn)
-    ds_dvm.reshape(-1)[::n + 1] += np.conj(ibus) * vn
-    ds = np.concatenate((ds_dva, ds_dvm), axis=1)
-    return np.concatenate((ds.real, ds.imag))
+    ds_dvm = by_row * np.conj(ybus * vn[..., None, :])
+    ds_dvm[diag] += np.conj(ibus) * vn
+    ds = np.concatenate((ds_dva, ds_dvm), axis=-1)
+    return np.concatenate((ds.real, ds.imag), axis=-2)
 
 
 # -- CSV ingestion ----------------------------------------------------------

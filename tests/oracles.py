@@ -3,7 +3,9 @@
 Kept deliberately separate from the package: the Gauss-Seidel power flow
 and the analytic formulas below share the modeling conventions of the
 engine (bus types, group Q limits, load power factor) but none of its
-numerics, so agreement is meaningful evidence.
+numerics, so agreement is meaningful evidence.  ``newton_pf_one`` is the
+exception: the engine's one-solve Newton loop, kept as the bit-for-bit
+reference of its lock-step form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 
 import numpy as np
 
-from stabgen.grid import GridModel, build_admittance
+from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, _dispatched, _solution,
+                                 _unknowns)
+from stabgen.grid import GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
 
 
@@ -124,6 +128,75 @@ def gauss_seidel_pf(grid: GridModel, op: OperatingPoint,
     vmag = {b.id: float(abs(v[idx[b.id]])) for b in grid.buses}
     vang = {b.id: float(np.angle(v[idx[b.id]])) for b in grid.buses}
     return vmag, vang, converged
+
+
+def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
+    """One dispatch's polar Newton power flow, one solve at a time: the
+    per-solve loop that ``feasibility.solve_many`` runs in lock step.
+
+    Unlike the oracles above it shares the engine's numerics (its Jacobian,
+    its mask terms and ``_solution``), so that ``solve_many`` must match it
+    bit for bit, in every round of PV->PQ switching and in how a solve
+    breaks off (singular Jacobian, non-finite step, |V| <= 0.05)."""
+    net = grid.network
+    n = len(net.bus_ids)
+    ybus = net.ybus
+    q_load = case.q_load
+    terms = _dispatched(net, gen_p)
+    q_min, q_max = terms.q_min, terms.q_max
+    is_pv = terms.is_pv.copy()
+    p_spec = np.bincount(terms.bus, gen_p[terms.on] / net.base_mva, n) - case.p_load
+    q_spec = -q_load
+
+    x0 = np.concatenate([np.zeros(n), case.vm])
+    converged = False
+    iterations = 0
+    max_mismatch = math.inf
+    for _round in range(5):
+        x = x0.copy()
+        va, vm = x[:n], x[n:]
+        round_pv = is_pv.copy()
+        pv, pq, pvpq, rc, jac_index, s_rows = _unknowns(net, round_pv)
+        spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
+        converged = False
+        for it in range(1, PF_MAX_ITER + 1):
+            if it == 1:
+                v, s_calc, jac = case.v0, case.s0, case.jac0
+            else:
+                v = vm * np.exp(1j * va)
+                ibus = ybus @ v
+                s_calc = v * np.conj(ibus)
+                jac = None
+            mism = spec - s_calc.view(float)[s_rows]
+            max_mismatch = float(np.abs(mism).max()) if mism.size else 0.0
+            iterations = it
+            if max_mismatch < PF_TOL:
+                converged = True
+                break
+            if jac is None:
+                jac = power_jacobian(ybus, v, ibus)
+            try:
+                dx = np.linalg.solve(jac[jac_index], mism)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(dx).all():
+                break
+            x[rc] += dx
+            if (vm <= 0.05).any():
+                break
+        if not converged:
+            break
+        q_gen = s_calc.imag[pv] + q_load[pv]
+        high = q_gen > q_max[pv] + 1e-9
+        low = ~high & (q_gen < q_min[pv] - 1e-9)
+        if not (high.any() or low.any()):
+            break
+        q_spec[pv[high]] = q_max[pv[high]] - q_load[pv[high]]
+        q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
+        is_pv[pv[high | low]] = False
+
+    return _solution(net, case, gen_p, vm, va, converged, iterations, max_mismatch,
+                     round_pv, (v, s_calc) if converged else None)
 
 
 def two_bus_closed_form(p_pu: float, x: float, v1: float = 1.0, v2: float = 1.0):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from stabgen import explorer
 from stabgen.cli import main
+from stabgen.dataset import read_dataset
 from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               STOP_ENTROPY_DECREASE, STOP_MAX_DEPTH,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
@@ -226,6 +227,26 @@ def test_explore_deterministic_across_workers():
     assert runs[0] == runs[1]
 
 
+def test_nine_bus_dataset_is_identical_at_any_worker_count(monkeypatch, tmp_path):
+    # 9-bus points fall on many PV masks, and the 25 or 50 points of a depth
+    # cut into 2 or 3 chunks give chunks of unequal sizes.
+    monkeypatch.delenv("STABGEN_WORKERS", raising=False)
+    datasets = []
+    for workers in (1, 2, 3):
+        out_dir = tmp_path / f"w{workers}"
+        cfg = tmp_path / f"w{workers}.ini"
+        cfg.write_text("fixture=9bus\nn_samples=25\nn_cases=1\nmax_depth=1\n"
+                       "entropy_decrease_threshold=-1\nmin_feasible_rate=0.0\n"
+                       "use_sensitivity=false\nsplit_dims_per_node=1\n"
+                       f"workers={workers}\nseed=3\nout_dir={out_dir}\n",
+                       encoding="utf-8")
+        assert main(["generate", "--config", str(cfg)]) == 0
+        datasets.append(out_dir / "dataset.csv")
+    records, _ = read_dataset(datasets[0])
+    assert len(records) == 75 and {r.depth for r in records} == {0, 1}
+    assert datasets[0].read_bytes() == datasets[1].read_bytes() == datasets[2].read_bytes()
+
+
 def test_explore_inherits_parent_samples():
     grid = fixture_3bus()
     space = build_space(grid, CONTROL)
@@ -266,14 +287,17 @@ def _fail_sampling(monkeypatch):
 
 
 def _fail_one_assessment(monkeypatch):
-    real = explorer.assess
+    # explore hands each worker a chunk of points; fail the chunk that holds
+    # one point of a depth-1 cell
+    real = explorer.assess_many
 
-    def assess_one(grid, op, cell, config, depth):
-        if cell.path == FAILING_CELL and op.sample_index == 3:
-            raise _InjectedFailure(cell.path)
-        return real(grid, op, cell, config, depth)
+    def assess_chunk(grid, config, points):
+        for op, cell, _depth in points:
+            if cell.path == FAILING_CELL and op.sample_index == 3:
+                raise _InjectedFailure(cell.path)
+        return real(grid, config, points)
 
-    monkeypatch.setattr(explorer, "assess", assess_one)
+    monkeypatch.setattr(explorer, "assess_many", assess_chunk)
 
 
 @pytest.mark.parametrize("inject", [_fail_sampling, _fail_one_assessment])

@@ -3,19 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
-                                 INFEASIBLE, PF_TOL, PowerFlowSolution,
+                                 INFEASIBLE, PF_MAX_ITER, PF_TOL, PowerFlowSolution,
                                  ZERO_DISPATCH, _newton_step_trials,
-                                 _violation_total, adjust_to_feasible,
-                                 check_constraints, classify, pf_case, solve_pf)
+                                 _violation_total, adjust_many, adjust_to_feasible,
+                                 check_constraints, classify, pf_case, solve_many,
+                                 solve_pf)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, IBR, fixture_3bus, fixture_9bus)
 from stabgen.sampling import hierarchical_sample
 from stabgen.space import OperatingPoint, build_space, split
 
-from oracles import gauss_seidel_pf, two_bus_closed_form
+from oracles import gauss_seidel_pf, newton_pf_one, two_bus_closed_form
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -460,3 +462,104 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
             trials += 1
     assert trials >= 150
     assert switched  # some solution's mask is not its starting one
+
+
+# -- lock-step solves and repairs ---------------------------------------------
+
+ARRAYS = ("vm", "va", "gen_p", "gen_q", "pv")
+
+
+def _solution_bits(sol):
+    return (tuple(getattr(sol, f).tobytes() for f in ARRAYS), sol.converged,
+            sol.iterations, np.float64(sol.max_mismatch).tobytes(), id(sol.case))
+
+
+@pytest.fixture(scope="module", params=[fixture_3bus, fixture_9bus],
+                ids=["3bus", "9bus"])
+def pf_pool(request):
+    """Sampled root points of a fixture, then a row that breaks off on
+    |V| <= 0.05 (six times the loads) and one whose flat-start Jacobian is
+    singular (zeroed)."""
+    grid = request.param()
+    root = build_space(grid, CONTROL).root_cell()
+    cases = [pf_case(grid, op) for op in hierarchical_sample(root, 16, 1, grid, seed=5)]
+    base = cases[0]
+    diverging = replace(base, p_load=6 * base.p_load, q_load=6 * base.q_load)
+    singular = replace(base, jac0=np.zeros_like(base.jac0))
+    return grid, cases + [diverging, singular]
+
+
+def test_solve_many_pool_breaks_off_every_way(pf_pool):
+    grid, pool = pf_pool
+    net = grid.network
+    sols = solve_many(grid, pool, [case.gen_p for case in pool])
+    *sampled, diverged, singular = sols
+    switched = 0
+    for case, sol in zip(pool, sampled):
+        assert sol.converged
+        start = np.isin(np.arange(len(net.bus_ids)), net.gen_bus[case.gen_p > ZERO_DISPATCH])
+        start[net.slack] = False
+        switched += not np.array_equal(sol.pv, start)
+    assert switched  # some row took a second PV->PQ round
+    assert not diverged.converged and 1 < diverged.iterations < PF_MAX_ITER
+    assert not singular.converged and singular.iterations == 1
+
+
+@st.composite
+def _pf_batches(draw, grid, pool):
+    """Rows of the pool with random dispatches (some groups offline), and the
+    pool's two break-off rows at random places in the batch."""
+    m = len(grid.gen_groups)
+    scale = st.one_of(st.just(0.0), st.floats(0.2, 1.6))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(pool) - 3),
+                                   st.lists(scale, min_size=m, max_size=m)),
+                         min_size=1, max_size=12))
+    batch = [(pool[i], pool[i].gen_p * np.array(s)) for i, s in rows]
+    for special in pool[-2:]:
+        batch.insert(draw(st.integers(0, len(batch))), (special, special.gen_p))
+    return batch
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_solve_many_matches_the_one_solve_oracle(pf_pool, data):
+    grid, pool = pf_pool
+    batch = data.draw(_pf_batches(grid, pool))
+    sols = solve_many(grid, [case for case, _ in batch], [gen_p for _, gen_p in batch])
+    for (case, gen_p), sol in zip(batch, sols):
+        assert _solution_bits(sol) == _solution_bits(newton_pf_one(grid, case, gen_p))
+    for i, a in enumerate(sols):  # each row owns its arrays
+        assert all(getattr(a, f).flags.owndata for f in ARRAYS)
+        for b in sols[i + 1:]:
+            assert not any(np.shares_memory(getattr(a, f), getattr(b, g))
+                           for f in ARRAYS for g in ARRAYS)
+
+
+def _repair_bits(result):
+    adjusted, sol, verdict = result  # a float's repr gives back its bits
+    return (repr(adjusted), _solution_bits(sol)[:4], repr(verdict))
+
+
+@pytest.fixture(scope="module", params=[(fixture_3bus, 8), (fixture_9bus, 3)],
+                ids=["3bus", "9bus"])
+def repair_pool(request):
+    """Points of the root and of its two P_SG halves, each with the result
+    of repairing it alone."""
+    fixture, per_cell = request.param
+    grid = fixture()
+    root = build_space(grid, CONTROL).root_cell()
+    items = [(op, cell) for cell in [root, *split(root, "P_SG", 0.01)]
+             for op in hierarchical_sample(cell, per_cell, 1, grid, seed=11)]
+    return grid, items, [adjust_to_feasible(grid, op, cell) for op, cell in items]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_adjust_many_matches_one_repair_at_a_time(repair_pool, data):
+    grid, items, alone = repair_pool
+    picks = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
+                               max_size=len(items)))
+    together = adjust_many(grid, [items[i][0] for i in picks],
+                           [items[i][1] for i in picks])
+    for i, result in zip(picks, together):
+        assert _repair_bits(result) == _repair_bits(alone[i])
