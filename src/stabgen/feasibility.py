@@ -6,6 +6,13 @@ group reactive limits).  Constraint violations are repaired by a projected
 redispatch that minimizes the squared deviation from the sampled active
 power set points; the outcome is classified Feasible, Infeasible or
 Discarded (constraint-clean but the adjusted totals left the cell).
+
+The repair (``_repair``) asks for two kinds of work: power flows and the
+1 MW trials of its descent direction.  ``adjust_many`` answers the
+requests of many repairs together, each kind as stacked array operations:
+``solve_many`` for the power flows, ``_trial_totals`` for the trials, and
+one constraint kernel, ``check_constraints_many``, for both.  Each row's
+numbers are those of the row computed alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -183,30 +190,55 @@ def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
     return sets
 
 
-def _solution(net: Network, case: PfCase, gen_p: np.ndarray, vm: np.ndarray,
-              va: np.ndarray, converged: bool, iterations: int,
-              max_mismatch: float, pv: np.ndarray,
-              injections: tuple[np.ndarray, np.ndarray] | None = None,
-              ) -> PowerFlowSolution:
-    """The solution at bus voltages ``vm``, ``va`` of dispatch ``gen_p``: each
-    dispatched group's Q is its share of its bus's injection, and the slack
-    bus's groups share its P.  ``injections`` is the pair ``v = vm e^(j va)``,
-    ``v conj(Y v)`` when the caller already has it."""
+def _solutions(net: Network, cases: list[PfCase], gen_p: np.ndarray, vm: np.ndarray,
+               va: np.ndarray, converged: list[bool], iterations: list[int],
+               max_mismatch: list[float], pv: np.ndarray,
+               injections: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> list[PowerFlowSolution]:
+    """Per row, the solution at bus voltages ``vm``, ``va`` of dispatch
+    ``gen_p``, with the group injections of ``_group_injections``; each
+    solution owns its arrays.  ``injections`` is the pair ``v = vm e^(j va)``,
+    ``v conj(Y v)`` of every row when the caller already has it.
+
+    A solution's ``vm`` is ``|v|``, which can differ from ``vm`` in the last
+    bit, so a solution is not a fixed point of its own recomputation.  The
+    constraint checks read this ``|v|`` on purpose: the repair's totals and
+    the 1 MW trials (``_trial_totals``) are defined on it."""
     if injections is None:
         v = vm * np.exp(1j * va)
-        injections = v, v * np.conj(net.ybus @ v)
+        injections = v, v * np.conj((net.ybus @ v[..., None])[..., 0])
     v, s_calc = injections
+    gen_p_out, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
+                                         np.array([c.q_load for c in cases]),
+                                         gen_p, s_calc)
+    rows = zip(np.abs(v), va, gen_p_out, gen_q, converged, iterations, max_mismatch,
+               cases, pv)
+    return [PowerFlowSolution(r_vm.copy(), r_va.copy(), r_p.copy(), r_q.copy(), conv,
+                              its, peak, case, r_pv.copy())
+            for r_vm, r_va, r_p, r_q, conv, its, peak, case, r_pv in rows]
+
+
+def _group_injections(net: Network, p_load: np.ndarray, q_load: np.ndarray,
+                      gen_p: np.ndarray, s_calc: np.ndarray) -> tuple:
+    """Each group's P and Q, MW and MVAr, per row of dispatches ``gen_p`` at
+    bus injections ``s_calc``: a dispatched group's Q is its share of its
+    bus's injection, and the slack bus's groups share its P.  Rows are
+    taken together per mask of dispatched groups."""
     base = net.base_mva
-    terms = _dispatched(net, gen_p)
-    on, at_slack = terms.on, terms.at_slack
-    gen_q = np.zeros(len(gen_p))
-    gen_q[on] = ((s_calc.imag + case.q_load) * base)[terms.bus] * terms.q_share
     gen_p_out = gen_p.copy()
-    if at_slack.any():
-        slack_p = (s_calc.real[net.slack] + case.p_load[net.slack]) * base
-        gen_p_out[at_slack] = slack_p * terms.p_share
-    return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged,
-                             iterations, max_mismatch, case, pv)
+    gen_q = np.zeros(gen_p.shape)
+    by_mask: dict[bytes, list[int]] = {}
+    for r, on in enumerate(gen_p > ZERO_DISPATCH):
+        by_mask.setdefault(on.tobytes(), []).append(r)
+    for rows in by_mask.values():
+        terms = _dispatched(net, gen_p[rows[0]])
+        rows = np.array(rows)[:, None]
+        q_bus = (s_calc.imag[rows, terms.bus] + q_load[rows, terms.bus]) * base
+        gen_q[rows, terms.on.nonzero()[0]] = q_bus * terms.q_share
+        if terms.at_slack.any():
+            slack_p = (s_calc.real[rows, net.slack] + p_load[rows, net.slack]) * base
+            gen_p_out[rows, terms.at_slack.nonzero()[0]] = slack_p * terms.p_share
+    return gen_p_out, gen_q
 
 
 def solve_pf(grid: GridModel, case: PfCase,
@@ -271,14 +303,16 @@ def solve_many(grid: GridModel, cases: list[PfCase],
                 pending.append(r)
         if not pending:
             break
-    solutions = []
-    for case, gen_p, (round_pv, converged, iterations, max_mismatch, x, v,
-                      s_calc) in zip(cases, gen_ps, rounds):
-        # a converged row's v and s_calc are those of x; otherwise x has moved
-        solutions.append(_solution(
-            net, case, gen_p, x[n:], x[:n].copy(), bool(converged), int(iterations),
-            float(max_mismatch), round_pv.copy(), (v, s_calc) if converged else None))
-    return solutions
+    round_pv, converged, iterations, max_mismatch, x, v, s_calc = (
+        np.array(a) for a in zip(*rounds))
+    # a converged row's v and s_calc are those of x; otherwise x has moved
+    moved = ~converged
+    if moved.any():
+        v[moved] = x[moved, n:] * np.exp(1j * x[moved, :n])
+        s_calc[moved] = v[moved] * np.conj((net.ybus @ v[moved][..., None])[..., 0])
+    return _solutions(net, cases, np.array(gen_ps), x[:, n:], x[:, :n],
+                      converged.tolist(), iterations.tolist(), max_mismatch.tolist(),
+                      round_pv, (v, s_calc))
 
 
 def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
@@ -327,19 +361,8 @@ def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
             jac = np.array([cases[r].jac0 for r in active.tolist()])
         else:
             jac = power_jacobian(ybus, v, ibus)
-        block = jac[:, rc[:, None], rc]
-        try:
-            dx = np.linalg.solve(block, mism[..., None])[..., 0]
-            ok = np.isfinite(dx).all(axis=1)
-        except np.linalg.LinAlgError:  # only the singular rows break off
-            dx = np.zeros_like(mism)
-            ok = np.zeros(len(active), dtype=bool)
-            for k in range(len(active)):
-                try:
-                    dx[k] = np.linalg.solve(block[k], mism[k])
-                except np.linalg.LinAlgError:
-                    continue
-                ok[k] = np.isfinite(dx[k]).all()
+        dx = _solve_stacked(jac[:, rc[:, None], rc], mism[..., None])[..., 0]
+        ok = np.isfinite(dx).all(axis=1)
         active, dx = active[ok], dx[ok]
         x[active[:, None], rc] += dx
         active = active[~(x[active, n:] <= 0.05).any(axis=1)]
@@ -348,83 +371,171 @@ def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
     return converged, iterations, max_mismatch, x, v_out, s_out
 
 
-def _newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
-                       gen_p: np.ndarray, groups: list[int],
-                       steps: list[float]) -> list[PowerFlowSolution]:
-    """Predicted solutions of dispatch ``gen_p`` with ``gen_p[groups[c]]``
-    moved to ``steps[c]``, one per trial ``c``.
+def _solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of stacked systems, each bit-equal to its own
+    call; a singular system's solution is NaN, and only it breaks off."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for k in range(len(a)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                continue
+        return x
 
-    Each is one Newton step from ``sol``, the converged solution of
-    ``gen_p``, on its PV/PQ split: the Jacobian at its voltages is factored
-    once, with one right-hand side per trial that holds the step in the P
-    row of the group's bus.  Their ``max_mismatch`` is not evaluated (nan).
-    Raises ``np.linalg.LinAlgError`` if that Jacobian is singular.
+
+def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | None]:
+    """The violation totals of each trial request's trials; ``None`` for a
+    request whose Jacobian is singular or gives a non-finite step.
+
+    A trial request ``(sol, p, groups, steps)`` asks for dispatch ``p`` with
+    ``p[groups[c]]`` moved to ``steps[c]``, one trial per ``c``.  Each trial
+    is one Newton step from ``sol``, the converged solution of ``p``, on its
+    PV/PQ split: the Jacobian at its voltages, with one right-hand side per
+    trial that holds the step in the P row of the group's bus.  Requests
+    that share a PV mask and a number of trials are one batched Jacobian and
+    one stacked solve, and all trials are one ``check_constraints_many``;
+    each request's totals are those of answering it alone, bit for bit.
     """
     net = grid.network
     n = len(net.bus_ids)
-    _pv, _pq, pvpq, rc, jac_index, _s_rows = _unknowns(net, sol.pv)
-    x = np.concatenate([sol.va, sol.vm])
-    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[jac_index]
-    row = np.empty(n, dtype=int)
-    row[pvpq] = np.arange(len(pvpq))
-    rhs = np.zeros((len(rc), len(groups)))
-    rhs[row[net.gen_bus[groups]], np.arange(len(groups))] = (
-        (np.asarray(steps) - gen_p[groups]) / net.base_mva)
-    dx = np.linalg.solve(jac, rhs)
-    if not np.isfinite(dx).all():
-        raise np.linalg.LinAlgError("non-finite Newton step")
-    trials = []
-    for c, (i, step) in enumerate(zip(groups, steps)):
-        x_c = x.copy()
-        x_c[rc] += dx[:, c]
-        trial = gen_p.copy()
-        trial[i] = step
-        trials.append(_solution(net, sol.case, trial, x_c[n:], x_c[:n], True, 1,
-                                math.nan, sol.pv))
-    return trials
+    by_key: dict[tuple, list[int]] = {}
+    for r, (sol, _p, groups, _steps) in enumerate(requests):
+        by_key.setdefault((sol.pv.tobytes(), len(groups)), []).append(r)
+    answered, xs, dispatches, cases = [], [], [], []
+    for rows in by_key.values():
+        sols = [requests[r][0] for r in rows]
+        _pv, _pq, pvpq, rc, _jac_index, _s_rows = _unknowns(net, sols[0].pv)
+        x = np.array([np.concatenate([s.va, s.vm]) for s in sols])
+        jac = power_jacobian(net.ybus, x[:, n:] * np.exp(1j * x[:, :n]))
+        p = np.array([requests[r][1] for r in rows])
+        groups = np.array([requests[r][2] for r in rows], int).reshape(len(rows), -1)
+        steps = np.array([requests[r][3] for r in rows], float).reshape(len(rows), -1)
+        k = groups.shape[1]
+        eq = np.empty(n, dtype=int)  # each bus's P row among the unknowns
+        eq[pvpq] = np.arange(len(pvpq))
+        rhs = np.zeros((len(rows), len(rc), k))
+        rhs[np.arange(len(rows))[:, None], eq[net.gen_bus[groups]], np.arange(k)] = (
+            (steps - np.take_along_axis(p, groups, 1)) / net.base_mva)
+        dx = _solve_stacked(jac[:, rc[:, None], rc], rhs)
+        ok = np.isfinite(dx).all(axis=(1, 2))
+        kept = ok.nonzero()[0].tolist()
+        answered += [rows[j] for j in kept]
+        trial_x = np.repeat(x[ok, None], k, axis=1)
+        trial_x[..., rc] += dx[ok].transpose(0, 2, 1)
+        trial_p = np.repeat(p[ok, None], k, axis=1)
+        np.put_along_axis(trial_p, groups[ok, :, None], steps[ok, :, None], axis=2)
+        xs.append(trial_x.reshape(-1, 2 * n))
+        dispatches.append(trial_p.reshape(-1, p.shape[1]))
+        cases += [sols[j].case for j in kept for _ in range(k)]
+    totals: list = [None] * len(requests)
+    if not answered:
+        return totals
+    x = np.concatenate(xs)
+    v = x[:, n:] * np.exp(1j * x[:, :n])
+    s_calc = v * np.conj((net.ybus @ v[..., None])[..., 0])
+    gen_p, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
+                                     np.array([c.q_load for c in cases]),
+                                     np.concatenate(dispatches), s_calc)
+    flat = check_constraints_many(grid, np.abs(v), x[:, :n], gen_p, gen_q)[1].tolist()
+    start = 0
+    for r in answered:
+        k = len(requests[r][2])
+        totals[r] = flat[start:start + k]
+        start += k
+    return totals
+
+
+def _check_terms(grid: GridModel) -> tuple:
+    """The constraint checks' limits and ids in check order, and which of
+    them the violation total scales by the base, built once per network."""
+    net = grid.network
+    terms = net.by_mask.get("checks")
+    if terms is None:
+        ids = ([f"v_{b.id}" for b in grid.buses]
+               + [f"line_{ln.from_bus}_{ln.to_bus}" for ln in grid.lines]
+               + [f"{kind}_{g.name}" for g in grid.gen_groups
+                  for kind in ("pmin", "pmax", "qmin", "qmax", "pf")])
+        terms = net.by_mask["checks"] = (
+            np.array([b.v_min for b in grid.buses]),
+            np.array([b.v_max for b in grid.buses]),
+            np.array([ln.s_max for ln in grid.lines]),
+            np.array([g.cos_phi for g in grid.gen_groups]), ids,
+            np.array([cid.split("_")[0] in ("line", "pmin", "pmax", "qmin", "qmax")
+                      for cid in ids]))
+    return terms
+
+
+def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.ndarray:
+    """|a conj((a - b) y_series + a y_shunt)| of the complex voltages
+    ``a = ar + j ai`` and ``b`` at a line's two ends, in the operation order
+    of Python's complex product and ``abs``."""
+    sr, si, hr, hi = y_series.real, y_series.imag, y_shunt.real, y_shunt.imag
+    dr, di = ar - br, ai - bi
+    ir = (dr * sr - di * si) + (ar * hr - ai * hi)
+    ii = -((dr * si + di * sr) + (ar * hi + ai * hr))  # the conjugate current
+    return np.hypot(ar * ir - ai * ii, ar * ii + ai * ir)
+
+
+def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
+                           gen_p: np.ndarray, gen_q: np.ndarray,
+                           ) -> tuple[list[ConstraintReport], np.ndarray]:
+    """Voltage-band, line-rating and generator-capability checks of each row
+    of stacked bus voltages ``vm``, ``va`` and group injections ``gen_p``,
+    ``gen_q``: per row, its report and the repair's violation total.
+
+    Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
+    MVAr / power-factor units (group checks), in check order: buses, lines,
+    then per group ``pmin``, ``pmax``, ``qmin`` or ``qmax``, ``pf``.  Offline
+    groups are skipped.  The total adds them up in that order, with
+    MVA/MW/MVAr scaled to pu by the base.  Every number is that of checking
+    the row on its own in Python floats, bit for bit: line flows follow the
+    operation order of Python's complex product, the power factor takes
+    ``math.hypot`` (``np.hypot`` differs in the last bit), and the total is
+    a running sum, not ``np.sum``'s pairwise one.
+    """
+    net = grid.network
+    base = net.base_mva
+    v_min, v_max, s_max, cos_phi, ids, scaled = _check_terms(grid)
+    tol = 1e-6
+    low = vm < v_min - tol
+    v_mag = np.where(low, v_min - vm, np.where(vm > v_max + tol, vm - v_max, 0.0))
+    v = vm * np.exp(1j * va)
+    fr, fi = v.real[:, net.line_from], v.imag[:, net.line_from]
+    tr, ti = v.real[:, net.line_to], v.imag[:, net.line_to]
+    y_series, y_shunt = net.line_y_series, net.line_y_shunt
+    s_from = _line_flow(fr, fi, tr, ti, y_series, y_shunt)
+    s_to = _line_flow(tr, ti, fr, fi, y_series, y_shunt)
+    s = np.where(s_to > s_from, s_to, s_from) * base  # Python's max(s_from, s_to)
+    line_mag = np.where(s > s_max + tol, s - s_max, 0.0)
+    on = ~(gen_p <= ZERO_DISPATCH)
+    p_min, p_max = net.gen_p_min, net.gen_p_max
+    q_min, q_max = net.gen_q_min, net.gen_q_max
+    q_low = gen_q < q_min - 1e-6
+    group_mag = np.zeros(gen_p.shape + (5,))
+    group_mag[..., 0] = np.where(on & (gen_p < p_min - 1e-6), p_min - gen_p, 0.0)
+    group_mag[..., 1] = np.where(on & (gen_p > p_max + 1e-6), gen_p - p_max, 0.0)
+    group_mag[..., 2] = np.where(on & q_low, q_min - gen_q, 0.0)
+    group_mag[..., 3] = np.where(on & ~q_low & (gen_q > q_max + 1e-6), gen_q - q_max, 0.0)
+    p_on = gen_p[on]
+    pf = p_on / np.array(list(map(math.hypot, p_on.tolist(), gen_q[on].tolist())))
+    cos_on = np.broadcast_to(cos_phi, on.shape)[on]
+    group_mag[on, 4] = np.where(pf < cos_on - 1e-9, cos_on - pf, 0.0)
+    # one column per check id; a check that holds reads 0, a violation > 0
+    mags = np.concatenate([v_mag, line_mag, group_mag.reshape(len(vm), -1)], axis=1)
+    totals = np.cumsum(np.where(scaled, mags / base, mags), axis=1)[:, -1]
+    rows, cols = mags.nonzero()
+    viols = list(zip([ids[c] for c in cols.tolist()], mags[rows, cols].tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=len(vm))).tolist()
+    return [ConstraintReport(viols[a:b]) for a, b in zip([0] + ends, ends)], totals
 
 
 def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> ConstraintReport:
-    """Voltage-band, line-rating and generator-capability checks.
-
-    Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
-    MVAr / power-factor units (group checks).  Offline groups are skipped.
-    """
-    tol = 1e-6
-    viols: list[tuple[str, float]] = []
-    for b, v in zip(grid.buses, solution.vm.tolist()):
-        if v < b.v_min - tol:
-            viols.append((f"v_{b.id}", b.v_min - v))
-        elif v > b.v_max + tol:
-            viols.append((f"v_{b.id}", v - b.v_max))
-    net = grid.network
-    base = net.base_mva
-    vc = (solution.vm * np.exp(1j * solution.va)).tolist()
-    for ln, i, j, y_series, y_shunt in zip(grid.lines, net.line_from.tolist(),
-                                           net.line_to.tolist(),
-                                           net.line_y_series.tolist(),
-                                           net.line_y_shunt.tolist()):
-        vf, vt = vc[i], vc[j]
-        i_f = (vf - vt) * y_series + vf * y_shunt
-        i_t = (vt - vf) * y_series + vt * y_shunt
-        s = max(abs(vf * i_f.conjugate()), abs(vt * i_t.conjugate())) * base
-        if s > ln.s_max + tol:
-            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
-    for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):
-        if p <= ZERO_DISPATCH:
-            continue
-        if p < g.p_min - 1e-6:
-            viols.append((f"pmin_{g.name}", g.p_min - p))
-        if p > g.p_max + 1e-6:
-            viols.append((f"pmax_{g.name}", p - g.p_max))
-        if q < g.q_min - 1e-6:
-            viols.append((f"qmin_{g.name}", g.q_min - q))
-        elif q > g.q_max + 1e-6:
-            viols.append((f"qmax_{g.name}", q - g.q_max))
-        pf = p / math.hypot(p, q)
-        if pf < g.cos_phi - 1e-9:
-            viols.append((f"pf_{g.name}", g.cos_phi - pf))
-    return ConstraintReport(viols)
+    """``check_constraints_many`` of one solution: its report."""
+    return check_constraints_many(grid, solution.vm[None], solution.va[None],
+                                  solution.gen_p[None], solution.gen_q[None])[0][0]
 
 
 def classify(adjusted: OperatingPoint, solution: PowerFlowSolution,
@@ -460,79 +571,91 @@ def _apply_dispatch(grid: GridModel, op: OperatingPoint,
     return replace(op, dim_values=dims, var_values=varv)
 
 
-def _violation_total(report: ConstraintReport, base_mva: float) -> float:
-    """The repair's objective: violation magnitudes summed, with voltages
-    already in pu and MVA/MW/MVAr scaled to pu by ``base_mva``."""
-    tot = 0.0
-    for cid, mag in report.violations:
-        tot += mag / base_mva if cid.split("_")[0] in (
-            "line", "pmin", "pmax", "qmin", "qmax") else mag
-    return tot
-
-
 def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                        load_pf: float = DEFAULT_LOAD_PF,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
     """Repair an operating point toward constraint-clean feasibility (see
     ``_repair``), each of its power flows solved alone by ``solve_pf``."""
-    repair = _repair(grid, op, cell, load_pf)
-    request, result = _advance(repair)
-    while request is not None:
-        request, result = _advance(repair, solve_pf(grid, *request))
-    return result
+    return _adjust(grid, [op], [cell], load_pf,
+                   lambda cases, gen_ps: [solve_pf(grid, cases[0], gen_ps[0])])[0]
 
 
 def adjust_many(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
                 load_pf: float = DEFAULT_LOAD_PF,
                 ) -> list[tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]]:
     """``[adjust_to_feasible(grid, op, cell, load_pf) ...]``, bit for bit, with
-    the repairs run in lock step: each step solves the one pending power
-    flow of every unfinished repair in one ``solve_many`` call."""
+    the repairs run in lock step: each step's power flows are one
+    ``solve_many`` call."""
+    return _adjust(grid, ops, cells, load_pf,
+                   lambda cases, gen_ps: solve_many(grid, cases, gen_ps))
+
+
+def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
+            load_pf: float, solve) -> list[tuple]:
+    """The repairs of ``ops`` in ``cells``, run in lock step.  Each step first
+    answers the trial requests of every unfinished repair together
+    (``_trial_totals``), then solves the one pending power flow of each with
+    one ``solve(cases, gen_ps)`` call and checks the converged ones with one
+    ``check_constraints_many``."""
     repairs = [_repair(grid, op, cell, load_pf) for op, cell in zip(ops, cells)]
     results: list = [None] * len(repairs)
-    live = dict.fromkeys(range(len(repairs)))  # repair -> the solution it awaits
-    while live:
-        requests = {}
-        for i, sol in live.items():
-            request, results[i] = _advance(repairs[i], sol)
-            if request is not None:
-                requests[i] = request
-        live = dict(zip(requests, solve_many(
-            grid, [case for case, _ in requests.values()],
-            [gen_p for _, gen_p in requests.values()])))
+    answers = dict.fromkeys(range(len(repairs)))  # repair -> the answer it awaits
+    while answers:
+        flows = {}
+        while answers:
+            trials = {}
+            for i, answer in answers.items():
+                try:
+                    request = repairs[i].send(answer)
+                except StopIteration as done:
+                    results[i] = done.value
+                    continue
+                # a power flow request is (case, dispatch)
+                (flows if len(request) == 2 else trials)[i] = request
+            answers = dict(zip(trials, _trial_totals(grid, list(trials.values()))))
+        if not flows:  # every repair has returned
+            break
+        sols = solve([case for case, _ in flows.values()],
+                     [gen_p for _, gen_p in flows.values()])
+        converged = [sol for sol in sols if sol.converged]
+        if converged:
+            reports, totals = check_constraints_many(
+                grid, *(np.array([getattr(sol, f) for sol in converged])
+                        for f in ("vm", "va", "gen_p", "gen_q")))
+            checks = zip(totals.tolist(), reports)
+        for i, sol in zip(flows, sols):
+            total, report = (next(checks) if sol.converged
+                             else (math.inf, ConstraintReport([("pf_diverged", 1.0)])))
+            answers[i] = total, sol, report
     return results
-
-
-def _advance(repair, sol: PowerFlowSolution | None = None) -> tuple:
-    """Send ``sol`` into ``repair``: ``(request, None)`` while it asks for a
-    power flow, ``(None, result)`` once it has returned."""
-    try:
-        return repair.send(sol), None
-    except StopIteration as done:
-        return None, done.value
 
 
 def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float):
     """Repair an operating point toward constraint-clean feasibility, as a
-    resumable computation: it yields each ``(case, dispatch)`` whose power
-    flow it needs, is sent that solution, and returns the repaired point,
-    its solution and its verdict.
+    resumable computation that returns the repaired point, its solution and
+    its verdict.  It yields two kinds of request:
+
+    - a power flow ``(case, dispatch)``, answered with ``(total, solution,
+      report)``: the solution's violation total and constraint report, or
+      infinity and ``pf_diverged`` if it did not converge;
+    - a trial request ``(sol, p, groups, steps)``, answered with the list of
+      trial totals of ``_trial_totals``, or ``None`` if its Jacobian step
+      failed.
 
     Iterative projected redispatch: group set points are clipped to their
     capability boxes and then moved along a descent direction of the total
     constraint violation, the slack group absorbing the residual.  The
     direction is a 1 MW finite difference per adjustable group, taken on
     the linearized power flow: each group's trial is one Newton step from
-    the iterate's converged solution, and all of them share one factored
-    Jacobian, so an iteration costs one power flow at the iterate plus up
-    to three line-search power flows.  The first constraint-clean iterate
-    (the closest to the sampled set points along the descent path) is
-    accepted; its squared set-point deviation is recorded.  All failure
+    the iterate's converged solution, and all of them share one Jacobian,
+    so an iteration costs one power flow at the iterate, one trial request
+    and up to three line-search power flows.  The first constraint-clean
+    iterate (the closest to the sampled set points along the descent path)
+    is accepted; its squared set-point deviation is recorded.  All failure
     modes, a singular Jacobian at the iterate included, classify as
     Infeasible.
     """
     net = grid.network
-    base = grid.base_mva
     case = pf_case(grid, op, load_pf)
     setpoints = case.gen_p
     non_slack = net.gen_bus != net.slack
@@ -555,12 +678,7 @@ def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float
         flow unless it was solved before."""
         key = tuple(dispatch.tolist())
         if key not in solved:
-            sol = yield case, dispatch
-            if sol.converged:
-                rep = check_constraints(sol, grid)
-                solved[key] = _violation_total(rep, base), sol, rep
-            else:
-                solved[key] = math.inf, sol, ConstraintReport([("pf_diverged", 1.0)])
+            solved[key] = yield case, dispatch
         return solved[key]
 
     prev = math.inf
@@ -589,13 +707,11 @@ def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float
             moved.append(k)
             groups.append(i)
             steps.append(step)
-        try:
-            trials = _newton_step_trials(grid, sol, p, groups, steps)
-        except np.linalg.LinAlgError:
+        totals = yield sol, p, groups, steps
+        if totals is None:
             break
         grad = np.zeros(len(adjustable))
-        for k, i, step, t_sol in zip(moved, groups, steps, trials):
-            t_tot = _violation_total(check_constraints(t_sol, grid), base)
+        for k, i, step, t_tot in zip(moved, groups, steps, totals):
             grad[k] = (t_tot - tot) / (step - p[i])
         gmax = float(np.abs(grad).max())
         if gmax <= 0:

@@ -212,7 +212,8 @@ class Network:
     load_bus: np.ndarray       # bus index per load
     base_mva: float
     # the power flow's terms of each mask of dispatched groups or of PV
-    # buses, keyed by the mask and built on first use
+    # buses, keyed by the mask, and the constraint checks' terms under
+    # "checks"; each built on first use
     by_mask: dict = field(default_factory=dict, repr=False)
 
 

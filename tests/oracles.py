@@ -3,9 +3,11 @@
 Kept deliberately separate from the package: the Gauss-Seidel power flow
 and the analytic formulas below share the modeling conventions of the
 engine (bus types, group Q limits, load power factor) but none of its
-numerics, so agreement is meaningful evidence.  ``newton_pf_one`` is the
-exception: the engine's one-solve Newton loop, kept as the bit-for-bit
-reference of its lock-step form.
+numerics, so agreement is meaningful evidence.  ``newton_pf_one``,
+``newton_step_trials``, ``check_constraints_loop`` and ``violation_total``
+are the exception: the engine's one-point forms of the power flow, the
+repair's 1 MW trials, the constraint checks and the repair's objective,
+kept as the bit-for-bit references of their stacked forms.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 
 import numpy as np
 
-from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, _dispatched, _solution,
-                                 _unknowns)
+from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, ZERO_DISPATCH, ConstraintReport,
+                                 PowerFlowSolution, _dispatched, _solutions, _unknowns)
 from stabgen.grid import GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
 
@@ -135,7 +137,7 @@ def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
     per-solve loop that ``feasibility.solve_many`` runs in lock step.
 
     Unlike the oracles above it shares the engine's numerics (its Jacobian,
-    its mask terms and ``_solution``), so that ``solve_many`` must match it
+    its mask terms and ``_solutions``), so that ``solve_many`` must match it
     bit for bit, in every round of PV->PQ switching and in how a solve
     breaks off (singular Jacobian, non-finite step, |V| <= 0.05)."""
     net = grid.network
@@ -195,8 +197,102 @@ def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
         q_spec[pv[low]] = q_min[pv[low]] - q_load[pv[low]]
         is_pv[pv[high | low]] = False
 
-    return _solution(net, case, gen_p, vm, va, converged, iterations, max_mismatch,
-                     round_pv, (v, s_calc) if converged else None)
+    return _solutions(net, [case], gen_p[None], vm[None], va[None], [converged],
+                      [iterations], [max_mismatch], round_pv[None],
+                      (v[None], s_calc[None]) if converged else None)[0]
+
+
+def newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
+                       gen_p: np.ndarray, groups: list[int],
+                       steps: list[float]) -> list[PowerFlowSolution]:
+    """Predicted solutions of dispatch ``gen_p`` with ``gen_p[groups[c]]``
+    moved to ``steps[c]``, one per trial ``c``: the repair's 1 MW trials of
+    one point, one point at a time, as ``feasibility._trial_totals`` answers
+    them for many points together.
+
+    Each is one Newton step from ``sol``, the converged solution of
+    ``gen_p``, on its PV/PQ split: the Jacobian at its voltages is factored
+    once, with one right-hand side per trial that holds the step in the P
+    row of the group's bus.  Their ``max_mismatch`` is not evaluated (nan).
+    Raises ``np.linalg.LinAlgError`` if that Jacobian is singular.
+    """
+    net = grid.network
+    n = len(net.bus_ids)
+    _pv, _pq, pvpq, rc, jac_index, _s_rows = _unknowns(net, sol.pv)
+    x = np.concatenate([sol.va, sol.vm])
+    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[jac_index]
+    row = np.empty(n, dtype=int)
+    row[pvpq] = np.arange(len(pvpq))
+    rhs = np.zeros((len(rc), len(groups)))
+    rhs[row[net.gen_bus[groups]], np.arange(len(groups))] = (
+        (np.asarray(steps) - gen_p[groups]) / net.base_mva)
+    dx = np.linalg.solve(jac, rhs)
+    if not np.isfinite(dx).all():
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    trials = []
+    for c, (i, step) in enumerate(zip(groups, steps)):
+        x_c = x.copy()
+        x_c[rc] += dx[:, c]
+        trial = gen_p.copy()
+        trial[i] = step
+        trials += _solutions(net, [sol.case], trial[None], x_c[None, n:], x_c[None, :n],
+                             [True], [1], [math.nan], sol.pv[None])
+    return trials
+
+
+def check_constraints_loop(solution, grid: GridModel) -> ConstraintReport:
+    """Voltage-band, line-rating and generator-capability checks of one
+    solution, one bus, line and group at a time in Python floats: the
+    reference of each row of ``feasibility.check_constraints_many``.
+
+    Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
+    MVAr / power-factor units (group checks).  Offline groups are skipped.
+    """
+    tol = 1e-6
+    viols: list[tuple[str, float]] = []
+    for b, v in zip(grid.buses, solution.vm.tolist()):
+        if v < b.v_min - tol:
+            viols.append((f"v_{b.id}", b.v_min - v))
+        elif v > b.v_max + tol:
+            viols.append((f"v_{b.id}", v - b.v_max))
+    net = grid.network
+    base = net.base_mva
+    vc = (solution.vm * np.exp(1j * solution.va)).tolist()
+    for ln, i, j, y_series, y_shunt in zip(grid.lines, net.line_from.tolist(),
+                                           net.line_to.tolist(),
+                                           net.line_y_series.tolist(),
+                                           net.line_y_shunt.tolist()):
+        vf, vt = vc[i], vc[j]
+        i_f = (vf - vt) * y_series + vf * y_shunt
+        i_t = (vt - vf) * y_series + vt * y_shunt
+        s = max(abs(vf * i_f.conjugate()), abs(vt * i_t.conjugate())) * base
+        if s > ln.s_max + tol:
+            viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
+    for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):
+        if p <= ZERO_DISPATCH:
+            continue
+        if p < g.p_min - 1e-6:
+            viols.append((f"pmin_{g.name}", g.p_min - p))
+        if p > g.p_max + 1e-6:
+            viols.append((f"pmax_{g.name}", p - g.p_max))
+        if q < g.q_min - 1e-6:
+            viols.append((f"qmin_{g.name}", g.q_min - q))
+        elif q > g.q_max + 1e-6:
+            viols.append((f"qmax_{g.name}", q - g.q_max))
+        pf = p / math.hypot(p, q)
+        if pf < g.cos_phi - 1e-9:
+            viols.append((f"pf_{g.name}", g.cos_phi - pf))
+    return ConstraintReport(viols)
+
+
+def violation_total(report: ConstraintReport, base_mva: float) -> float:
+    """The repair's objective: violation magnitudes summed, with voltages
+    already in pu and MVA/MW/MVAr scaled to pu by ``base_mva``."""
+    tot = 0.0
+    for cid, mag in report.violations:
+        tot += mag / base_mva if cid.split("_")[0] in (
+            "line", "pmin", "pmax", "qmin", "qmax") else mag
+    return tot
 
 
 def two_bus_closed_form(p_pu: float, x: float, v1: float = 1.0, v2: float = 1.0):

@@ -298,3 +298,17 @@ def test_module_entry_point():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == stabgen.__version__
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # generate stamps its set-up time when explore starts; the process pool's
+    # modules load inside explore, so importing the CLI must not pull them in
+    src = str(Path(stabgen.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
                                  INFEASIBLE, PF_MAX_ITER, PF_TOL, PowerFlowSolution,
-                                 ZERO_DISPATCH, _newton_step_trials,
-                                 _violation_total, adjust_many, adjust_to_feasible,
-                                 check_constraints, classify, pf_case, solve_many,
+                                 ZERO_DISPATCH, _trial_totals, adjust_many,
+                                 adjust_to_feasible, check_constraints,
+                                 check_constraints_many, classify, pf_case, solve_many,
                                  solve_pf)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, IBR, fixture_3bus, fixture_9bus)
 from stabgen.sampling import hierarchical_sample
 from stabgen.space import OperatingPoint, build_space, split
 
-from oracles import gauss_seidel_pf, newton_pf_one, two_bus_closed_form
+from oracles import (check_constraints_loop, gauss_seidel_pf, newton_pf_one,
+                     newton_step_trials, two_bus_closed_form, violation_total)
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -128,18 +129,18 @@ def test_pv_to_pq_switching_respects_q_limits():
 ])
 def test_solution_reuses_the_injections_of_its_voltages(monkeypatch, p_sg, p_ibr,
                                                          load, kind):
-    # solve_pf hands _solution the v and S of its last iteration instead of
+    # solve_pf hands _solutions the v and S of its last iteration instead of
     # having them recomputed; the result must be that of recomputing them
     # from the vm and va it hands over, bit for bit.  (The solution's own vm
     # is |v|, which can differ from those magnitudes in the last bit.)
-    real = feasibility._solution
+    real = feasibility._solutions
     calls = []
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(feasibility, "_solution", spy)
+    monkeypatch.setattr(feasibility, "_solutions", spy)
     grid = fixture_3bus()
     case = pf_case(grid, _op_3bus(p_sg, p_ibr, load))
     sol = solve_pf(grid, case)
@@ -147,7 +148,7 @@ def test_solution_reuses_the_injections_of_its_voltages(monkeypatch, p_sg, p_ibr
     start = np.array([False, p_ibr > ZERO_DISPATCH, False])
     assert np.array_equal(sol.pv, start) == (kind != "switched")
     (args,) = calls
-    recomputed = real(*args[:9])  # without the handed-over injections
+    (recomputed,) = real(*args[:9])  # without the handed-over injections
     for field in ("vm", "va", "gen_p", "gen_q"):
         assert getattr(sol, field).tobytes() == getattr(recomputed, field).tobytes(), field
 
@@ -347,6 +348,47 @@ def test_check_constraints_order_and_kinds(fixture):
     assert seen == {"v", "line", "pmin", "pmax", "qmin", "qmax", "pf"}
 
 
+# a (p, q) pair whose math.hypot and np.hypot differ in the last bit, and so
+# does p / hypot(p, q): the power-factor check must take math.hypot
+HYPOT_SPLIT = (32.54308859149863, 27.606194684581453)
+
+
+def test_hypot_split_pair_splits():
+    p, q = HYPOT_SPLIT
+    assert p / math.hypot(p, q) != p / np.hypot(p, q)
+
+
+def _bits(violations):
+    return [(cid, float.hex(mag)) for cid, mag in violations]
+
+
+@pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24))
+def test_check_constraints_many_matches_the_loop(fixture, seed, rows):
+    # Random dispatches and voltages, a quarter of the line ratings (overloads),
+    # some groups offline; the first group of the last row at HYPOT_SPLIT.
+    base = fixture()
+    grid = replace(base, lines=tuple(replace(ln, s_max=ln.s_max / 4)
+                                     for ln in base.lines))
+    net = grid.network
+    rng = np.random.default_rng(seed)
+    n, m = len(grid.buses), len(grid.gen_groups)
+    vm = rng.uniform(0.85, 1.15, (rows, n))
+    va = rng.uniform(-0.5, 0.5, (rows, n))
+    gen_p = rng.uniform(0.5 * net.gen_p_min, 1.2 * net.gen_p_max, (rows, m))
+    gen_p[rng.random((rows, m)) < 0.2] = 0.0
+    gen_q = rng.uniform(1.5 * net.gen_q_min, 1.5 * net.gen_q_max, (rows, m))
+    gen_p[-1, 0], gen_q[-1, 0] = HYPOT_SPLIT
+    reports, totals = check_constraints_many(grid, vm, va, gen_p, gen_q)
+    assert len(reports) == rows and totals.shape == (rows,)
+    for r, (report, total) in enumerate(zip(reports, totals.tolist())):
+        sol = PowerFlowSolution(vm[r], va[r], gen_p[r], gen_q[r], True, 1, math.nan, None)
+        expected = check_constraints_loop(sol, grid)
+        assert _bits(report.violations) == _bits(expected.violations)
+        assert float.hex(total) == float.hex(violation_total(expected, grid.base_mva))
+
+
 def test_infeasible_distance_is_that_of_the_returned_dispatch(monkeypatch):
     # One outer iteration, so a line-search step that it accepts is never solved.
     monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
@@ -450,18 +492,88 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
         # forward unless p_max is already reached, as in adjust_to_feasible
         steps = [min(p[i] + 1.0, net.gen_p_max[i]) if p[i] < net.gen_p_max[i]
                  else p[i] - 1.0 for i in adjustable]
-        predicted = _newton_step_trials(grid, sol, p, adjustable, steps)
-        for i, step, pred in zip(adjustable, steps, predicted):
+        (predicted,) = _trial_totals(grid, [(sol, p, adjustable, steps)])
+        for i, step, guess in zip(adjustable, steps, predicted):
             trial = p.copy()
             trial[i] = step
             full = solve_pf(grid, case, trial)
             assert full.converged
-            total = _violation_total(check_constraints(full, grid), grid.base_mva)
-            guess = _violation_total(check_constraints(pred, grid), grid.base_mva)
+            total = violation_total(check_constraints(full, grid), grid.base_mva)
             assert guess == pytest.approx(total, abs=1e-4)
             trials += 1
     assert trials >= 150
     assert switched  # some solution's mask is not its starting one
+
+
+def _trial_pool(grid, seed):
+    """Converged solutions of clipped root set points, some with one
+    adjustable group offline (another PV mask), as ``(sol, p, adjustable)``."""
+    net = grid.network
+    root = build_space(grid, CONTROL).root_cell()
+    rng = np.random.default_rng(seed)
+    pool = []
+    for op in hierarchical_sample(root, 24, 1, grid, seed=seed):
+        case = pf_case(grid, op)
+        p = case.gen_p.copy()
+        adjustable = [i for i in range(len(p))
+                      if net.gen_bus[i] != net.slack and p[i] > ZERO_DISPATCH]
+        p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
+                                net.gen_p_max[adjustable])
+        if len(adjustable) > 1 and rng.random() < 0.3:
+            off = adjustable.pop(int(rng.integers(len(adjustable))))
+            p[off] = 0.0
+        sol = solve_pf(grid, case, p)
+        if sol.converged:
+            pool.append((sol, p, adjustable))
+    return pool
+
+
+@pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
+def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
+    # A stack of trial requests with mixed PV masks and trial counts, some trials
+    # stepping a group to 0 MW (offline: another mask of dispatched groups), and
+    # one request whose Jacobian is singular: only that request breaks off, and
+    # every other total equals the one-point oracle bit for bit.
+    grid = fixture()
+    net = grid.network
+    rng = np.random.default_rng(3)
+    requests = []
+    for sol, p, adjustable in _trial_pool(grid, seed=5):
+        for _ in range(2):
+            k = int(rng.integers(1, len(adjustable) + 1))
+            groups = sorted(rng.choice(adjustable, k, replace=False).tolist())
+            steps = [0.0 if rng.random() < 0.2 else min(p[i] + 1.0, net.gen_p_max[i])
+                     for i in groups]
+            requests.append((sol, p, groups, steps))
+    # a copy of a request marked by a slack angle, whose Jacobian gets zeroed
+    sol, p, groups, steps = requests[0]
+    marked = replace(sol, va=sol.va.copy())
+    marked.va[net.slack] = 0.5
+    singular = len(requests) // 2
+    requests.insert(singular, (marked, p, groups, steps))
+    real = feasibility.power_jacobian
+
+    def zeroing(ybus, v, ibus=None):
+        jac = real(ybus, v, ibus)
+        jac[np.angle(v[..., net.slack]) > 0.4] = 0.0
+        return jac
+
+    monkeypatch.setattr(feasibility, "power_jacobian", zeroing)
+    totals = _trial_totals(grid, requests)
+    assert totals[singular] is None
+    offline = 0
+    for r, (sol, p, groups, steps) in enumerate(requests):
+        if r == singular:
+            continue
+        trials = newton_step_trials(grid, sol, p, groups, steps)
+        expected = [violation_total(check_constraints_loop(t, grid), grid.base_mva)
+                    for t in trials]
+        assert [float.hex(t) for t in totals[r]] == [float.hex(t) for t in expected]
+        offline += any(t.gen_q[i] == 0.0 for t, i in zip(trials, groups))
+    assert offline  # some trial took its group offline
+    assert len({sol.pv.tobytes() for sol, *_ in requests}) > 1
+    if fixture is fixture_9bus:
+        assert len({len(groups) for _, _, groups, _ in requests}) > 1
 
 
 # -- lock-step solves and repairs ---------------------------------------------
@@ -563,3 +675,33 @@ def test_adjust_many_matches_one_repair_at_a_time(repair_pool, data):
                            [items[i][1] for i in picks])
     for i, result in zip(picks, together):
         assert _repair_bits(result) == _repair_bits(alone[i])
+
+
+def test_adjust_many_keeps_its_repairs_in_phase(repair_pool, monkeypatch):
+    # Every step answers the trial requests before its power flows, so a chunk
+    # costs as many solve_many calls as its costliest point's solves alone.
+    grid, items, _alone = repair_pool
+    real_pf, real_many = feasibility.solve_pf, feasibility.solve_many
+    solves = []
+
+    def counting_pf(*args):
+        solves.append(1)
+        return real_pf(*args)
+
+    monkeypatch.setattr(feasibility, "solve_pf", counting_pf)
+    alone = []
+    for op, cell in items:
+        solves.clear()
+        adjust_to_feasible(grid, op, cell)
+        alone.append(len(solves))
+    monkeypatch.setattr(feasibility, "solve_pf", real_pf)
+    calls = []
+
+    def counting_many(*args):
+        calls.append(1)
+        return real_many(*args)
+
+    monkeypatch.setattr(feasibility, "solve_many", counting_many)
+    adjust_many(grid, [op for op, _ in items], [cell for _, cell in items])
+    assert min(alone) < max(alone)  # a mixed chunk
+    assert len(calls) == max(alone)
