@@ -8,8 +8,12 @@ accuracy quantifies dataset quality.  Fully deterministic for a fixed
 
 Each tree sorts its bootstrap sample once per feature and grows from those
 presorted rows: a split partitions them stably, and every candidate
-feature of a node is scored in one array pass.  A tree is stored as flat
-node arrays and predicts level by level.  The random stream is a contract:
+feature of a node is scored in one array pass.  A split side with ``k``
+rows and ``o`` ones adds ``k * gini(o / k)`` to the gain; for sides of at
+most ``SIDE_CAP`` rows that value comes from a table built, on first need,
+with the node's own expression, so every gain keeps its bits.  A tree is
+stored as flat node arrays; a forest votes by stepping every (tree, row)
+pair down its trees' stacked arrays at once.  The random stream is a contract:
 per tree one ``integers(0, n, n)`` bootstrap, then one
 ``choice(d, n_sub, replace=False)`` per splittable node, depth-first and
 left-first.  Together with the 1e-12 gain floor, the first strict maximum
@@ -22,6 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Sides of at most this many rows take their impurity term from the table
+# (33 152 entries, 265 kB at the cap); larger sides, near the roots of big
+# forests only, compute it.
+SIDE_CAP = 256
+
+# k * gini(o / k) at [k * (k + 1) // 2 - 1 + o] for 1 <= k and 0 <= o <= k,
+# grown on demand up to SIDE_CAP rows per side, never at import.
+_sides = np.empty(0)
 
 
 class SensitivityUnavailableError(ValueError):
@@ -57,18 +70,30 @@ class Tree:
     prediction: np.ndarray     # (nodes,) majority class, ties to 0
     depth: int                 # deepest node's level
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(x), dtype=np.intp)
-        rows = np.arange(len(x))
-        for _ in range(self.depth):
-            go_left = x[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return self.prediction[node]
+
+def _side_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The side impurity table, grown to cover sides of ``size`` rows, and
+    where side k's row of it begins for k <= size (index 0 is unused)."""
+    global _sides
+    start = np.arange(size + 1) * np.arange(1, size + 2) // 2 - 1
+    if len(_sides) < size * (size + 3) // 2:
+        # Row by row, so that no temporary outgrows a row.
+        table = np.empty(size * (size + 3) // 2)
+        for k in range(1, size + 1):
+            p = np.arange(k + 1) / k
+            table[start[k]:start[k] + k + 1] = k * (1.0 - p ** 2 - (1.0 - p) ** 2)
+        _sides = table
+    return _sides, start
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
-               importances: np.ndarray, rng: np.random.Generator) -> Tree:
+def _grow_tree(xt: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
+               importances: np.ndarray, rng: np.random.Generator,
+               sides: np.ndarray, start: np.ndarray) -> Tree:
     """Grow one tree on a bootstrap sample, depth-first and left-first.
+
+    ``xt`` holds the sample's feature columns as rows, (d, n).  ``sides``
+    and ``start`` are ``_side_table``'s, for sides of fewer than
+    ``len(start)`` rows.
 
     ``rows[j]`` lists a node's rows in ascending order of feature j, ties in
     row order: the order a stable argsort of that node's values gives.  A
@@ -77,8 +102,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
     and the left child is popped first, so the draws come in the order of
     a recursive depth-first, left-first growth.
     """
-    n, d = x.shape
-    xt = np.ascontiguousarray(x.T)
+    d, n = xt.shape
     sizes = np.arange(n + 1)
     ones = int(y.sum())
     # One [feature, threshold, left, right, prediction] per node; a node is
@@ -97,17 +121,22 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
         xs = xt[fs[:, None], cand]
         cum = y[cand].cumsum(axis=1)
         ones_left = cum[:, :-1]
-        n_left = sizes[1:m]                # 1 .. m-1
-        n_right = sizes[m - 1:0:-1]        # m-1 .. 1
-        ones_right = ones - ones_left
         p0 = (m - ones) / m
         p1 = ones / m
         parent = 1.0 - (p0 * p0 + p1 * p1)
-        p1l = ones_left / n_left
-        p1r = ones_right / n_right
-        gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
-        gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
-        gain = parent - (n_left * gini_l + n_right * gini_r) / m
+        if m <= len(start):
+            # Left sides of 1 .. m-1 rows, right sides of m-1 .. 1.
+            impurity = sides[start[1:m] + ones_left]
+            impurity += sides[start[m - 1:0:-1] + ones - ones_left]
+        else:
+            n_left = sizes[1:m]                # 1 .. m-1
+            n_right = sizes[m - 1:0:-1]        # m-1 .. 1
+            p1l = ones_left / n_left
+            p1r = (ones - ones_left) / n_right
+            impurity = n_left * (1.0 - p1l ** 2 - (1.0 - p1l) ** 2)
+            impurity += n_right * (1.0 - p1r ** 2 - (1.0 - p1r) ** 2)
+        impurity /= m
+        gain = np.subtract(parent, impurity, out=impurity)
         gain[xs[:, 1:] == xs[:, :-1]] = -1.0
         # The first maximum in (feature, position) order: features ascend.
         c, k = divmod(int(gain.argmax()), m - 1)
@@ -119,7 +148,10 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
         importances[f] += best * m / n
         # Partition by value: the midpoint of adjacent floats can round up
         # to xs[c, k + 1], which then goes left with every row equal to it.
-        m_left = int(xs[c].searchsorted(thr, side="right"))
+        if thr < xs[c, k + 1]:
+            m_left = k + 1
+        else:
+            m_left = int(xs[c].searchsorted(thr, side="right"))
         ones_l = int(cum[c, m_left - 1])
         j = len(nodes)
         nodes[i][:4] = f, thr, j, j + 1
@@ -146,10 +178,35 @@ class ForestModel:
     feature_names: list[str]
     seed: int
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def votes(self, x: np.ndarray) -> np.ndarray:
+        """How many trees predict 1 for each row of ``x``.
+
+        Every (tree, row) pair steps down at once, over the trees' node
+        arrays stacked with each tree's child indices shifted by its offset.
+        A leaf loops to itself, so a pair that reaches one early stays there.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        votes = sum(t.predict(x) for t in self.trees)
-        return (votes * 2 > len(self.trees)).astype(int)
+        n, d = x.shape
+        trees = self.trees
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        shift = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in trees])
+        threshold = np.concatenate([t.threshold for t in trees])
+        left = np.concatenate([t.left for t in trees]) + shift
+        right = np.concatenate([t.right for t in trees]) + shift
+        prediction = np.concatenate([t.prediction for t in trees])
+        # A leaf's feature -1 reads some cell of x; it goes to itself either way.
+        cells = x.ravel()
+        row = np.tile(np.arange(0, n * d, d), len(trees))
+        node = np.repeat(roots, n)
+        for _ in range(max(t.depth for t in trees)):
+            go_left = cells[row + feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        return prediction[node].reshape(len(trees), n).sum(axis=0)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return (self.votes(x) * 2 > len(self.trees)).astype(int)
 
 
 def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
@@ -162,13 +219,17 @@ def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
         raise ValueError("n_trees must be >= 1")
     n, d = x.shape
     n_sub = max(1, int(round(np.sqrt(d))))
+    # A split side holds at most n - 1 of a bootstrap's n rows.
+    sides, start = _side_table(min(n - 1, SIDE_CAP))
+    xt = np.ascontiguousarray(x.T)
     rng = np.random.default_rng(seed)
     trees: list[Tree] = []
     raw = np.zeros(d)
     for _ in range(n_trees):
         boot = rng.integers(0, n, n)
         imp = np.zeros(d)
-        trees.append(_grow_tree(x[boot], y[boot], max_depth, n_sub, imp, rng))
+        trees.append(_grow_tree(xt[:, boot], y[boot], max_depth, n_sub, imp,
+                                rng, sides, start))
         tot = imp.sum()
         raw += imp / tot if tot > 0 else imp
     total = raw.sum()

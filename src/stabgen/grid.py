@@ -156,14 +156,10 @@ class GridModel:
     def _connected(self) -> bool:
         if not self.buses:
             return False
-        adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
-        for ln in self.lines:
-            adj[ln.from_bus].add(ln.to_bus)
-            adj[ln.to_bus].add(ln.from_bus)
         seen = {self.buses[0].id}
         stack = [self.buses[0].id]
         while stack:
-            for nb in adj[stack.pop()]:
+            for nb in self.neighbors[stack.pop()]:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -171,7 +167,7 @@ class GridModel:
 
     # -- lookups -----------------------------------------------------------
 
-    @property
+    @cached_property
     def slack_bus(self) -> Bus:
         return next(b for b in self.buses if b.kind == SLACK)
 
@@ -179,8 +175,24 @@ class GridModel:
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
 
+    @cached_property
+    def _bus_by_id(self) -> dict[int, Bus]:
+        return {b.id: b for b in self.buses}
+
     def bus(self, bus_id: int) -> Bus:
-        return next(b for b in self.buses if b.id == bus_id)
+        return self._bus_by_id[bus_id]
+
+    @cached_property
+    def neighbors(self) -> dict[int, list[int]]:
+        """Each bus's neighbours in ascending id order, once per line (a
+        parallel line repeats its neighbour); built once per grid."""
+        adj: dict[int, list[int]] = {b.id: [] for b in self.buses}
+        for ln in self.lines:
+            adj[ln.from_bus].append(ln.to_bus)
+            adj[ln.to_bus].append(ln.from_bus)
+        for nbs in adj.values():
+            nbs.sort()
+        return adj
 
     def groups_of(self, tech: str) -> list[GenGroup]:
         return [g for g in self.gen_groups if g.tech == tech]

@@ -53,21 +53,17 @@ def sample_voltage_profile(grid: GridModel, anchor_v: float, dev_bound: float,
     voltage plus a bounded uniform deviation.  Buses reached through several
     frontier edges in the same layer take the mean of the tentative
     assignments (layer-synchronous, so traversal order is irrelevant).
-    Results are clamped to each bus's voltage band.
+    Results are clamped to each bus's voltage band.  The grid keeps its
+    sorted adjacency and bus lookup, so no sample rebuilds them.
     """
-    adjacency: dict[int, list[int]] = {b.id: [] for b in grid.buses}
-    for ln in grid.lines:
-        adjacency[ln.from_bus].append(ln.to_bus)
-        adjacency[ln.to_bus].append(ln.from_bus)
-
     slack = grid.slack_bus
     profile: dict[int, float] = {}
     profile[slack.id] = min(max(anchor_v, slack.v_min), slack.v_max)
-    frontier = [slack.id]
+    frontier = [slack.id]   # ascending ids, layer by layer
     while frontier:
         tentative: dict[int, list[float]] = {}
-        for parent in sorted(frontier):
-            for child in sorted(adjacency[parent]):
+        for parent in frontier:
+            for child in grid.neighbors[parent]:
                 if child in profile:
                     continue
                 dev = rng.uniform(-dev_bound, dev_bound) if dev_bound > 0 else 0.0

@@ -7,7 +7,10 @@ numerics, so agreement is meaningful evidence.  ``newton_pf_one``,
 ``newton_step_trials``, ``check_constraints_loop`` and ``violation_total``
 are the exception: the engine's one-point forms of the power flow, the
 repair's 1 MW trials, the constraint checks and the repair's objective,
-kept as the bit-for-bit references of their stacked forms.
+kept as the bit-for-bit references of their stacked forms.  So are
+``tree_predict``, one tree's share of the forest's stacked vote, and
+``voltage_walk``, the voltage walk with the grid's lookups rebuilt for
+every sample.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, ZERO_DISPATCH, ConstraintReport,
                                  PowerFlowSolution, _dispatched, _solutions, _unknowns)
-from stabgen.grid import GridModel, build_admittance, power_jacobian
+from stabgen.forest import Tree
+from stabgen.grid import SLACK, GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
 
 
@@ -311,6 +315,46 @@ def smib_analytic_eigs(inertia_h: float, damping_d: float, k_s: float,
                        omega_b: float) -> np.ndarray:
     """Roots of 2H lambda^2 + D lambda + K_s omega_b = 0."""
     return np.roots([2.0 * inertia_h, damping_d, k_s * omega_b])
+
+
+def voltage_walk(grid: GridModel, anchor_v: float, dev_bound: float,
+                 rng: np.random.Generator) -> dict[int, float]:
+    """``sampling.sample_voltage_profile`` with the adjacency and bus lookups
+    rebuilt by scanning the grid on every call."""
+    adjacency: dict[int, list[int]] = {b.id: [] for b in grid.buses}
+    for ln in grid.lines:
+        adjacency[ln.from_bus].append(ln.to_bus)
+        adjacency[ln.to_bus].append(ln.from_bus)
+
+    slack = next(b for b in grid.buses if b.kind == SLACK)
+    profile: dict[int, float] = {}
+    profile[slack.id] = min(max(anchor_v, slack.v_min), slack.v_max)
+    frontier = [slack.id]
+    while frontier:
+        tentative: dict[int, list[float]] = {}
+        for parent in sorted(frontier):
+            for child in sorted(adjacency[parent]):
+                if child in profile:
+                    continue
+                dev = rng.uniform(-dev_bound, dev_bound) if dev_bound > 0 else 0.0
+                tentative.setdefault(child, []).append(profile[parent] + dev)
+        frontier = []
+        for child in sorted(tentative):
+            bus = next(b for b in grid.buses if b.id == child)
+            v = float(np.mean(tentative[child]))
+            profile[child] = min(max(v, bus.v_min), bus.v_max)
+            frontier.append(child)
+    return profile
+
+
+def tree_predict(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """One tree's predictions, every row stepped down level by level."""
+    node = np.zeros(len(x), dtype=np.intp)
+    rows = np.arange(len(x))
+    for _ in range(tree.depth):
+        go_left = x[rows, tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.prediction[node]
 
 
 class ReferenceForest:

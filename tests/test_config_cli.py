@@ -300,15 +300,29 @@ def test_module_entry_point():
         assert proc.stdout.strip() == stabgen.__version__
 
 
-def test_cli_import_starts_no_pool_machinery():
-    # generate stamps its set-up time when explore starts; the process pool's
-    # modules load inside explore, so importing the CLI must not pull them in
+def _probe(code):
+    """Standard output of ``code`` run by a fresh interpreter."""
     src = str(Path(stabgen.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
-             "('multiprocessing', 'concurrent.futures')))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # generate stamps its set-up time when explore starts; the process pool's
+    # modules load inside explore, so importing the CLI must not pull them in
+    probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures')))")
+    assert _probe(probe) == ["[]"]
+
+
+def test_cli_import_builds_no_impurity_table():
+    # Nor may it build the forest's side impurity table: the first
+    # train_forest call does, which the second line shows the probe sees.
+    probe = ("import stabgen.cli, stabgen.forest as f; print(f._sides.size); "
+             "f.train_forest(f.LabeledDataset([[0.0], [1.0], [2.0]], [0, 1, 1]), 1); "
+             "print(f._sides.size)")
+    assert _probe(probe) == ["0", "5"]

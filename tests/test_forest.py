@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabgen.forest import (LabeledDataset, SensitivityUnavailableError,
+from stabgen import forest
+from stabgen.forest import (SIDE_CAP, LabeledDataset, SensitivityUnavailableError,
                             feature_importance, kfold_accuracy, train_forest)
 
-from oracles import ReferenceForest, reference_kfold
+from oracles import ReferenceForest, reference_kfold, tree_predict
 
 
 def _threshold_data(n=300, d=4, seed=0, noise=0.0):
@@ -58,8 +59,48 @@ def test_permuting_informative_feature_destroys_importance():
 def test_single_tree_forest_equals_tree():
     data = _threshold_data(seed=4)
     model = train_forest(data, n_trees=1, seed=11)
-    tree_pred = model.trees[0].predict(data.features)
+    tree_pred = tree_predict(model.trees[0], data.features)
     assert np.array_equal(model.predict(data.features), tree_pred)
+
+
+def test_stacked_vote_equals_per_tree_votes():
+    # Two ones in ten rows: about one bootstrap in nine draws neither and
+    # grows a single leaf, and the other trees stop at different depths.
+    rng = np.random.default_rng(12)
+    x = rng.random((10, 3))
+    y = np.zeros(10, dtype=int)
+    y[[2, 7]] = 1
+    model = train_forest(LabeledDataset(x, y), n_trees=25, max_depth=3, seed=4)
+    assert any(len(t.feature) == 1 for t in model.trees)
+    assert len({t.depth for t in model.trees}) >= 3
+    probe = np.vstack([x, rng.random((40, 3))])
+    per_tree = sum(tree_predict(t, probe) for t in model.trees)
+    assert np.array_equal(model.votes(probe), per_tree)
+    assert np.array_equal(model.predict(probe), (per_tree * 2 > 25).astype(int))
+
+
+def test_side_table_equals_the_node_expression():
+    # Every gain keeps its bits only if each entry is the very expression a
+    # node evaluates for a side of k rows with o ones.
+    table, _ = forest._side_table(SIDE_CAP)
+    want = []
+    for k in range(1, SIDE_CAP + 1):
+        n_side = np.full(k + 1, k)
+        p = np.arange(k + 1) / n_side
+        want.append(n_side * (1.0 - p ** 2 - (1.0 - p) ** 2))
+    assert table.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_sides_above_the_cap_match_reference():
+    # A root of 330 rows has sides longer than the table; its children's
+    # sides come from the table.
+    data = _threshold_data(n=330, d=4, seed=13, noise=0.2)
+    assert len(data.labels) - 1 > SIDE_CAP
+    model = train_forest(data, n_trees=3, max_depth=6, seed=21)
+    ref = ReferenceForest(data.features, data.labels, n_trees=3, max_depth=6, seed=21)
+    assert model.importances.tobytes() == ref.importances.tobytes()
+    probe = np.vstack([data.features, np.random.default_rng(21).random((50, 4))])
+    assert np.array_equal(model.predict(probe), ref.predict(probe))
 
 
 def test_depth_one_stump_finds_threshold():

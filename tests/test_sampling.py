@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabgen.grid import fixture_3bus, fixture_9bus
+from stabgen.grid import Line, fixture_3bus, fixture_9bus
 from stabgen.sampling import (disaggregate, disaggregate_gaussian,
                               disaggregate_variance_max, hierarchical_sample,
                               lhs, rng_stream, sample_voltage_profile)
 from stabgen.space import build_space, contains_values
+
+from oracles import voltage_walk
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -66,6 +70,22 @@ def test_voltage_profile_anchor_clamped():
     g = fixture_3bus()
     prof = sample_voltage_profile(g, 1.5, 0.0, rng_stream(0, "R", 1, 0))
     assert prof[g.slack_bus.id] == g.slack_bus.v_max
+
+
+def _parallel_3bus():
+    # A second 1-2 line: bus 2 is reached twice from the slack bus.
+    g = fixture_3bus()
+    return dataclasses.replace(g, lines=g.lines + (Line(1, 2, 0.02, 0.2, 0.0, 100.0),))
+
+
+@pytest.mark.parametrize("grid", [fixture_3bus, fixture_9bus, _parallel_3bus])
+def test_voltage_profile_equals_the_scanning_walk(grid):
+    g = grid()
+    for seed in (0, 1, 7, 1000, 2024):
+        for anchor, dev in ((1.0, 0.02), (1.04, 0.05), (0.96, 0.0)):
+            want = voltage_walk(g, anchor, dev, rng_stream(seed, "R.x", 3, 0))
+            got = sample_voltage_profile(g, anchor, dev, rng_stream(seed, "R.x", 3, 0))
+            assert list(got.items()) == list(want.items())
 
 
 def test_voltage_profile_zero_deviation_is_flat():
