@@ -115,6 +115,10 @@ def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
     if fmin <= 0 or fmax <= fmin:
         print("error: empty or invalid frequency range", file=sys.stderr)
         return 2
+    if points_per_decade < 1 or n_units < 1:
+        print("error: --points-per-decade and --units must be at least 1",
+              file=sys.stderr)
+        return 2
     try:
         mode, bus_s = component.rsplit("_", 1)
         bus = int(bus_s)

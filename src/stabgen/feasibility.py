@@ -11,7 +11,8 @@ The repair (``_repair``) asks for two kinds of work: power flows and the
 1 MW trials of its descent direction.  ``adjust_many`` answers the
 requests of many repairs together, each kind as stacked array operations:
 ``solve_many`` for the power flows, ``_trial_totals`` for the trials, and
-one constraint kernel, ``check_constraints_many``, for both.  Each row's
+one constraint kernel, ``_violations``, for both; only the power flows'
+checks go on to build reports (``check_constraints_many``).  Each row's
 numbers are those of the row computed alone, bit for bit.
 """
 
@@ -58,15 +59,12 @@ class PfCase:
     """One operating point's power-flow inputs, built once and shared by all
     of its solves; each solve brings its own dispatch (default ``gen_p``).
     Every Newton round of every solve starts flat, at ``vm`` with zero
-    angles, so the voltages, injections and Jacobian there are kept too."""
+    angles."""
 
     p_load: np.ndarray  # active demand per bus, pu
     q_load: np.ndarray  # reactive demand per bus, pu
     vm: np.ndarray      # sampled voltage magnitude per bus, pu
     gen_p: np.ndarray   # sampled set point per group, MW
-    v0: np.ndarray      # flat-start complex voltage per bus, pu
-    s0: np.ndarray      # its bus injections v0 conj(Y v0), pu
-    jac0: np.ndarray    # its full power-flow Jacobian
 
 
 @dataclass
@@ -108,10 +106,7 @@ def pf_case(grid: GridModel, op: OperatingPoint,
     vm = np.array([op.voltage_profile.get(b, 1.0) for b in net.bus_ids])
     gen_p = np.array([op.var_values.get(f"P_{g.tech}_{g.bus}", 0.0)
                       for g in grid.gen_groups])
-    v0 = vm * np.exp(1j * np.zeros(n))  # solve_pf's v at zero angles, bit for bit
-    ibus0 = net.ybus @ v0
-    return PfCase(p_load, q_load, vm, gen_p, v0, v0 * np.conj(ibus0),
-                  power_jacobian(net.ybus, v0, ibus0))
+    return PfCase(p_load, q_load, vm, gen_p)
 
 
 def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
@@ -170,12 +165,11 @@ def _dispatched(net: Network, gen_p: np.ndarray) -> _Dispatched:
 
 def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
     """PV and PQ bus indices of a PV mask and its Newton unknowns, built
-    once per mask and network: ``(pv, pq, pvpq, rc, jac_index, s_rows)``.
+    once per mask and network: ``(pv, pq, pvpq, rc, s_rows)``.
 
     The unknowns are the [P; Q] rows and [theta; |V|] columns ``rc`` at
-    ``pvpq`` and ``n + pq``; ``jac_index`` picks their block of the full
-    Jacobian, and ``s_rows`` their rows of S viewed as interleaved (P, Q)
-    floats."""
+    ``pvpq`` and ``n + pq``, and ``s_rows`` their rows of S viewed as
+    interleaved (P, Q) floats."""
     key = ("pv", is_pv.tobytes())
     sets = net.by_mask.get(key)
     if sets is None:
@@ -186,28 +180,23 @@ def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
         rc = np.concatenate([pvpq, n + pq])
         s_rows = np.concatenate([2 * pvpq, 2 * pq + 1])
         _read_only(pv, pq, pvpq, rc, s_rows)
-        sets = net.by_mask[key] = (pv, pq, pvpq, rc, (rc[:, None], rc), s_rows)
+        sets = net.by_mask[key] = (pv, pq, pvpq, rc, s_rows)
     return sets
 
 
 def _solutions(net: Network, cases: list[PfCase], gen_p: np.ndarray, vm: np.ndarray,
                va: np.ndarray, converged: list[bool], iterations: list[int],
-               max_mismatch: list[float], pv: np.ndarray,
-               injections: tuple[np.ndarray, np.ndarray] | None = None,
-               ) -> list[PowerFlowSolution]:
+               max_mismatch: list[float], pv: np.ndarray) -> list[PowerFlowSolution]:
     """Per row, the solution at bus voltages ``vm``, ``va`` of dispatch
     ``gen_p``, with the group injections of ``_group_injections``; each
-    solution owns its arrays.  ``injections`` is the pair ``v = vm e^(j va)``,
-    ``v conj(Y v)`` of every row when the caller already has it.
+    solution owns its arrays.
 
     A solution's ``vm`` is ``|v|``, which can differ from ``vm`` in the last
     bit, so a solution is not a fixed point of its own recomputation.  The
     constraint checks read this ``|v|`` on purpose: the repair's totals and
     the 1 MW trials (``_trial_totals``) are defined on it."""
-    if injections is None:
-        v = vm * np.exp(1j * va)
-        injections = v, v * np.conj((net.ybus @ v[..., None])[..., 0])
-    v, s_calc = injections
+    v = vm * np.exp(1j * va)
+    s_calc = v * np.conj((net.ybus @ v[..., None])[..., 0])
     gen_p_out, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
                                          np.array([c.q_load for c in cases]),
                                          gen_p, s_calc)
@@ -284,13 +273,12 @@ def solve_many(grid: GridModel, cases: list[PfCase],
         for rows in by_mask.values():
             round_pv = is_pv[rows[0]].copy()  # the switch below changes is_pv
             pv = _unknowns(net, round_pv)[0]
-            newton = _newton_round(net, round_pv, [cases[r] for r in rows],
-                                   np.array([p_spec[r] for r in rows]),
-                                   np.array([q_spec[r] for r in rows]))
+            converged, iterations, max_mismatch, x, s_calc = _newton_round(
+                net, round_pv, [cases[r] for r in rows],
+                np.array([p_spec[r] for r in rows]), np.array([q_spec[r] for r in rows]))
             for k, r in enumerate(rows):
-                rounds[r] = (round_pv,) + tuple(a[k] for a in newton)
-            # reactive limit check at PV buses, on the converged rows' injections
-            converged, s_calc = newton[0], newton[-1]
+                rounds[r] = round_pv, converged[k], iterations[k], max_mismatch[k], x[k]
+            # reactive limit check at PV buses, on the converged rows' S
             q_gen = s_calc.imag[:, pv] + np.array([cases[r].q_load[pv] for r in rows])
             high = q_gen > np.array([terms[r].q_max[pv] for r in rows]) + 1e-9
             low = ~high & (q_gen < np.array([terms[r].q_min[pv] for r in rows]) - 1e-9)
@@ -303,45 +291,34 @@ def solve_many(grid: GridModel, cases: list[PfCase],
                 pending.append(r)
         if not pending:
             break
-    round_pv, converged, iterations, max_mismatch, x, v, s_calc = (
-        np.array(a) for a in zip(*rounds))
-    # a converged row's v and s_calc are those of x; otherwise x has moved
-    moved = ~converged
-    if moved.any():
-        v[moved] = x[moved, n:] * np.exp(1j * x[moved, :n])
-        s_calc[moved] = v[moved] * np.conj((net.ybus @ v[moved][..., None])[..., 0])
+    round_pv, converged, iterations, max_mismatch, x = (np.array(a) for a in zip(*rounds))
     return _solutions(net, cases, np.array(gen_ps), x[:, n:], x[:, :n],
                       converged.tolist(), iterations.tolist(), max_mismatch.tolist(),
-                      round_pv, (v, s_calc))
+                      round_pv)
 
 
 def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
                   p_spec: np.ndarray, q_spec: np.ndarray) -> tuple:
     """One flat-started Newton round of each row on PV mask ``is_pv``, in lock
-    step.  Per row: ``(converged, iterations, max_mismatch, x, v, s_calc)``
-    with ``x = [theta; |V|]`` of its last iterate; ``v`` and ``s_calc`` are
-    that iterate's voltages and injections where it converged."""
+    step.  Per row: ``(converged, iterations, max_mismatch, x, s_calc)`` with
+    ``x = [theta; |V|]`` of its last iterate; ``s_calc`` is that iterate's
+    ``S = v conj(Y v)`` where it converged.  Every iteration builds ``v``,
+    ``S`` and one batched Jacobian of its rows from ``x``."""
     n = len(is_pv)
-    ybus = net.ybus
-    _pv, pq, pvpq, rc, _jac_index, s_rows = _unknowns(net, is_pv)
+    _pv, pq, pvpq, rc, s_rows = _unknowns(net, is_pv)
     rows = len(cases)
     spec = np.concatenate([p_spec[:, pvpq], q_spec[:, pq]], axis=1)
     x = np.concatenate([np.zeros((rows, n)), [c.vm for c in cases]], axis=1)
     converged = np.zeros(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
     max_mismatch = np.full(rows, math.inf)
-    v_out = np.zeros((rows, n), dtype=complex)
     s_out = np.zeros((rows, n), dtype=complex)
     active = np.arange(rows)  # rows still iterating
     for it in range(1, PF_MAX_ITER + 1):
-        if it == 1:  # x is the flat start
-            v = np.array([c.v0 for c in cases])
-            s_calc = np.array([c.s0 for c in cases])
-        else:
-            xa = x[active]
-            v = xa[:, n:] * np.exp(1j * xa[:, :n])
-            ibus = (ybus @ v[..., None])[..., 0]
-            s_calc = v * np.conj(ibus)
+        xa = x[active]
+        v = xa[:, n:] * np.exp(1j * xa[:, :n])
+        ibus = (net.ybus @ v[..., None])[..., 0]
+        s_calc = v * np.conj(ibus)
         mism = spec[active] - s_calc.view(float)[:, s_rows]
         peak = np.abs(mism).max(axis=1, initial=0.0)
         iterations[active] = it
@@ -349,18 +326,12 @@ def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
         done = peak < PF_TOL
         if done.any():
             converged[active[done]] = True
-            v_out[active[done]] = v[done]
             s_out[active[done]] = s_calc[done]
             go = ~done
-            active, v, mism = active[go], v[go], mism[go]
-            if it > 1:
-                ibus = ibus[go]
+            active, v, ibus, mism = active[go], v[go], ibus[go], mism[go]
             if not active.size:
                 break
-        if it == 1:
-            jac = np.array([cases[r].jac0 for r in active.tolist()])
-        else:
-            jac = power_jacobian(ybus, v, ibus)
+        jac = power_jacobian(net.ybus, v, ibus)
         dx = _solve_stacked(jac[:, rc[:, None], rc], mism[..., None])[..., 0]
         ok = np.isfinite(dx).all(axis=1)
         active, dx = active[ok], dx[ok]
@@ -368,7 +339,7 @@ def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
         active = active[~(x[active, n:] <= 0.05).any(axis=1)]
         if not active.size:
             break
-    return converged, iterations, max_mismatch, x, v_out, s_out
+    return converged, iterations, max_mismatch, x, s_out
 
 
 def _solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -396,7 +367,7 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
     PV/PQ split: the Jacobian at its voltages, with one right-hand side per
     trial that holds the step in the P row of the group's bus.  Requests
     that share a PV mask and a number of trials are one batched Jacobian and
-    one stacked solve, and all trials are one ``check_constraints_many``;
+    one stacked solve, and all trials are one ``_violations`` call;
     each request's totals are those of answering it alone, bit for bit.
     """
     net = grid.network
@@ -407,7 +378,7 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
     answered, xs, dispatches, cases = [], [], [], []
     for rows in by_key.values():
         sols = [requests[r][0] for r in rows]
-        _pv, _pq, pvpq, rc, _jac_index, _s_rows = _unknowns(net, sols[0].pv)
+        _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sols[0].pv)
         x = np.array([np.concatenate([s.va, s.vm]) for s in sols])
         jac = power_jacobian(net.ybus, x[:, n:] * np.exp(1j * x[:, :n]))
         p = np.array([requests[r][1] for r in rows])
@@ -439,7 +410,7 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
     gen_p, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
                                      np.array([c.q_load for c in cases]),
                                      np.concatenate(dispatches), s_calc)
-    flat = check_constraints_many(grid, np.abs(v), x[:, :n], gen_p, gen_q)[1].tolist()
+    flat = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)[1].tolist()
     start = 0
     for r in answered:
         k = len(requests[r][2])
@@ -479,15 +450,15 @@ def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.
     return np.hypot(ar * ir - ai * ii, ar * ii + ai * ir)
 
 
-def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
-                           gen_p: np.ndarray, gen_q: np.ndarray,
-                           ) -> tuple[list[ConstraintReport], np.ndarray]:
+def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
+                gen_p: np.ndarray, gen_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Voltage-band, line-rating and generator-capability checks of each row
     of stacked bus voltages ``vm``, ``va`` and group injections ``gen_p``,
-    ``gen_q``: per row, its report and the repair's violation total.
+    ``gen_q``: per row, the magnitude of every check and the repair's
+    violation total.
 
-    Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
-    MVAr / power-factor units (group checks), in check order: buses, lines,
+    Magnitudes are in pu (voltages), MVA (line overloads) and MW / MVAr /
+    power-factor units (group checks), in check order: buses, lines,
     then per group ``pmin``, ``pmax``, ``qmin`` or ``qmax``, ``pf``.  Offline
     groups are skipped.  The total adds them up in that order, with
     MVA/MW/MVAr scaled to pu by the base.  Every number is that of checking
@@ -498,7 +469,7 @@ def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     """
     net = grid.network
     base = net.base_mva
-    v_min, v_max, s_max, cos_phi, ids, scaled = _check_terms(grid)
+    v_min, v_max, s_max, cos_phi, _ids, scaled = _check_terms(grid)
     tol = 1e-6
     low = vm < v_min - tol
     v_mag = np.where(low, v_min - vm, np.where(vm > v_max + tol, vm - v_max, 0.0))
@@ -526,6 +497,15 @@ def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     # one column per check id; a check that holds reads 0, a violation > 0
     mags = np.concatenate([v_mag, line_mag, group_mag.reshape(len(vm), -1)], axis=1)
     totals = np.cumsum(np.where(scaled, mags / base, mags), axis=1)[:, -1]
+    return mags, totals
+
+
+def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
+                           gen_p: np.ndarray, gen_q: np.ndarray,
+                           ) -> tuple[list[ConstraintReport], np.ndarray]:
+    """Per row, the report of ``_violations``' nonzero magnitudes, and the total."""
+    mags, totals = _violations(grid, vm, va, gen_p, gen_q)
+    ids = _check_terms(grid)[4]
     rows, cols = mags.nonzero()
     viols = list(zip([ids[c] for c in cols.tolist()], mags[rows, cols].tolist()))
     ends = np.cumsum(np.bincount(rows, minlength=len(vm))).tolist()

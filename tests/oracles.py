@@ -162,27 +162,22 @@ def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
         x = x0.copy()
         va, vm = x[:n], x[n:]
         round_pv = is_pv.copy()
-        pv, pq, pvpq, rc, jac_index, s_rows = _unknowns(net, round_pv)
+        pv, pq, pvpq, rc, s_rows = _unknowns(net, round_pv)
         spec = np.concatenate([p_spec[pvpq], q_spec[pq]])
         converged = False
         for it in range(1, PF_MAX_ITER + 1):
-            if it == 1:
-                v, s_calc, jac = case.v0, case.s0, case.jac0
-            else:
-                v = vm * np.exp(1j * va)
-                ibus = ybus @ v
-                s_calc = v * np.conj(ibus)
-                jac = None
+            v = vm * np.exp(1j * va)
+            ibus = ybus @ v
+            s_calc = v * np.conj(ibus)
             mism = spec - s_calc.view(float)[s_rows]
             max_mismatch = float(np.abs(mism).max()) if mism.size else 0.0
             iterations = it
             if max_mismatch < PF_TOL:
                 converged = True
                 break
-            if jac is None:
-                jac = power_jacobian(ybus, v, ibus)
+            jac = power_jacobian(ybus, v, ibus)
             try:
-                dx = np.linalg.solve(jac[jac_index], mism)
+                dx = np.linalg.solve(jac[rc[:, None], rc], mism)
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(dx).all():
@@ -202,8 +197,7 @@ def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
         is_pv[pv[high | low]] = False
 
     return _solutions(net, [case], gen_p[None], vm[None], va[None], [converged],
-                      [iterations], [max_mismatch], round_pv[None],
-                      (v[None], s_calc[None]) if converged else None)[0]
+                      [iterations], [max_mismatch], round_pv[None])[0]
 
 
 def newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
@@ -222,9 +216,9 @@ def newton_step_trials(grid: GridModel, sol: PowerFlowSolution,
     """
     net = grid.network
     n = len(net.bus_ids)
-    _pv, _pq, pvpq, rc, jac_index, _s_rows = _unknowns(net, sol.pv)
+    _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sol.pv)
     x = np.concatenate([sol.va, sol.vm])
-    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[jac_index]
+    jac = power_jacobian(net.ybus, sol.vm * np.exp(1j * sol.va))[rc[:, None], rc]
     row = np.empty(n, dtype=int)
     row[pvpq] = np.arange(len(pvpq))
     rhs = np.zeros((len(rc), len(groups)))

@@ -284,9 +284,14 @@ def test_scan_writes_csv(tmp_path):
      "--fmin", "1", "--fmax", "10"],            # no IBR at bus 3
     ["scan", "--grid", "nope", "--component", "GFOR_2",
      "--fmin", "1", "--fmax", "10"],            # unknown grid
+    ["scan", "--grid", "3bus", "--component", "GFOR_2",
+     "--fmin", "1", "--fmax", "10", "--units", "0"],              # no units
+    ["scan", "--grid", "3bus", "--component", "GFOR_2",
+     "--fmin", "1", "--fmax", "10", "--points-per-decade", "0"],  # no points
 ])
-def test_scan_error_exit_codes(args, tmp_path):
+def test_scan_error_exit_codes(args, tmp_path, capsys):
     assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_module_entry_point():

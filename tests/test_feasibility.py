@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
 from stabgen.sampling import hierarchical_sample
 from stabgen.space import OperatingPoint, build_space, split
 
+import oracles
 from oracles import (check_constraints_loop, gauss_seidel_pf, newton_pf_one,
                      newton_step_trials, two_bus_closed_form, violation_total)
 
@@ -127,30 +129,12 @@ def test_pv_to_pq_switching_respects_q_limits():
     (150.0, 0.0, 145.0, "offline"),      # the IBR group is not dispatched
     (300.0, 200.0, 2000.0, "diverged"),  # stops with |V| <= 0.05 after a step
 ])
-def test_solution_reuses_the_injections_of_its_voltages(monkeypatch, p_sg, p_ibr,
-                                                         load, kind):
-    # solve_pf hands _solutions the v and S of its last iteration instead of
-    # having them recomputed; the result must be that of recomputing them
-    # from the vm and va it hands over, bit for bit.  (The solution's own vm
-    # is |v|, which can differ from those magnitudes in the last bit.)
-    real = feasibility._solutions
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(feasibility, "_solutions", spy)
+def test_solution_reports_convergence_and_its_pv_mask(p_sg, p_ibr, load, kind):
     grid = fixture_3bus()
-    case = pf_case(grid, _op_3bus(p_sg, p_ibr, load))
-    sol = solve_pf(grid, case)
+    sol = solve_pf(grid, pf_case(grid, _op_3bus(p_sg, p_ibr, load)))
     assert sol.converged == (kind != "diverged")
     start = np.array([False, p_ibr > ZERO_DISPATCH, False])
     assert np.array_equal(sol.pv, start) == (kind != "switched")
-    (args,) = calls
-    (recomputed,) = real(*args[:9])  # without the handed-over injections
-    for field in ("vm", "va", "gen_p", "gen_q"):
-        assert getattr(sol, field).tobytes() == getattr(recomputed, field).tobytes(), field
 
 
 # -- constraint checks --------------------------------------------------------
@@ -576,6 +560,28 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
         assert len({len(groups) for _, _, groups, _ in requests}) > 1
 
 
+def test_trial_totals_build_no_constraint_report(monkeypatch):
+    # A trial keeps only its violation total; the reports are built for the
+    # repair's power flows alone (check_constraints_many).
+    grid = fixture_3bus()
+    net = grid.network
+    requests = [(sol, p, adjustable, [min(p[i] + 1.0, net.gen_p_max[i]) for i in adjustable])
+                for sol, p, adjustable in _trial_pool(grid, seed=5) if adjustable]
+    real = feasibility.ConstraintReport
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, "ConstraintReport", counting)
+    totals = _trial_totals(grid, requests)
+    assert len(requests) > 10 and None not in totals
+    assert not built
+    check_constraints(requests[0][0], grid)  # the count sees the report step
+    assert len(built) == 1
+
+
 # -- lock-step solves and repairs ---------------------------------------------
 
 ARRAYS = ("vm", "va", "gen_p", "gen_q", "pv")
@@ -586,25 +592,50 @@ def _solution_bits(sol):
             sol.iterations, np.float64(sol.max_mismatch).tobytes(), id(sol.case))
 
 
+SINGULAR_VM = 1.25  # the slack voltage that marks pf_pool's singular row
+
+
 @pytest.fixture(scope="module", params=[fixture_3bus, fixture_9bus],
                 ids=["3bus", "9bus"])
 def pf_pool(request):
     """Sampled root points of a fixture, then a row that breaks off on
     |V| <= 0.05 (six times the loads) and one whose flat-start Jacobian is
-    singular (zeroed)."""
+    singular under ``_singular_marked_rows`` (its slack voltage is
+    ``SINGULAR_VM``)."""
     grid = request.param()
     root = build_space(grid, CONTROL).root_cell()
     cases = [pf_case(grid, op) for op in hierarchical_sample(root, 16, 1, grid, seed=5)]
     base = cases[0]
     diverging = replace(base, p_load=6 * base.p_load, q_load=6 * base.q_load)
-    singular = replace(base, jac0=np.zeros_like(base.jac0))
+    singular = replace(base, vm=base.vm.copy())
+    singular.vm[grid.network.slack] = SINGULAR_VM
     return grid, cases + [diverging, singular]
+
+
+@contextmanager
+def _singular_marked_rows(grid):
+    """``power_jacobian``, as the engine and the oracle see it, zeroed at
+    voltages whose slack bus is at ``SINGULAR_VM``: a marked row's first
+    Newton step is an exactly singular system."""
+    real = feasibility.power_jacobian
+    slack = grid.network.slack
+
+    def zeroing(ybus, v, ibus=None):
+        jac = real(ybus, v, ibus)
+        jac[v[..., slack] == SINGULAR_VM] = 0.0
+        return jac
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (feasibility, oracles):
+            mp.setattr(module, "power_jacobian", zeroing)
+        yield
 
 
 def test_solve_many_pool_breaks_off_every_way(pf_pool):
     grid, pool = pf_pool
     net = grid.network
-    sols = solve_many(grid, pool, [case.gen_p for case in pool])
+    with _singular_marked_rows(grid):
+        sols = solve_many(grid, pool, [case.gen_p for case in pool])
     *sampled, diverged, singular = sols
     switched = 0
     for case, sol in zip(pool, sampled):
@@ -637,9 +668,11 @@ def _pf_batches(draw, grid, pool):
 def test_solve_many_matches_the_one_solve_oracle(pf_pool, data):
     grid, pool = pf_pool
     batch = data.draw(_pf_batches(grid, pool))
-    sols = solve_many(grid, [case for case, _ in batch], [gen_p for _, gen_p in batch])
-    for (case, gen_p), sol in zip(batch, sols):
-        assert _solution_bits(sol) == _solution_bits(newton_pf_one(grid, case, gen_p))
+    with _singular_marked_rows(grid):
+        sols = solve_many(grid, [case for case, _ in batch], [gen_p for _, gen_p in batch])
+        oracle = [newton_pf_one(grid, case, gen_p) for case, gen_p in batch]
+    for sol, expected in zip(sols, oracle):
+        assert _solution_bits(sol) == _solution_bits(expected)
     for i, a in enumerate(sols):  # each row owns its arrays
         assert all(getattr(a, f).flags.owndata for f in ARRAYS)
         for b in sols[i + 1:]:
