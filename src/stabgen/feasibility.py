@@ -38,7 +38,6 @@ PF_MAX_ITER = 30
 REPAIR_MAX_OUTER = 20  # redispatch iterations per point
 REPAIR_REL_STOP = 1e-4  # give up below this relative violation decrease
 DEFAULT_LOAD_PF = 0.98
-ZERO_DISPATCH = 1e-6  # MW threshold below which a group counts as offline
 
 
 @dataclass
@@ -109,58 +108,10 @@ def pf_case(grid: GridModel, op: OperatingPoint,
     return PfCase(p_load, q_load, vm, gen_p)
 
 
-def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
-    """Each group's share of ``weight`` among the groups at its bus; equal
-    shares at a bus whose total weight is not positive."""
-    total = np.bincount(bus, weight, n)[bus]
-    count = np.bincount(bus, minlength=n)[bus]
-    return np.divide(weight, total, out=1.0 / count, where=total > 0)
-
-
-@dataclass(frozen=True)
-class _Dispatched:
-    """What a power flow takes from its mask of dispatched groups alone."""
-
-    on: np.ndarray        # the mask, per group
-    bus: np.ndarray       # bus index per dispatched group
-    is_pv: np.ndarray     # PV buses: a dispatched group holds the voltage
-    q_min: np.ndarray     # summed reactive limits per bus, pu
-    q_max: np.ndarray
-    q_share: np.ndarray   # per dispatched group: its share of its bus's Q
-    at_slack: np.ndarray  # per group: dispatched and at the slack bus
-    p_share: np.ndarray   # per group at_slack: its share of the slack bus's P
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     """Guard arrays that every later solve on the network shares."""
     for a in arrays:
         a.flags.writeable = False
-
-
-def _dispatched(net: Network, gen_p: np.ndarray) -> _Dispatched:
-    """The mask terms of dispatch ``gen_p``, built once per mask and network.
-
-    Reactive power is shared by ``gen_q_max`` among a bus's dispatched
-    groups, and the slack bus's active power by ``gen_p_max``."""
-    on = gen_p > ZERO_DISPATCH
-    key = ("on", on.tobytes())
-    terms = net.by_mask.get(key)
-    if terms is None:
-        n = len(net.bus_ids)
-        base = net.base_mva
-        bus = net.gen_bus[on]
-        # PV where a dispatched generator can hold voltage; everything else PQ
-        is_pv = np.bincount(bus, minlength=n) > 0
-        is_pv[net.slack] = False
-        at_slack = on & (net.gen_bus == net.slack)
-        terms = net.by_mask[key] = _Dispatched(
-            on, bus, is_pv,
-            np.bincount(bus, net.gen_q_min[on] / base, n),
-            np.bincount(bus, net.gen_q_max[on] / base, n),
-            _shares(net.gen_q_max[on], bus, n), at_slack,
-            _shares(net.gen_p_max[at_slack], net.gen_bus[at_slack], n))
-        _read_only(*vars(terms).values())
-    return terms
 
 
 def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
@@ -210,23 +161,14 @@ def _solutions(net: Network, cases: list[PfCase], gen_p: np.ndarray, vm: np.ndar
 def _group_injections(net: Network, p_load: np.ndarray, q_load: np.ndarray,
                       gen_p: np.ndarray, s_calc: np.ndarray) -> tuple:
     """Each group's P and Q, MW and MVAr, per row of dispatches ``gen_p`` at
-    bus injections ``s_calc``: a dispatched group's Q is its share of its
-    bus's injection, and the slack bus's groups share its P.  Rows are
-    taken together per mask of dispatched groups."""
+    bus injections ``s_calc``: a group's Q is its share of its bus's
+    injection, and the slack bus's groups share its P."""
     base = net.base_mva
+    bus = net.gen_bus
+    gen_q = (s_calc.imag[:, bus] + q_load[:, bus]) * base * net.q_share
     gen_p_out = gen_p.copy()
-    gen_q = np.zeros(gen_p.shape)
-    by_mask: dict[bytes, list[int]] = {}
-    for r, on in enumerate(gen_p > ZERO_DISPATCH):
-        by_mask.setdefault(on.tobytes(), []).append(r)
-    for rows in by_mask.values():
-        terms = _dispatched(net, gen_p[rows[0]])
-        rows = np.array(rows)[:, None]
-        q_bus = (s_calc.imag[rows, terms.bus] + q_load[rows, terms.bus]) * base
-        gen_q[rows, terms.on.nonzero()[0]] = q_bus * terms.q_share
-        if terms.at_slack.any():
-            slack_p = (s_calc.real[rows, net.slack] + p_load[rows, net.slack]) * base
-            gen_p_out[rows, terms.at_slack.nonzero()[0]] = slack_p * terms.p_share
+    slack_p = (s_calc.real[:, net.slack] + p_load[:, net.slack]) * base
+    gen_p_out[:, net.at_slack] = slack_p[:, None] * net.p_share
     return gen_p_out, gen_q
 
 
@@ -235,7 +177,7 @@ def solve_pf(grid: GridModel, case: PfCase,
     """Polar Newton-Raphson power flow of one dispatch (MW per group,
     default: the sampled set points): ``solve_many`` of one row.
 
-    Generator buses with dispatched groups are held at the sampled voltage
+    Non-slack buses with generation groups are held at the sampled voltage
     magnitude (PV); their reactive output is limited to the summed group
     capability with PV->PQ switching.  The slack bus absorbs the active
     residual.  Non-convergence is reported, not raised.  The solution's
@@ -258,11 +200,10 @@ def solve_many(grid: GridModel, cases: list[PfCase],
     """
     net = grid.network
     n = len(net.bus_ids)
-    terms = [_dispatched(net, gen_p) for gen_p in gen_ps]
-    p_spec = [np.bincount(t.bus, gen_p[t.on] / net.base_mva, n) - case.p_load
-              for t, gen_p, case in zip(terms, gen_ps, cases)]
+    p_spec = [np.bincount(net.gen_bus, gen_p / net.base_mva, n) - case.p_load
+              for gen_p, case in zip(gen_ps, cases)]
     q_spec = [-case.q_load for case in cases]  # PQ buses without generation
-    is_pv = [t.is_pv.copy() for t in terms]
+    is_pv = [net.is_pv.copy() for _ in cases]
     rounds: list = [None] * len(cases)  # each row's last Newton round
     pending = list(range(len(cases)))
     for _round in range(5):  # PV->PQ switching rounds
@@ -280,13 +221,13 @@ def solve_many(grid: GridModel, cases: list[PfCase],
                 rounds[r] = round_pv, converged[k], iterations[k], max_mismatch[k], x[k]
             # reactive limit check at PV buses, on the converged rows' S
             q_gen = s_calc.imag[:, pv] + np.array([cases[r].q_load[pv] for r in rows])
-            high = q_gen > np.array([terms[r].q_max[pv] for r in rows]) + 1e-9
-            low = ~high & (q_gen < np.array([terms[r].q_min[pv] for r in rows]) - 1e-9)
+            high = q_gen > net.bus_q_max[pv] + 1e-9
+            low = ~high & (q_gen < net.bus_q_min[pv] - 1e-9)
             for k in np.flatnonzero(converged & (high | low).any(axis=1)).tolist():
                 r, hi, lo = rows[k], pv[high[k]], pv[low[k]]
-                q_load, q_min, q_max = cases[r].q_load, terms[r].q_min, terms[r].q_max
-                q_spec[r][hi] = q_max[hi] - q_load[hi]
-                q_spec[r][lo] = q_min[lo] - q_load[lo]
+                q_load = cases[r].q_load
+                q_spec[r][hi] = net.bus_q_max[hi] - q_load[hi]
+                q_spec[r][lo] = net.bus_q_min[lo] - q_load[lo]
                 is_pv[r][hi] = is_pv[r][lo] = False
                 pending.append(r)
         if not pending:
@@ -419,26 +360,6 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
     return totals
 
 
-def _check_terms(grid: GridModel) -> tuple:
-    """The constraint checks' limits and ids in check order, and which of
-    them the violation total scales by the base, built once per network."""
-    net = grid.network
-    terms = net.by_mask.get("checks")
-    if terms is None:
-        ids = ([f"v_{b.id}" for b in grid.buses]
-               + [f"line_{ln.from_bus}_{ln.to_bus}" for ln in grid.lines]
-               + [f"{kind}_{g.name}" for g in grid.gen_groups
-                  for kind in ("pmin", "pmax", "qmin", "qmax", "pf")])
-        terms = net.by_mask["checks"] = (
-            np.array([b.v_min for b in grid.buses]),
-            np.array([b.v_max for b in grid.buses]),
-            np.array([ln.s_max for ln in grid.lines]),
-            np.array([g.cos_phi for g in grid.gen_groups]), ids,
-            np.array([cid.split("_")[0] in ("line", "pmin", "pmax", "qmin", "qmax")
-                      for cid in ids]))
-    return terms
-
-
 def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.ndarray:
     """|a conj((a - b) y_series + a y_shunt)| of the complex voltages
     ``a = ar + j ai`` and ``b`` at a line's two ends, in the operation order
@@ -459,9 +380,9 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
 
     Magnitudes are in pu (voltages), MVA (line overloads) and MW / MVAr /
     power-factor units (group checks), in check order: buses, lines,
-    then per group ``pmin``, ``pmax``, ``qmin`` or ``qmax``, ``pf``.  Offline
-    groups are skipped.  The total adds them up in that order, with
-    MVA/MW/MVAr scaled to pu by the base.  Every number is that of checking
+    then per group ``pmin``, ``pmax``, ``qmin`` or ``qmax``, ``pf``, of every
+    group.  The total adds them up in that order, with MVA/MW/MVAr scaled to
+    pu by the base.  Every number is that of checking
     the row on its own in Python floats, bit for bit: line flows follow the
     operation order of Python's complex product, the power factor takes
     ``math.hypot`` (``np.hypot`` differs in the last bit), and the total is
@@ -469,7 +390,7 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     """
     net = grid.network
     base = net.base_mva
-    v_min, v_max, s_max, cos_phi, _ids, scaled = _check_terms(grid)
+    v_min, v_max, s_max = net.bus_v_min, net.bus_v_max, net.line_s_max
     tol = 1e-6
     low = vm < v_min - tol
     v_mag = np.where(low, v_min - vm, np.where(vm > v_max + tol, vm - v_max, 0.0))
@@ -481,22 +402,21 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     s_to = _line_flow(tr, ti, fr, fi, y_series, y_shunt)
     s = np.where(s_to > s_from, s_to, s_from) * base  # Python's max(s_from, s_to)
     line_mag = np.where(s > s_max + tol, s - s_max, 0.0)
-    on = ~(gen_p <= ZERO_DISPATCH)
     p_min, p_max = net.gen_p_min, net.gen_p_max
     q_min, q_max = net.gen_q_min, net.gen_q_max
+    cos_phi = net.gen_cos_phi
     q_low = gen_q < q_min - 1e-6
     group_mag = np.zeros(gen_p.shape + (5,))
-    group_mag[..., 0] = np.where(on & (gen_p < p_min - 1e-6), p_min - gen_p, 0.0)
-    group_mag[..., 1] = np.where(on & (gen_p > p_max + 1e-6), gen_p - p_max, 0.0)
-    group_mag[..., 2] = np.where(on & q_low, q_min - gen_q, 0.0)
-    group_mag[..., 3] = np.where(on & ~q_low & (gen_q > q_max + 1e-6), gen_q - q_max, 0.0)
-    p_on = gen_p[on]
-    pf = p_on / np.array(list(map(math.hypot, p_on.tolist(), gen_q[on].tolist())))
-    cos_on = np.broadcast_to(cos_phi, on.shape)[on]
-    group_mag[on, 4] = np.where(pf < cos_on - 1e-9, cos_on - pf, 0.0)
+    group_mag[..., 0] = np.where(gen_p < p_min - 1e-6, p_min - gen_p, 0.0)
+    group_mag[..., 1] = np.where(gen_p > p_max + 1e-6, gen_p - p_max, 0.0)
+    group_mag[..., 2] = np.where(q_low, q_min - gen_q, 0.0)
+    group_mag[..., 3] = np.where(~q_low & (gen_q > q_max + 1e-6), gen_q - q_max, 0.0)
+    hypot = map(math.hypot, gen_p.ravel().tolist(), gen_q.ravel().tolist())
+    pf = gen_p / np.array(list(hypot)).reshape(gen_p.shape)
+    group_mag[..., 4] = np.where(pf < cos_phi - 1e-9, cos_phi - pf, 0.0)
     # one column per check id; a check that holds reads 0, a violation > 0
     mags = np.concatenate([v_mag, line_mag, group_mag.reshape(len(vm), -1)], axis=1)
-    totals = np.cumsum(np.where(scaled, mags / base, mags), axis=1)[:, -1]
+    totals = np.cumsum(np.where(net.check_scaled, mags / base, mags), axis=1)[:, -1]
     return mags, totals
 
 
@@ -505,7 +425,7 @@ def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
                            ) -> tuple[list[ConstraintReport], np.ndarray]:
     """Per row, the report of ``_violations``' nonzero magnitudes, and the total."""
     mags, totals = _violations(grid, vm, va, gen_p, gen_q)
-    ids = _check_terms(grid)[4]
+    ids = grid.network.check_ids
     rows, cols = mags.nonzero()
     viols = list(zip([ids[c] for c in cols.tolist()], mags[rows, cols].tolist()))
     ends = np.cumsum(np.bincount(rows, minlength=len(vm))).tolist()
@@ -639,7 +559,7 @@ def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float
     case = pf_case(grid, op, load_pf)
     setpoints = case.gen_p
     non_slack = net.gen_bus != net.slack
-    adjustable = np.flatnonzero(non_slack & (setpoints > ZERO_DISPATCH))
+    adjustable = np.flatnonzero(non_slack)
     p_min = net.gen_p_min[adjustable].tolist()
     p_max = net.gen_p_max[adjustable].tolist()
     # project onto the capability box up front

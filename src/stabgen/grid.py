@@ -140,6 +140,13 @@ class GridModel:
             if key in seen_groups:
                 raise GridError(f"more than one {g.tech} group at bus {g.bus}")
             seen_groups.add(key)
+        # the power flow holds a non-slack bus's voltage exactly when it hosts
+        # a group, so a declared kind that says otherwise would do nothing
+        hosts = {g.bus for g in self.gen_groups}
+        for b in self.buses:
+            if b.kind != SLACK and (b.kind == PV) != (b.id in hosts):
+                raise GridError(f"bus {b.id}: declared {b.kind}, but a non-slack bus "
+                                "is PV exactly when it hosts a generation group")
         load_buses = set()
         for ld in self.loads:
             if ld.bus not in known:
@@ -206,8 +213,12 @@ class GridModel:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A grid as arrays in bus, line and group order, shared by every power
-    flow and linearization on that grid."""
+    """A grid as read-only arrays in bus, line and group order, shared by
+    every power flow, constraint check and linearization on that grid.
+
+    Every group is dispatched: a non-slack bus that hosts a group is PV, and
+    a bus's groups share its reactive injection by ``gen_q_max``, the slack
+    bus's groups its active injection by ``gen_p_max``."""
 
     ybus: np.ndarray           # complex bus admittance matrix, pu
     slack: int                 # slack bus index
@@ -223,10 +234,31 @@ class Network:
     gen_q_max: np.ndarray
     load_bus: np.ndarray       # bus index per load
     base_mva: float
-    # the power flow's terms of each mask of dispatched groups or of PV
-    # buses, keyed by the mask, and the constraint checks' terms under
-    # "checks"; each built on first use
+    is_pv: np.ndarray          # per bus: not the slack and hosts a group
+    bus_q_min: np.ndarray      # summed reactive limits of each bus's groups, pu
+    bus_q_max: np.ndarray
+    q_share: np.ndarray        # per group: its share of its bus's Q
+    at_slack: np.ndarray       # per group: at the slack bus
+    p_share: np.ndarray        # per group at_slack: its share of the slack bus's P
+    # the constraint checks' limits, and their ids in check order with
+    # whether the violation total scales each by the base
+    bus_v_min: np.ndarray
+    bus_v_max: np.ndarray
+    line_s_max: np.ndarray     # MVA
+    gen_cos_phi: np.ndarray
+    check_ids: tuple[str, ...]
+    check_scaled: np.ndarray
+    # the Newton unknowns of each PV mask, keyed by the mask, each built on
+    # first use
     by_mask: dict = field(default_factory=dict, repr=False)
+
+
+def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
+    """Each group's share of ``weight`` among the groups at its bus; equal
+    shares at a bus whose total weight is not positive."""
+    total = np.bincount(bus, weight, n)[bus]
+    count = np.bincount(bus, minlength=n)[bus]
+    return np.divide(weight, total, out=1.0 / count, where=total > 0)
 
 
 def build_admittance(grid: GridModel) -> np.ndarray:
@@ -254,26 +286,57 @@ def compile_network(grid: GridModel) -> Network:
     ``build_admittance``."""
     idx = grid.bus_index
     groups = grid.gen_groups
+    n = len(grid.buses)
+    base = grid.base_mva
 
     def col(values, dtype=float):
         return np.array(list(values), dtype=dtype)
 
-    return Network(
+    slack = idx[grid.slack_bus.id]
+    gen_bus = col((idx[g.bus] for g in groups), int)
+    gen_p_max = col(g.p_max for g in groups)
+    gen_q_min = col(g.q_min for g in groups)
+    gen_q_max = col(g.q_max for g in groups)
+    is_pv = np.bincount(gen_bus, minlength=n) > 0
+    is_pv[slack] = False
+    at_slack = gen_bus == slack
+    check_ids = tuple([f"v_{b.id}" for b in grid.buses]
+                      + [f"line_{ln.from_bus}_{ln.to_bus}" for ln in grid.lines]
+                      + [f"{kind}_{g.name}" for g in groups
+                         for kind in ("pmin", "pmax", "qmin", "qmax", "pf")])
+    net = Network(
         ybus=build_admittance(grid),
-        slack=idx[grid.slack_bus.id],
+        slack=slack,
         bus_ids=tuple(b.id for b in grid.buses),
         line_from=col((idx[ln.from_bus] for ln in grid.lines), int),
         line_to=col((idx[ln.to_bus] for ln in grid.lines), int),
         line_y_series=col((1.0 / complex(ln.r, ln.x) for ln in grid.lines), complex),
         line_y_shunt=col((0.5j * ln.b for ln in grid.lines), complex),
-        gen_bus=col((idx[g.bus] for g in groups), int),
+        gen_bus=gen_bus,
         gen_p_min=col(g.p_min for g in groups),
-        gen_p_max=col(g.p_max for g in groups),
-        gen_q_min=col(g.q_min for g in groups),
-        gen_q_max=col(g.q_max for g in groups),
+        gen_p_max=gen_p_max,
+        gen_q_min=gen_q_min,
+        gen_q_max=gen_q_max,
         load_bus=col((idx[ld.bus] for ld in grid.loads), int),
-        base_mva=grid.base_mva,
+        base_mva=base,
+        is_pv=is_pv,
+        bus_q_min=np.bincount(gen_bus, gen_q_min / base, n),
+        bus_q_max=np.bincount(gen_bus, gen_q_max / base, n),
+        q_share=_shares(gen_q_max, gen_bus, n),
+        at_slack=at_slack,
+        p_share=_shares(gen_p_max[at_slack], gen_bus[at_slack], n),
+        bus_v_min=col(b.v_min for b in grid.buses),
+        bus_v_max=col(b.v_max for b in grid.buses),
+        line_s_max=col(ln.s_max for ln in grid.lines),
+        gen_cos_phi=col(g.cos_phi for g in groups),
+        check_ids=check_ids,
+        check_scaled=col((cid.split("_")[0] in ("line", "pmin", "pmax", "qmin", "qmax")
+                          for cid in check_ids), bool),
     )
+    for a in vars(net).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return net
 
 
 def power_jacobian(ybus: np.ndarray, v: np.ndarray,

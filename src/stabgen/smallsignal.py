@@ -25,11 +25,12 @@ import numpy as np
 # by this module's name; the compiled network (GridModel.network) calls it.
 from .grid import (GridModel, SG as SG_TECH, build_admittance,  # noqa: F401
                    power_jacobian)
-from .feasibility import PowerFlowSolution, ZERO_DISPATCH
+from .feasibility import PowerFlowSolution
 from .space import OperatingPoint
 
 OMEGA_BASE = 2 * math.pi * 50.0
 EPS_MARGIN = 1e-6
+UNIT_MIN_MW = 1e-6  # a group at or below this dispatch has no dynamic unit
 
 KIND_SG = "SG"
 KIND_GFOR = "GFOR"
@@ -167,7 +168,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
     # dispatched generation without a dynamic unit pins the angle (infinite bus)
     modeled = {u.bus for u in units}
     static_buses = sorted({g.bus for g, p in zip(grid.gen_groups, solution.gen_p)
-                           if p > ZERO_DISPATCH and g.bus not in modeled})
+                           if p > UNIT_MIN_MW and g.bus not in modeled})
     follow_only = sorted({u.bus for u in units if u.kind == KIND_GFOL}
                          - set(forming_buses) - set(static_buses))
     a_buses = forming_buses + static_buses
@@ -325,11 +326,11 @@ def build_units(grid: GridModel, op: OperatingPoint,
     for g in grid.gen_groups:
         if g.tech == SG_TECH:
             p = op.var_values.get(f"P_SG_{g.bus}", 0.0)
-            if p > ZERO_DISPATCH:
+            if p > UNIT_MIN_MW:
                 units.append(DynUnit(KIND_SG, g.bus, sg_params, g.s_rated, p))
         else:
             p_total = op.var_values.get(f"P_IBR_{g.bus}", 0.0)
-            if p_total <= ZERO_DISPATCH:
+            if p_total <= UNIT_MIN_MW:
                 continue
             p_gfm = op.var_values.get(f"P_GFM_{g.bus}", 0.0)
             p_gfl = op.var_values.get(f"P_GFL_{g.bus}", p_total - p_gfm)

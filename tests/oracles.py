@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, ZERO_DISPATCH, ConstraintReport,
-                                 PowerFlowSolution, _dispatched, _solutions, _unknowns)
+from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, ConstraintReport, PowerFlowSolution,
+                                 _solutions, _unknowns)
 from stabgen.forest import Tree
 from stabgen.grid import SLACK, GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
@@ -52,7 +52,7 @@ def gauss_seidel_pf(grid: GridModel, op: OperatingPoint,
     """Gauss-Seidel power flow with the engine's bus-type conventions.
 
     Returns (v, theta, converged) with v/theta keyed by bus id.  PV buses
-    are generator buses with a dispatched group, held at the sampled
+    are the non-slack buses with a generation group, held at the sampled
     magnitude; summed group reactive limits trigger PV->PQ switching.
     """
     n = len(grid.buses)
@@ -69,13 +69,11 @@ def gauss_seidel_pf(grid: GridModel, op: OperatingPoint,
     q_lim = np.zeros((n, 2))
     has_gen = np.zeros(n, dtype=bool)
     for g in grid.gen_groups:
-        p = group_p.get(g.name, 0.0)
-        if p > 1e-6:
-            i = idx[g.bus]
-            p_gen[i] += p / base
-            q_lim[i, 0] += g.q_min / base
-            q_lim[i, 1] += g.q_max / base
-            has_gen[i] = True
+        i = idx[g.bus]
+        p_gen[i] += group_p.get(g.name, 0.0) / base
+        q_lim[i, 0] += g.q_min / base
+        q_lim[i, 1] += g.q_max / base
+        has_gen[i] = True
 
     p_load = np.zeros(n)
     q_load = np.zeros(n)
@@ -141,17 +139,17 @@ def newton_pf_one(grid: GridModel, case, gen_p: np.ndarray):
     per-solve loop that ``feasibility.solve_many`` runs in lock step.
 
     Unlike the oracles above it shares the engine's numerics (its Jacobian,
-    its mask terms and ``_solutions``), so that ``solve_many`` must match it
-    bit for bit, in every round of PV->PQ switching and in how a solve
-    breaks off (singular Jacobian, non-finite step, |V| <= 0.05)."""
+    its network's generation terms and ``_solutions``), so that
+    ``solve_many`` must match it bit for bit, in every round of PV->PQ
+    switching and in how a solve breaks off (singular Jacobian, non-finite
+    step, |V| <= 0.05)."""
     net = grid.network
     n = len(net.bus_ids)
     ybus = net.ybus
     q_load = case.q_load
-    terms = _dispatched(net, gen_p)
-    q_min, q_max = terms.q_min, terms.q_max
-    is_pv = terms.is_pv.copy()
-    p_spec = np.bincount(terms.bus, gen_p[terms.on] / net.base_mva, n) - case.p_load
+    q_min, q_max = net.bus_q_min, net.bus_q_max
+    is_pv = net.is_pv.copy()
+    p_spec = np.bincount(net.gen_bus, gen_p / net.base_mva, n) - case.p_load
     q_spec = -q_load
 
     x0 = np.concatenate([np.zeros(n), case.vm])
@@ -244,7 +242,7 @@ def check_constraints_loop(solution, grid: GridModel) -> ConstraintReport:
     reference of each row of ``feasibility.check_constraints_many``.
 
     Magnitudes are reported in pu (voltages), MVA (line overloads) and MW /
-    MVAr / power-factor units (group checks).  Offline groups are skipped.
+    MVAr / power-factor units (group checks).
     """
     tol = 1e-6
     viols: list[tuple[str, float]] = []
@@ -267,8 +265,6 @@ def check_constraints_loop(solution, grid: GridModel) -> ConstraintReport:
         if s > ln.s_max + tol:
             viols.append((f"line_{ln.from_bus}_{ln.to_bus}", s - ln.s_max))
     for g, p, q in zip(grid.gen_groups, solution.gen_p.tolist(), solution.gen_q.tolist()):
-        if p <= ZERO_DISPATCH:
-            continue
         if p < g.p_min - 1e-6:
             viols.append((f"pmin_{g.name}", g.p_min - p))
         if p > g.p_max + 1e-6:

@@ -162,6 +162,25 @@ def test_split_dim_absent_from_grid_rejected(tmp_path):
     assert (out_dir / "dataset.csv").exists()
 
 
+def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path):
+    grid = tmp_path / "grid"
+    export_tables(GridModel(
+        buses=(Bus(1, SLACK, 0.95, 1.05), Bus(2, PV, 0.95, 1.05),
+               Bus(3, PQ, 0.95, 1.05)),
+        lines=(Line(1, 2, 0.01, 0.10, 0.02, 300.0), Line(2, 3, 0.01, 0.10, 0.02, 300.0)),
+        gen_groups=(GenGroup(1, SG, 300.0, 0.95), GenGroup(2, SG, 200.0, 0.95)),
+        loads=(Load(3, 1.0),)), grid)
+    buses = grid / "buses.csv"
+    buses.write_text(buses.read_text().replace("3,PQ", "3,PV"))  # bus 3 hosts no group
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, f"grid={grid}\nn_samples=8\nn_cases=1\nmax_depth=0\n",
+                     out_dir=str(out_dir))
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+    assert main(["scan", "--grid", str(grid), "--component", "GFOR_2",
+                 "--fmin", "1", "--fmax", "10"]) == 2
+
+
 def test_fixed_split_dims_accepts_control_names(tmp_path):
     # checked against the final control_params, whichever line comes first
     cfg = parse_config(_write_cfg(tmp_path, "fixed_split_dims=V_anchor,k_p\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
                                  INFEASIBLE, PF_MAX_ITER, PF_TOL, PowerFlowSolution,
-                                 ZERO_DISPATCH, _trial_totals, adjust_many,
+                                 _trial_totals, adjust_many,
                                  adjust_to_feasible, check_constraints,
                                  check_constraints_many, classify, pf_case, solve_many,
                                  solve_pf)
@@ -126,15 +126,13 @@ def test_pv_to_pq_switching_respects_q_limits():
 @pytest.mark.parametrize("p_sg, p_ibr, load, kind", [
     (150.0, 100.0, 240.0, "plain"),
     (250.0, 150.0, 390.0, "switched"),   # the IBR bus ends at its Q limit
-    (150.0, 0.0, 145.0, "offline"),      # the IBR group is not dispatched
     (300.0, 200.0, 2000.0, "diverged"),  # stops with |V| <= 0.05 after a step
 ])
 def test_solution_reports_convergence_and_its_pv_mask(p_sg, p_ibr, load, kind):
     grid = fixture_3bus()
     sol = solve_pf(grid, pf_case(grid, _op_3bus(p_sg, p_ibr, load)))
     assert sol.converged == (kind != "diverged")
-    start = np.array([False, p_ibr > ZERO_DISPATCH, False])
-    assert np.array_equal(sol.pv, start) == (kind != "switched")
+    assert np.array_equal(sol.pv, grid.network.is_pv) == (kind != "switched")
 
 
 # -- constraint checks --------------------------------------------------------
@@ -165,7 +163,7 @@ def test_voltage_violation_magnitude():
 
 def test_power_factor_violation_magnitude():
     grid = fixture_3bus()
-    sol = _flat_solution(grid, 1.0, {"SG_1": 10.0, "IBR_2": 0.0},
+    sol = _flat_solution(grid, 1.0, {"SG_1": 10.0, "IBR_2": 100.0},
                          {"SG_1": 20.0, "IBR_2": 0.0})
     rep = check_constraints(sol, grid)
     pf = 10.0 / math.hypot(10.0, 20.0)
@@ -174,13 +172,16 @@ def test_power_factor_violation_magnitude():
     assert viols["pf_SG_1"] == pytest.approx(0.95 - pf, abs=1e-9)
 
 
-def test_offline_group_skipped():
+@pytest.mark.parametrize("p_sg", [-5.0, 0.0])
+def test_group_at_or_below_zero_is_checked(p_sg):
+    # a slack group solved at or below 0 MW is short of p_min by all of it
     grid = fixture_3bus()
-    # IBR offline: neither its pmin nor its pf should be flagged
-    sol = _flat_solution(grid, 1.0, {"SG_1": 150.0, "IBR_2": 0.0},
-                         {"SG_1": 10.0, "IBR_2": 50.0})
-    rep = check_constraints(sol, grid)
-    assert not any("IBR_2" in cid for cid, _ in rep.violations)
+    sg = grid.gen_groups[0]
+    sol = _flat_solution(grid, 1.0, {"SG_1": p_sg, "IBR_2": 100.0},
+                         {"SG_1": 10.0, "IBR_2": 0.0})
+    viols = dict(check_constraints(sol, grid).violations)
+    assert viols["pmin_SG_1"] == pytest.approx(sg.p_min - p_sg)
+    assert viols["pf_SG_1"] == pytest.approx(sg.cos_phi - p_sg / math.hypot(p_sg, 10.0))
 
 
 def test_line_overload_magnitude():
@@ -319,7 +320,7 @@ def test_check_constraints_order_and_kinds(fixture):
     seen = set()
     for _ in range(300):
         gen_p = rng.uniform(0.5 * net.gen_p_min, 1.2 * net.gen_p_max)
-        gen_p[rng.random(m) < 0.2] = 0.0  # some groups offline
+        gen_p[rng.random(m) < 0.2] = 0.0  # some groups at 0 MW
         sol = PowerFlowSolution(
             vm=rng.uniform(0.9, 1.1, n), va=rng.uniform(-0.3, 0.3, n),
             gen_p=gen_p, gen_q=rng.uniform(1.5 * net.gen_q_min, 1.5 * net.gen_q_max),
@@ -351,7 +352,7 @@ def _bits(violations):
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24))
 def test_check_constraints_many_matches_the_loop(fixture, seed, rows):
     # Random dispatches and voltages, a quarter of the line ratings (overloads),
-    # some groups offline; the first group of the last row at HYPOT_SPLIT.
+    # some groups at 0 MW; the first group of the last row at HYPOT_SPLIT.
     base = fixture()
     grid = replace(base, lines=tuple(replace(ln, s_max=ln.s_max / 4)
                                      for ln in base.lines))
@@ -429,11 +430,9 @@ def _mask_mismatch(grid, case, gen_p, sol):
     """Largest P/Q mismatch of ``sol`` on the equations of its own PV mask."""
     net = grid.network
     n, base = len(net.bus_ids), net.base_mva
-    on = gen_p > ZERO_DISPATCH
-    bus_on = net.gen_bus[on]
-    p_spec = np.bincount(bus_on, gen_p[on] / base, n) - case.p_load
-    q_low = np.bincount(bus_on, net.gen_q_min[on] / base, n) - case.q_load
-    q_high = np.bincount(bus_on, net.gen_q_max[on] / base, n) - case.q_load
+    p_spec = np.bincount(net.gen_bus, gen_p / base, n) - case.p_load
+    q_low = np.bincount(net.gen_bus, net.gen_q_min / base, n) - case.q_load
+    q_high = np.bincount(net.gen_bus, net.gen_q_max / base, n) - case.q_load
     v = sol.vm * np.exp(1j * sol.va)
     s = v * np.conj(net.ybus @ v)
     not_slack = np.arange(n) != net.slack
@@ -459,7 +458,7 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
     for op in hierarchical_sample(root, n_samples, n_cases, grid, seed=5):
         case = pf_case(grid, op)
         adjustable = [i for i, g in enumerate(grid.gen_groups)
-                      if g.bus != grid.slack_bus.id and case.gen_p[i] > ZERO_DISPATCH]
+                      if g.bus != grid.slack_bus.id]
         p = case.gen_p.copy()
         p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
                                 net.gen_p_max[adjustable])
@@ -467,9 +466,7 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
         if not sol.converged:
             continue
         assert _mask_mismatch(grid, case, p, sol) < PF_TOL
-        start = np.isin(np.arange(len(net.bus_ids)), net.gen_bus[p > ZERO_DISPATCH])
-        start[net.slack] = False
-        switched += not np.array_equal(sol.pv, start)
+        switched += not np.array_equal(sol.pv, net.is_pv)
         rep = check_constraints(sol, grid)
         if rep.clean:
             continue
@@ -490,22 +487,17 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
 
 
 def _trial_pool(grid, seed):
-    """Converged solutions of clipped root set points, some with one
-    adjustable group offline (another PV mask), as ``(sol, p, adjustable)``."""
+    """Converged solutions of clipped root set points, their PV masks mixed
+    by PV->PQ switching, as ``(sol, p, adjustable)``."""
     net = grid.network
     root = build_space(grid, CONTROL).root_cell()
-    rng = np.random.default_rng(seed)
+    adjustable = (net.gen_bus != net.slack).nonzero()[0].tolist()
     pool = []
     for op in hierarchical_sample(root, 24, 1, grid, seed=seed):
         case = pf_case(grid, op)
         p = case.gen_p.copy()
-        adjustable = [i for i in range(len(p))
-                      if net.gen_bus[i] != net.slack and p[i] > ZERO_DISPATCH]
         p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
                                 net.gen_p_max[adjustable])
-        if len(adjustable) > 1 and rng.random() < 0.3:
-            off = adjustable.pop(int(rng.integers(len(adjustable))))
-            p[off] = 0.0
         sol = solve_pf(grid, case, p)
         if sol.converged:
             pool.append((sol, p, adjustable))
@@ -514,9 +506,8 @@ def _trial_pool(grid, seed):
 
 @pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
 def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
-    # A stack of trial requests with mixed PV masks and trial counts, some trials
-    # stepping a group to 0 MW (offline: another mask of dispatched groups), and
-    # one request whose Jacobian is singular: only that request breaks off, and
+    # A stack of trial requests with mixed PV masks and trial counts, and one
+    # request whose Jacobian is singular: only that request breaks off, and
     # every other total equals the one-point oracle bit for bit.
     grid = fixture()
     net = grid.network
@@ -526,8 +517,7 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
         for _ in range(2):
             k = int(rng.integers(1, len(adjustable) + 1))
             groups = sorted(rng.choice(adjustable, k, replace=False).tolist())
-            steps = [0.0 if rng.random() < 0.2 else min(p[i] + 1.0, net.gen_p_max[i])
-                     for i in groups]
+            steps = [min(p[i] + 1.0, net.gen_p_max[i]) for i in groups]
             requests.append((sol, p, groups, steps))
     # a copy of a request marked by a slack angle, whose Jacobian gets zeroed
     sol, p, groups, steps = requests[0]
@@ -545,7 +535,6 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
     monkeypatch.setattr(feasibility, "power_jacobian", zeroing)
     totals = _trial_totals(grid, requests)
     assert totals[singular] is None
-    offline = 0
     for r, (sol, p, groups, steps) in enumerate(requests):
         if r == singular:
             continue
@@ -553,8 +542,6 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
         expected = [violation_total(check_constraints_loop(t, grid), grid.base_mva)
                     for t in trials]
         assert [float.hex(t) for t in totals[r]] == [float.hex(t) for t in expected]
-        offline += any(t.gen_q[i] == 0.0 for t, i in zip(trials, groups))
-    assert offline  # some trial took its group offline
     assert len({sol.pv.tobytes() for sol, *_ in requests}) > 1
     if fixture is fixture_9bus:
         assert len({len(groups) for _, _, groups, _ in requests}) > 1
@@ -638,11 +625,9 @@ def test_solve_many_pool_breaks_off_every_way(pf_pool):
         sols = solve_many(grid, pool, [case.gen_p for case in pool])
     *sampled, diverged, singular = sols
     switched = 0
-    for case, sol in zip(pool, sampled):
+    for sol in sampled:
         assert sol.converged
-        start = np.isin(np.arange(len(net.bus_ids)), net.gen_bus[case.gen_p > ZERO_DISPATCH])
-        start[net.slack] = False
-        switched += not np.array_equal(sol.pv, start)
+        switched += not np.array_equal(sol.pv, net.is_pv)
     assert switched  # some row took a second PV->PQ round
     assert not diverged.converged and 1 < diverged.iterations < PF_MAX_ITER
     assert not singular.converged and singular.iterations == 1
@@ -650,7 +635,7 @@ def test_solve_many_pool_breaks_off_every_way(pf_pool):
 
 @st.composite
 def _pf_batches(draw, grid, pool):
-    """Rows of the pool with random dispatches (some groups offline), and the
+    """Rows of the pool with random dispatches (some groups at 0 MW), and the
     pool's two break-off rows at random places in the batch."""
     m = len(grid.gen_groups)
     scale = st.one_of(st.just(0.0), st.floats(0.2, 1.6))
@@ -708,6 +693,29 @@ def test_adjust_many_matches_one_repair_at_a_time(repair_pool, data):
                            [items[i][1] for i in picks])
     for i, result in zip(picks, together):
         assert _repair_bits(result) == _repair_bits(alone[i])
+
+
+@pytest.mark.parametrize("fixture, n_samples", [(fixture_3bus, 40), (fixture_9bus, 12)])
+def test_repairs_hand_the_power_flow_only_dispatches_in_the_boxes(fixture, n_samples,
+                                                                   monkeypatch):
+    # Every group is dispatched: a repair of sampled points solves set points
+    # inside each group's [p_min, p_max] only, the slack group's included.
+    grid = fixture()
+    net = grid.network
+    root = build_space(grid, CONTROL).root_cell()
+    real = feasibility.solve_many
+    handed = []
+
+    def spying(grid, cases, gen_ps):
+        handed.extend(gen_ps)
+        return real(grid, cases, gen_ps)
+
+    monkeypatch.setattr(feasibility, "solve_many", spying)
+    ops = list(hierarchical_sample(root, n_samples, 1, grid, seed=5))
+    adjust_many(grid, ops, [root] * len(ops))
+    p = np.array(handed)
+    assert len(p) > len(ops)  # some repair took a step
+    assert ((net.gen_p_min <= p) & (p <= net.gen_p_max)).all()
 
 
 def test_adjust_many_keeps_its_repairs_in_phase(repair_pool, monkeypatch):

@@ -50,6 +50,24 @@ def test_grid_requires_single_slack():
                   (GenGroup(1, "SG", 100.0, 0.95),), (Load(2, 1.0),))
 
 
+@pytest.mark.parametrize("kind_2, kind_3, bad", [
+    ("PQ", "PQ", 2),  # bus 2 hosts a group, so the power flow makes it PV
+    ("PV", "PV", 3),  # bus 3 hosts none, so the power flow makes it PQ
+])
+def test_grid_rejects_a_bus_kind_the_power_flow_ignores(kind_2, kind_3, bad):
+    lines = (Line(1, 2, 0.01, 0.1, 0.0, 100.0), Line(2, 3, 0.01, 0.1, 0.0, 100.0))
+    groups = (GenGroup(1, "SG", 100.0, 0.95), GenGroup(2, "IBR", 100.0, 0.95))
+
+    def grid(kind_2, kind_3):
+        buses = (Bus(1, "Slack", 0.95, 1.05), Bus(2, kind_2, 0.95, 1.05),
+                 Bus(3, kind_3, 0.95, 1.05))
+        return GridModel(buses, lines, groups, (Load(3, 1.0),))
+
+    with pytest.raises(GridError, match=f"bus {bad}: declared"):
+        grid(kind_2, kind_3)
+    grid("PV", "PQ")
+
+
 def test_grid_rejects_disconnected():
     buses = (Bus(1, "Slack", 0.95, 1.05), Bus(2, "PQ", 0.95, 1.05),
              Bus(3, "PQ", 0.95, 1.05))
