@@ -7,4 +7,4 @@ reduced-order linearized model, and steers the exploration with
 stability-entropy and random-forest sensitivity.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -11,11 +11,12 @@ Example::
 
 ``workers``, the number of forked assessment processes, can be overridden
 with the STABGEN_WORKERS environment variable.  Each ``control_params``
-name must be a field of ``GforParams`` and/or ``GfolParams``; each
-``fixed_split_dims`` name must be one of ``SPLIT_DIM_NAMES`` or a
-``control_params`` name (whether the grid has that dimension is checked by
-``generate`` once the space is built).  Unknown keys, bad values and
-out-of-range settings raise ConfigError at parse time.
+name must be a field of ``GforParams`` and/or ``GfolParams``, given once;
+``fixed_split_dims`` must list at least one name, each once, and each one
+of ``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
+that dimension is checked by ``generate`` once the space is built).
+Unknown keys, bad values and out-of-range settings raise ConfigError at
+parse time.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def _parse_control(value: str) -> tuple[tuple[str, float, float], ...]:
                               f"GforParams or GfolParams")
         if not 0 < lo < hi:  # every converter parameter must be positive
             raise ConfigError(f"control parameter {name!r} needs 0 < lo < hi")
+        if any(name == seen for seen, _, _ in out):
+            raise ConfigError(f"control parameter {name!r} is given twice")
         out.append((name, lo, hi))
     return tuple(out)
 
@@ -143,6 +146,10 @@ def parse_config(path: str | Path) -> RunConfig:
     unknown = [d for d in e.fixed_split_dims if d not in split_names]
     if unknown:
         raise ConfigError(f"{p}: fixed_split_dims names no dimension: {', '.join(unknown)}")
+    if not e.fixed_split_dims:
+        raise ConfigError(f"{p}: fixed_split_dims lists no dimension")
+    if len(set(e.fixed_split_dims)) < len(e.fixed_split_dims):
+        raise ConfigError(f"{p}: fixed_split_dims names a dimension twice")
     return cfg
 
 

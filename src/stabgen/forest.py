@@ -6,19 +6,21 @@ rank the operating-space dimensions for split selection; stratified k-fold
 accuracy quantifies dataset quality.  Fully deterministic for a fixed
 (data, hyperparameters, seed).
 
-Each tree sorts its bootstrap sample once per feature and grows from those
-presorted rows: a split partitions them stably, and every candidate
-feature of a node is scored in one array pass.  A split side with ``k``
-rows and ``o`` ones adds ``k * gini(o / k)`` to the gain; for sides of at
-most ``SIDE_CAP`` rows that value comes from a table built, on first need,
-with the node's own expression, so every gain keeps its bits.  A tree is
-stored as flat node arrays; a forest votes by stepping every (tree, row)
-pair down its trees' stacked arrays at once.  The random stream is a contract:
-per tree one ``integers(0, n, n)`` bootstrap, then one
-``choice(d, n_sub, replace=False)`` per splittable node, depth-first and
-left-first.  Together with the 1e-12 gain floor, the first strict maximum
-over ascending features, midpoint thresholds and partitions by value, it
-fixes every split, so output bytes do not depend on how a tree is grown.
+The random stream is a contract in which no tree's draws depend on another
+tree's shape.  One ``integers(0, n, (n_trees, n))`` draw gives every
+bootstrap.  Then each level draws ``random((nodes, d))``, a key per feature
+for each of its splittable nodes in (tree, left-to-right) order; a node's
+candidates are its ``n_sub`` lowest-key features, ascending.  A split takes
+the first maximum of the Gini gain in (feature, position) order if it
+exceeds 1e-12, puts its threshold midway between the two values and
+partitions by value.  A tree adds its gains level by level, left to right.
+
+So all trees grow breadth-first in lock step: a level scores every
+splittable node of every tree in a few array passes, in chunks of at most
+``LEVEL_ROWS`` rows.  Its keys are drawn before it is chunked, so the
+chunking never moves a byte.  Trees are flat node arrays in the order their
+nodes are made; a forest votes by stepping every (tree, row) pair down its
+trees' stacked arrays at once.
 """
 
 from __future__ import annotations
@@ -27,14 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Sides of at most this many rows take their impurity term from the table
-# (33 152 entries, 265 kB at the cap); larger sides, near the roots of big
-# forests only, compute it.
-SIDE_CAP = 256
-
-# k * gini(o / k) at [k * (k + 1) // 2 - 1 + o] for 1 <= k and 0 <= o <= k,
-# grown on demand up to SIDE_CAP rows per side, never at import.
-_sides = np.empty(0)
+# Rows scored in one pass of a level, summed over its nodes; a larger node
+# is scored alone.  It bounds the working set and never changes a result.
+LEVEL_ROWS = 2048
 
 
 class SensitivityUnavailableError(ValueError):
@@ -71,104 +68,151 @@ class Tree:
     depth: int                 # deepest node's level
 
 
-def _side_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The side impurity table, grown to cover sides of ``size`` rows, and
-    where side k's row of it begins for k <= size (index 0 is unused)."""
-    global _sides
-    start = np.arange(size + 1) * np.arange(1, size + 2) // 2 - 1
-    if len(_sides) < size * (size + 3) // 2:
-        # Row by row, so that no temporary outgrows a row.
-        table = np.empty(size * (size + 3) // 2)
-        for k in range(1, size + 1):
-            p = np.arange(k + 1) / k
-            table[start[k]:start[k] + k + 1] = k * (1.0 - p ** 2 - (1.0 - p) ** 2)
-        _sides = table
-    return _sides, start
+def _side(k, ones):
+    """``k * gini(ones / k)``: a split side's impurity term, elementwise."""
+    p = ones / k
+    return k * (1.0 - p ** 2 - (1.0 - p) ** 2)
 
 
-def _grow_tree(xt: np.ndarray, y: np.ndarray, max_depth: int, n_sub: int,
-               importances: np.ndarray, rng: np.random.Generator,
-               sides: np.ndarray, start: np.ndarray) -> Tree:
-    """Grow one tree on a bootstrap sample, depth-first and left-first.
+def _best_splits(rows, m, ones, cand, code, vals):
+    """The nodes of one chunk of a level that split, and their splits.
 
-    ``xt`` holds the sample's feature columns as rows, (d, n).  ``sides``
-    and ``start`` are ``_side_table``'s, for sides of fewer than
-    ``len(start)`` rows.
-
-    ``rows[j]`` lists a node's rows in ascending order of feature j, ties in
-    row order: the order a stable argsort of that node's values gives.  A
-    split partitions every such list stably, so no node sorts again.  Each
-    splittable node draws its candidate features when it leaves the stack,
-    and the left child is popped first, so the draws come in the order of
-    a recursive depth-first, left-first growth.
+    ``rows`` holds the nodes' rows, node after node; ``m``, ``ones`` and
+    ``cand`` are each node's row count, count of ones and candidates.
+    ``vals[f]`` holds feature ``f``'s distinct values, ascending, and
+    ``code[f * n + r]`` is twice the index of row ``r``'s value in it plus
+    the row's label.  Returns the splitting nodes, their gains, features,
+    thresholds and highest value indices that go left.
     """
-    d, n = xt.shape
-    sizes = np.arange(n + 1)
-    ones = int(y.sum())
-    # One [feature, threshold, left, right, prediction] per node; a node is
-    # made a leaf and becomes a split when its turn in the stack comes.
-    nodes = [[-1, 0.0, 0, 0, int(2 * ones > n)]]
-    deepest = 0
-    stack = [(0, np.argsort(xt, axis=1, kind="stable"), ones, 0)]
-    while stack:
-        i, rows, ones, depth = stack.pop()
-        m = rows.shape[1]
-        if depth >= max_depth or ones == 0 or ones == m:
-            continue
-        fs = rng.choice(d, size=n_sub, replace=False)
-        fs.sort()
-        cand = rows[fs]
-        xs = xt[fs[:, None], cand]
-        cum = y[cand].cumsum(axis=1)
-        ones_left = cum[:, :-1]
-        p0 = (m - ones) / m
-        p1 = ones / m
-        parent = 1.0 - (p0 * p0 + p1 * p1)
-        if m <= len(start):
-            # Left sides of 1 .. m-1 rows, right sides of m-1 .. 1.
-            impurity = sides[start[1:m] + ones_left]
-            impurity += sides[start[m - 1:0:-1] + ones - ones_left]
-        else:
-            n_left = sizes[1:m]                # 1 .. m-1
-            n_right = sizes[m - 1:0:-1]        # m-1 .. 1
-            p1l = ones_left / n_left
-            p1r = (ones - ones_left) / n_right
-            impurity = n_left * (1.0 - p1l ** 2 - (1.0 - p1l) ** 2)
-            impurity += n_right * (1.0 - p1r ** 2 - (1.0 - p1r) ** 2)
-        impurity /= m
-        gain = np.subtract(parent, impurity, out=impurity)
-        gain[xs[:, 1:] == xs[:, :-1]] = -1.0
-        # The first maximum in (feature, position) order: features ascend.
-        c, k = divmod(int(gain.argmax()), m - 1)
-        best = float(gain[c, k])
-        if not best > 1e-12:
-            continue
-        f = int(fs[c])
-        thr = float(0.5 * (xs[c, k] + xs[c, k + 1]))
-        importances[f] += best * m / n
-        # Partition by value: the midpoint of adjacent floats can round up
-        # to xs[c, k + 1], which then goes left with every row equal to it.
-        if thr < xs[c, k + 1]:
-            m_left = k + 1
-        else:
-            m_left = int(xs[c].searchsorted(thr, side="right"))
-        ones_l = int(cum[c, m_left - 1])
-        j = len(nodes)
-        nodes[i][:4] = f, thr, j, j + 1
-        nodes.append([-1, 0.0, j, j, int(2 * ones_l > m_left)])
-        nodes.append([-1, 0.0, j + 1, j + 1,
-                      int(2 * (ones - ones_l) > m - m_left)])
-        deepest = max(deepest, depth + 1)
-        # A child that is a leaf by depth or purity needs no rows.
-        if depth + 1 < max_depth and (0 < ones_l < m_left
-                                      or 0 < ones - ones_l < m - m_left):
-            go_left = (xt[f] <= thr)[rows]
-            stack.append((j + 1, rows[~go_left].reshape(d, m - m_left),
-                          ones - ones_l, depth + 1))
-            stack.append((j, rows[go_left].reshape(d, m_left), ones_l,
-                          depth + 1))
-    feature, threshold, left, right, prediction = map(np.array, zip(*nodes))
-    return Tree(feature, threshold, left, right, prediction, deepest)
+    s, n_sub = cand.shape
+    n = vals.shape[1]
+    shift = n.bit_length() + 1
+    node = np.repeat(np.arange(s), m)
+    # Segment node * n_sub + c holds the node's rows sorted by their codes of
+    # candidate c; ties in any order, since no split falls inside a tie.
+    # Laid out (n_sub, rows), numpy's inner loops stay long.
+    key = (node * n_sub + np.arange(n_sub)[:, None]) << shift
+    key += code[cand.T[:, node] * n + rows]
+    key = key.ravel()
+    key.sort()
+    # A split falls after a segment's last row of each value but its largest.
+    step = key[1:] ^ key[:-1]
+    pos = np.flatnonzero((step > 1) & (step < 1 << shift))
+    del step
+    sg = key[pos] >> shift
+    size = np.repeat(m, n_sub)
+    first = np.cumsum(size) - size
+    cum = np.cumsum(key & 1)
+    ones_left = cum[pos] - (cum[first] - (key[first] & 1))[sg]
+    del cum
+    n_left = pos - first[sg] + 1
+    at = sg // n_sub
+    m_at = m[at]
+    impurity = _side(n_left, ones_left)
+    impurity += _side(m_at - n_left, ones[at] - ones_left)
+    del n_left, ones_left
+    impurity /= m_at
+    p0 = (m - ones) / m
+    p1 = ones / m
+    gain = np.subtract((1.0 - (p0 * p0 + p1 * p1))[at], impurity, out=impurity)
+    # The first maximum of each node in (feature, position) order; a node
+    # whose candidates each hold a single value has no position.
+    count = np.bincount(at, minlength=s)
+    node = np.flatnonzero(count)
+    start = (np.cumsum(count) - count)[node]
+    best = np.maximum.reduceat(gain, start)
+    hits = np.flatnonzero(gain == np.repeat(best, count[node]))
+    j = hits[np.searchsorted(hits, start)]
+    keep = best > 1e-12
+    node, best, j = node[keep], best[keep], j[keep]
+    f = cand[node, sg[j] % n_sub]
+    lo = key[pos[j]] >> 1 & (1 << shift - 1) - 1
+    hi = key[pos[j] + 1] >> 1 & (1 << shift - 1) - 1
+    thr = 0.5 * (vals[f, lo] + vals[f, hi])
+    # The midpoint of adjacent floats can round up to the upper value, whose
+    # rows then go left too.
+    return node, best, f, thr, np.where(thr < vals[f, hi], lo, hi)
+
+
+def _grow(y, n_trees, max_depth, code, vals, rng):
+    """Grow ``n_trees`` trees breadth-first in lock step; returns the trees
+    and each tree's importances before normalisation.  A level's nodes, and
+    the children their splits make, are in (tree, left-to-right) order."""
+    d, n = vals.shape
+    n_sub = max(1, int(round(np.sqrt(d))))
+    imp = np.zeros((n_trees, d))
+    tree = np.arange(n_trees)
+    m = np.full(n_trees, n)
+    rows = rng.integers(0, n, (n_trees, n)).ravel()
+    ones = y[rows].reshape(n_trees, n).sum(axis=1)
+    levels = []    # per level: tree, prediction, feature, threshold, first child
+    while len(m):
+        feature = np.full(len(m), -1)
+        threshold = np.zeros(len(m))
+        child = np.full(len(m), -1)
+        is_live = (0 < ones) & (ones < m) & (len(levels) < max_depth)
+        live = np.flatnonzero(is_live)
+        rows = rows[np.repeat(is_live, m)]
+        live_m, live_ones = m[live], ones[live]
+        keys = rng.random((len(live), d))
+        cand = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :n_sub], axis=1)
+        end = np.cumsum(live_m)
+        # The next level, chunk by chunk: split nodes and their children's
+        # sizes and ones.  The children's rows overwrite ``rows`` from its
+        # start, child after child, never past the chunk just scored.
+        nxt = [[live[:0]], [m[:0]], [m[:0]]]
+        made = filled = a = 0
+        while a < len(live):
+            begin = end[a] - live_m[a]
+            b = max(a + 1, int(np.searchsorted(end, begin + LEVEL_ROWS, "right")))
+            chunk = rows[begin:end[b - 1]]
+            node, gain, f, thr, cut = _best_splits(chunk, live_m[a:b], live_ones[a:b],
+                                                   cand[a:b], code, vals)
+            at = live[a + node]
+            feature[at], threshold[at] = f, thr
+            child[at] = np.arange(made, made + 2 * len(at), 2)
+            made += 2 * len(at)
+            np.add.at(imp, (tree[at], f), gain * m[at] / n)
+            # Each split node's rows, stably partitioned by value into its
+            # left and right child.
+            split = np.zeros(b - a, dtype=bool)
+            split[node] = True
+            part = chunk[np.repeat(split, live_m[a:b])]
+            c = code[np.repeat(f, m[at]) * n + part]
+            side = 2 * np.repeat(np.arange(len(at)), m[at]) + (c >> 1 > np.repeat(cut, m[at]))
+            nxt[0].append(at)
+            nxt[1].append(np.bincount(side, minlength=2 * len(at)))
+            nxt[2].append(np.bincount(side[(c & 1) == 1], minlength=2 * len(at)))
+            rows[filled:filled + len(part)] = part[np.argsort(side, kind="stable")]
+            filled += len(part)
+            a = b
+        levels.append((tree, (2 * ones > m).astype(int), feature, threshold, child))
+        at, m, ones = map(np.concatenate, nxt)
+        rows = rows[:filled]
+        tree = np.repeat(tree[at], 2)
+    return _trees(levels), imp
+
+
+def _trees(levels):
+    """Each tree's flat node arrays, its nodes in the order they were made."""
+    tree, prediction, feature, threshold, child = map(np.concatenate, zip(*levels))
+    sizes = [len(level[0]) for level in levels]
+    node = np.arange(len(tree))
+    # A level's first child indices count from the start of the next level.
+    first = child + np.repeat(np.cumsum(sizes), sizes)
+    left = np.where(child < 0, node, first)
+    right = left + (child >= 0)
+    depth = np.repeat(np.arange(len(levels)), sizes)
+    order = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree)
+    starts = np.cumsum(counts) - counts
+    local = np.empty_like(node)
+    local[order] = node - np.repeat(starts, counts)
+    deepest = np.maximum.reduceat(depth[order], starts)
+    fe, th, le, ri, pr = (feature[order], threshold[order], local[left[order]],
+                          local[right[order]], prediction[order])
+    return [Tree(fe[a:b], th[a:b], le[a:b], ri[a:b], pr[a:b], deep) for a, b, deep in
+            zip(starts.tolist(), (starts + counts).tolist(), deepest.tolist())]
 
 
 @dataclass
@@ -218,20 +262,16 @@ def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     n, d = x.shape
-    n_sub = max(1, int(round(np.sqrt(d))))
-    # A split side holds at most n - 1 of a bootstrap's n rows.
-    sides, start = _side_table(min(n - 1, SIDE_CAP))
-    xt = np.ascontiguousarray(x.T)
+    code = np.empty((d, n), dtype=np.intp)
+    vals = np.zeros((d, n))
+    for j in range(d):
+        distinct, rank = np.unique(x[:, j], return_inverse=True)
+        code[j] = 2 * rank + y
+        vals[j, :len(distinct)] = distinct
     rng = np.random.default_rng(seed)
-    trees: list[Tree] = []
-    raw = np.zeros(d)
-    for _ in range(n_trees):
-        boot = rng.integers(0, n, n)
-        imp = np.zeros(d)
-        trees.append(_grow_tree(xt[:, boot], y[boot], max_depth, n_sub, imp,
-                                rng, sides, start))
-        tot = imp.sum()
-        raw += imp / tot if tot > 0 else imp
+    trees, imp = _grow(y, n_trees, max_depth, code.ravel(), vals, rng)
+    tot = imp.sum(axis=1, keepdims=True)
+    raw = np.divide(imp, tot, out=imp, where=tot > 0).sum(axis=0)
     total = raw.sum()
     importances = raw / total if total > 0 else np.full(d, 1.0 / d)
     return ForestModel(trees, importances, list(data.feature_names), seed)

@@ -348,13 +348,14 @@ def tree_predict(tree: Tree, x: np.ndarray) -> np.ndarray:
 
 
 class ReferenceForest:
-    """Recursive CART forest: the package's forest, one node object at a time.
+    """Breadth-first CART forest: the package's forest, one node at a time.
 
-    The package grows each tree from presorted rows into flat arrays; this
-    is the straightforward form of the same algorithm (one stable argsort
-    per candidate feature per node, recursion depth-first and left-first),
-    so equal importance bytes and predictions show that the fast growth
-    keeps every split and every draw of the random generator.
+    The package grows all trees level by level in lock step from sorted
+    keys; this is the plain form of the same random contract: one draw of
+    every bootstrap, then per level one key draw for the level's splittable
+    nodes in (tree, left-to-right) order, each node scored by one stable
+    argsort per candidate feature.  Equal importance bytes and predictions
+    show that the lock-step growth keeps every split and every draw.
     """
 
     class Node:
@@ -369,20 +370,39 @@ class ReferenceForest:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=int)
         n, d = x.shape
-        self.max_depth = max_depth
-        self.n_sub = max(1, int(round(np.sqrt(d))))
+        n_sub = max(1, int(round(np.sqrt(d))))
         rng = np.random.default_rng(seed)
-        self.trees = []
+        boot = rng.integers(0, n, (n_trees, n))
+        imps = np.zeros((n_trees, d))
+        self.trees = [self._leaf(y[b]) for b in boot]
+        level = [(t, root, b) for t, (root, b) in enumerate(zip(self.trees, boot))]
+        for _ in range(max_depth):
+            level = [(t, nd, idx) for t, nd, idx in level
+                     if 0 < y[idx].sum() < len(idx)]
+            keys = rng.random((len(level), d))
+            nxt = []
+            for (t, nd, idx), key in zip(level, keys):
+                features = np.sort(np.argsort(key, kind="stable")[:n_sub])
+                best = self._best_split(x[idx], y[idx], features)
+                if best is None:
+                    continue
+                f, thr, gain = best
+                imps[t, f] += gain * len(idx) / n
+                mask = x[idx, f] <= thr
+                nd.feature, nd.threshold = f, thr
+                nd.left, nd.right = self._leaf(y[idx[mask]]), self._leaf(y[idx[~mask]])
+                nxt += [(t, nd.left, idx[mask]), (t, nd.right, idx[~mask])]
+            level = nxt
         raw = np.zeros(d)
-        for _ in range(n_trees):
-            boot = rng.integers(0, n, n)
-            imp = np.zeros(d)
-            self.trees.append(self._grow(x[boot], y[boot], np.arange(n), 0,
-                                         n, imp, rng))
+        for imp in imps:
             tot = imp.sum()
             raw += imp / tot if tot > 0 else imp
         total = raw.sum()
         self.importances = raw / total if total > 0 else np.full(d, 1.0 / d)
+
+    @classmethod
+    def _leaf(cls, y):
+        return cls.Node(int(np.argmax(np.bincount(y, minlength=2))))
 
     @staticmethod
     def _gini(counts):
@@ -420,24 +440,6 @@ class ReferenceForest:
                 best_gain = float(gain[k])
                 best = (int(f), float(0.5 * (xs[k] + xs[k + 1])), best_gain)
         return best
-
-    def _grow(self, x, y, idx, depth, n_total, importances, rng):
-        counts = np.bincount(y[idx], minlength=2)
-        node = self.Node(int(np.argmax(counts)))
-        if depth >= self.max_depth or counts.min() == 0 or len(idx) < 2:
-            return node
-        features = np.sort(rng.choice(x.shape[1], size=self.n_sub, replace=False))
-        best = self._best_split(x[idx], y[idx], features)
-        if best is None:
-            return node
-        f, thr, gain = best
-        importances[f] += gain * len(idx) / n_total
-        mask = x[idx, f] <= thr
-        node.feature = f
-        node.threshold = thr
-        node.left = self._grow(x, y, idx[mask], depth + 1, n_total, importances, rng)
-        node.right = self._grow(x, y, idx[~mask], depth + 1, n_total, importances, rng)
-        return node
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -105,7 +105,10 @@ def test_workers_env_override(tmp_path, monkeypatch):
     ("control_params=tau_u:0.5:0.5\n", None),
     ("control_params=tau_u:-1.0:1.0\n", None),    # converter params are > 0
     ("control_params=gain:0.1:1.0\n", None),      # no such controller field
+    ("control_params=tau_u:0.01:1.0;tau_u:0.1:0.5\n", None),  # one name twice
     ("fixed_split_dims=P_SGG\n", None),           # no such dimension
+    ("fixed_split_dims=P_SG,P_SG\n", None),       # would bisect P_SG twice per level
+    ("fixed_split_dims=\n", None),                # nothing to split
     ("forest_trees=0\n", None),
     ("forest_depth=0\n", None),
     ("split_dims_per_node=0\n", None),
@@ -341,12 +344,3 @@ def test_cli_import_starts_no_pool_machinery():
     probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
              "('multiprocessing', 'concurrent.futures')))")
     assert _probe(probe) == ["[]"]
-
-
-def test_cli_import_builds_no_impurity_table():
-    # Nor may it build the forest's side impurity table: the first
-    # train_forest call does, which the second line shows the probe sees.
-    probe = ("import stabgen.cli, stabgen.forest as f; print(f._sides.size); "
-             "f.train_forest(f.LabeledDataset([[0.0], [1.0], [2.0]], [0, 1, 1]), 1); "
-             "print(f._sides.size)")
-    assert _probe(probe) == ["0", "5"]

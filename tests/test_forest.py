@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabgen import forest
-from stabgen.forest import (SIDE_CAP, LabeledDataset, SensitivityUnavailableError,
+from stabgen.forest import (LabeledDataset, SensitivityUnavailableError,
                             feature_importance, kfold_accuracy, train_forest)
 
 from oracles import ReferenceForest, reference_kfold, tree_predict
@@ -79,28 +79,19 @@ def test_stacked_vote_equals_per_tree_votes():
     assert np.array_equal(model.predict(probe), (per_tree * 2 > 25).astype(int))
 
 
-def test_side_table_equals_the_node_expression():
-    # Every gain keeps its bits only if each entry is the very expression a
-    # node evaluates for a side of k rows with o ones.
-    table, _ = forest._side_table(SIDE_CAP)
-    want = []
-    for k in range(1, SIDE_CAP + 1):
-        n_side = np.full(k + 1, k)
-        p = np.arange(k + 1) / n_side
-        want.append(n_side * (1.0 - p ** 2 - (1.0 - p) ** 2))
-    assert table.tobytes() == np.concatenate(want).tobytes()
-
-
-def test_sides_above_the_cap_match_reference():
-    # A root of 330 rows has sides longer than the table; its children's
-    # sides come from the table.
+def test_forest_is_equal_at_any_row_limit(monkeypatch):
+    # 330 rows: at the default limit a level runs in chunks of several
+    # nodes; at 37 rows every root is larger than a chunk and is scored
+    # alone, and deeper nodes share chunks again.
     data = _threshold_data(n=330, d=4, seed=13, noise=0.2)
-    assert len(data.labels) - 1 > SIDE_CAP
-    model = train_forest(data, n_trees=3, max_depth=6, seed=21)
-    ref = ReferenceForest(data.features, data.labels, n_trees=3, max_depth=6, seed=21)
+    ref = train_forest(data, n_trees=6, max_depth=6, seed=21)
+    monkeypatch.setattr(forest, "LEVEL_ROWS", 37)
+    model = train_forest(data, n_trees=6, max_depth=6, seed=21)
     assert model.importances.tobytes() == ref.importances.tobytes()
-    probe = np.vstack([data.features, np.random.default_rng(21).random((50, 4))])
-    assert np.array_equal(model.predict(probe), ref.predict(probe))
+    for a, b in zip(model.trees, ref.trees):
+        assert a.depth == b.depth
+        for name in ("feature", "threshold", "left", "right", "prediction"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_depth_one_stump_finds_threshold():
@@ -175,18 +166,22 @@ def _small_datasets(draw):
         x[:, rng.integers(d)] = col
     y = (rng.random(n) < draw(st.floats(0.2, 0.8))).astype(int)
     y[:3], y[3:6] = 0, 1    # three of each class, enough for 3 folds
-    depth = draw(st.integers(1, 9))
+    depth = draw(st.integers(1, 70))
     return x, y, depth, draw(st.integers(0, 1000))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_datasets())
-def test_forest_equals_recursive_reference(case):
+@given(_small_datasets(), st.integers(1, 12), st.sampled_from([1, 2, 7, 40, forest.LEVEL_ROWS]))
+def test_forest_equals_breadth_first_reference(case, n_trees, row_limit):
     x, y, depth, seed = case
     data = LabeledDataset(x, y)
-    model = train_forest(data, n_trees=5, max_depth=depth, seed=seed)
-    ref = ReferenceForest(x, y, n_trees=5, max_depth=depth, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # Small limits split a level into chunks of one or a few nodes.
+        mp.setattr(forest, "LEVEL_ROWS", row_limit)
+        model = train_forest(data, n_trees=n_trees, max_depth=depth, seed=seed)
+        accuracy = kfold_accuracy(data, 3, n_trees, depth, seed)
+    ref = ReferenceForest(x, y, n_trees=n_trees, max_depth=depth, seed=seed)
     assert model.importances.tobytes() == ref.importances.tobytes()
     probe = np.vstack([x, np.random.default_rng(seed).random((20, x.shape[1]))])
     assert np.array_equal(model.predict(probe), ref.predict(probe))
-    assert kfold_accuracy(data, 3, 4, depth, seed) == reference_kfold(x, y, 3, 4, depth, seed)
+    assert accuracy == reference_kfold(x, y, 3, n_trees, depth, seed)
