@@ -15,8 +15,8 @@ name must be a field of ``GforParams`` and/or ``GfolParams``, given once;
 ``fixed_split_dims`` must list at least one name, each once, and each one
 of ``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
 that dimension is checked by ``generate`` once the space is built).
-Unknown keys, bad values and out-of-range settings raise ConfigError at
-parse time.
+Unknown keys, keys given twice (``fixture`` and ``grid`` are one key),
+bad values and out-of-range settings raise ConfigError at parse time.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     cfg = RunConfig()
     expl_kwargs: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,6 +99,11 @@ def parse_config(path: str | Path) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        name = "grid" if key == "fixture" else key  # two names of one key
+        if name in first_line:
+            raise ConfigError(f"{p}:{lineno}: {key!r} is given twice, first on line "
+                              f"{first_line[name]}")
+        first_line[name] = lineno
         try:
             if key in ("fixture", "grid"):
                 cfg.grid = value

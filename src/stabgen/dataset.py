@@ -131,9 +131,9 @@ def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
         cum_x.extend([r.dims[n] for n in dim_names] for r in labeled)
         cum_y.extend(int(r.stable) for r in labeled)
         acc_mean = acc_std = None
-        y = np.array(cum_y)
-        if len(cum_y) >= 2 * kfold and len(np.unique(y)) == 2 \
-                and min(np.bincount(y)) >= kfold:
+        y = np.array(cum_y, dtype=int)
+        counts = np.bincount(y, minlength=2)  # labels are 0 or 1
+        if len(cum_y) >= 2 * kfold and counts.min() >= kfold:
             data = LabeledDataset(np.array(cum_x), y, dim_names)
             acc_mean, acc_std = kfold_accuracy(data, kfold, forest_trees,
                                                forest_depth, seed)

@@ -7,11 +7,11 @@ redispatch that minimizes the squared deviation from the sampled active
 power set points; the outcome is classified Feasible, Infeasible or
 Discarded (constraint-clean but the adjusted totals left the cell).
 
-The repair (``_repair``) asks for two kinds of work: power flows and the
-1 MW trials of its descent direction.  ``adjust_many`` answers the
-requests of many repairs together, each kind as stacked array operations:
-``solve_many`` for the power flows, ``_trial_totals`` for the trials, and
-one constraint kernel, ``_violations``, for both; only the power flows'
+The repair (``_adjust``) runs many points in lock step on one state of
+per-row arrays.  Each step solves every unfinished row's set points or
+pending line-search trial in one ``solve_many`` call and answers the 1 MW
+trials of its descent directions in one ``_trial_totals`` call; one
+constraint kernel, ``_violations``, checks both, and only the power flows'
 checks go on to build reports (``check_constraints_many``).  Each row's
 numbers are those of the row computed alone, bit for bit.
 """
@@ -298,33 +298,33 @@ def _solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | None]:
-    """The violation totals of each trial request's trials; ``None`` for a
-    request whose Jacobian is singular or gives a non-finite step.
+def _trial_totals(grid: GridModel, points: list[tuple]) -> list[list[float] | None]:
+    """The violation totals of each point's 1 MW trials; ``None`` for a
+    point whose Jacobian is singular or gives a non-finite step.
 
-    A trial request ``(sol, p, groups, steps)`` asks for dispatch ``p`` with
-    ``p[groups[c]]`` moved to ``steps[c]``, one trial per ``c``.  Each trial
-    is one Newton step from ``sol``, the converged solution of ``p``, on its
-    PV/PQ split: the Jacobian at its voltages, with one right-hand side per
-    trial that holds the step in the P row of the group's bus.  Requests
-    that share a PV mask and a number of trials are one batched Jacobian and
-    one stacked solve, and all trials are one ``_violations`` call;
-    each request's totals are those of answering it alone, bit for bit.
+    A point ``(sol, p, groups, steps)`` has one trial per ``c``: dispatch
+    ``p`` with ``p[groups[c]]`` moved to ``steps[c]``.  Each trial is one
+    Newton step from ``sol``, the converged solution of ``p``, on its PV/PQ
+    split: the Jacobian at its voltages, with one right-hand side per trial
+    that holds the step in the P row of the group's bus.  Points that share
+    a PV mask and a number of trials are one batched Jacobian and one
+    stacked solve, and all trials are one ``_violations`` call; each
+    point's totals are those of answering it alone, bit for bit.
     """
     net = grid.network
     n = len(net.bus_ids)
     by_key: dict[tuple, list[int]] = {}
-    for r, (sol, _p, groups, _steps) in enumerate(requests):
+    for r, (sol, _p, groups, _steps) in enumerate(points):
         by_key.setdefault((sol.pv.tobytes(), len(groups)), []).append(r)
     answered, xs, dispatches, cases = [], [], [], []
     for rows in by_key.values():
-        sols = [requests[r][0] for r in rows]
+        sols = [points[r][0] for r in rows]
         _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sols[0].pv)
         x = np.array([np.concatenate([s.va, s.vm]) for s in sols])
         jac = power_jacobian(net.ybus, x[:, n:] * np.exp(1j * x[:, :n]))
-        p = np.array([requests[r][1] for r in rows])
-        groups = np.array([requests[r][2] for r in rows], int).reshape(len(rows), -1)
-        steps = np.array([requests[r][3] for r in rows], float).reshape(len(rows), -1)
+        p = np.array([points[r][1] for r in rows])
+        groups = np.array([points[r][2] for r in rows], int).reshape(len(rows), -1)
+        steps = np.array([points[r][3] for r in rows], float).reshape(len(rows), -1)
         k = groups.shape[1]
         eq = np.empty(n, dtype=int)  # each bus's P row among the unknowns
         eq[pvpq] = np.arange(len(pvpq))
@@ -342,7 +342,7 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
         xs.append(trial_x.reshape(-1, 2 * n))
         dispatches.append(trial_p.reshape(-1, p.shape[1]))
         cases += [sols[j].case for j in kept for _ in range(k)]
-    totals: list = [None] * len(requests)
+    totals: list = [None] * len(points)
     if not answered:
         return totals
     x = np.concatenate(xs)
@@ -354,7 +354,7 @@ def _trial_totals(grid: GridModel, requests: list[tuple]) -> list[list[float] | 
     flat = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)[1].tolist()
     start = 0
     for r in answered:
-        k = len(requests[r][2])
+        k = len(points[r][2])
         totals[r] = flat[start:start + k]
         start += k
     return totals
@@ -475,7 +475,7 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                        load_pf: float = DEFAULT_LOAD_PF,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
     """Repair an operating point toward constraint-clean feasibility (see
-    ``_repair``), each of its power flows solved alone by ``solve_pf``."""
+    ``_adjust``), each of its power flows solved alone by ``solve_pf``."""
     return _adjust(grid, [op], [cell], load_pf,
                    lambda cases, gen_ps: [solve_pf(grid, cases[0], gen_ps[0])])[0]
 
@@ -484,150 +484,149 @@ def adjust_many(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregio
                 load_pf: float = DEFAULT_LOAD_PF,
                 ) -> list[tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]]:
     """``[adjust_to_feasible(grid, op, cell, load_pf) ...]``, bit for bit, with
-    the repairs run in lock step: each step's power flows are one
-    ``solve_many`` call."""
+    each step's power flows in one ``solve_many`` call."""
     return _adjust(grid, ops, cells, load_pf,
                    lambda cases, gen_ps: solve_many(grid, cases, gen_ps))
 
 
 def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
             load_pf: float, solve) -> list[tuple]:
-    """The repairs of ``ops`` in ``cells``, run in lock step.  Each step first
-    answers the trial requests of every unfinished repair together
-    (``_trial_totals``), then solves the one pending power flow of each with
-    one ``solve(cases, gen_ps)`` call and checks the converged ones with one
-    ``check_constraints_many``."""
-    repairs = [_repair(grid, op, cell, load_pf) for op, cell in zip(ops, cells)]
-    results: list = [None] * len(repairs)
-    answers = dict.fromkeys(range(len(repairs)))  # repair -> the answer it awaits
-    while answers:
-        flows = {}
-        while answers:
-            trials = {}
-            for i, answer in answers.items():
-                try:
-                    request = repairs[i].send(answer)
-                except StopIteration as done:
-                    results[i] = done.value
-                    continue
-                # a power flow request is (case, dispatch)
-                (flows if len(request) == 2 else trials)[i] = request
-            answers = dict(zip(trials, _trial_totals(grid, list(trials.values()))))
-        if not flows:  # every repair has returned
-            break
-        sols = solve([case for case, _ in flows.values()],
-                     [gen_p for _, gen_p in flows.values()])
-        converged = [sol for sol in sols if sol.converged]
-        if converged:
-            reports, totals = check_constraints_many(
-                grid, *(np.array([getattr(sol, f) for sol in converged])
-                        for f in ("vm", "va", "gen_p", "gen_q")))
-            checks = zip(totals.tolist(), reports)
-        for i, sol in zip(flows, sols):
-            total, report = (next(checks) if sol.converged
-                             else (math.inf, ConstraintReport([("pf_diverged", 1.0)])))
-            answers[i] = total, sol, report
-    return results
-
-
-def _repair(grid: GridModel, op: OperatingPoint, cell: Subregion, load_pf: float):
-    """Repair an operating point toward constraint-clean feasibility, as a
-    resumable computation that returns the repaired point, its solution and
-    its verdict.  It yields two kinds of request:
-
-    - a power flow ``(case, dispatch)``, answered with ``(total, solution,
-      report)``: the solution's violation total and constraint report, or
-      infinity and ``pf_diverged`` if it did not converge;
-    - a trial request ``(sol, p, groups, steps)``, answered with the list of
-      trial totals of ``_trial_totals``, or ``None`` if its Jacobian step
-      failed.
+    """Repair operating points toward constraint-clean feasibility, in lock
+    step; per point, the repaired point, its solution and its verdict.
 
     Iterative projected redispatch: group set points are clipped to their
     capability boxes and then moved along a descent direction of the total
     constraint violation, the slack group absorbing the residual.  The
-    direction is a 1 MW finite difference per adjustable group, taken on
-    the linearized power flow: each group's trial is one Newton step from
-    the iterate's converged solution, and all of them share one Jacobian,
-    so an iteration costs one power flow at the iterate, one trial request
-    and up to three line-search power flows.  The first constraint-clean
-    iterate (the closest to the sampled set points along the descent path)
-    is accepted; its squared set-point deviation is recorded.  All failure
-    modes, a singular Jacobian at the iterate included, classify as
-    Infeasible.
+    direction is a 1 MW finite difference per adjustable group on the
+    linearized power flow (``_trial_totals``); the line search tries
+    ``scale``, ``scale / 4`` and ``scale / 16``.  The first constraint-clean
+    iterate, the closest to the sampled set points along the descent path,
+    is accepted with its squared set-point deviation.  Every failure, a
+    singular Jacobian at the iterate included, is Infeasible, with the last
+    iterate's solution and report; a trial taken in the last iteration is
+    not an iterate.
+
+    The state is one array row per point: the iterate ``p``, its total
+    ``tot``, the one before ``prev``, the iteration ``it``, the three line
+    ``trials`` and the ``stage`` (0-2) of the one pending.  The first step
+    solves the clipped set points; each later one solves every unfinished
+    row's pending trial.  Each step is one ``solve(cases, gen_ps)`` call;
+    masks then take or reject the trials, finish rows, and build the
+    others' 1 MW trials for one ``_trial_totals`` call.
     """
+    if not ops:
+        return []
     net = grid.network
-    case = pf_case(grid, op, load_pf)
-    setpoints = case.gen_p
+    cases = [pf_case(grid, op, load_pf) for op in ops]
+    setpoints = np.array([case.gen_p for case in cases])
     non_slack = net.gen_bus != net.slack
-    adjustable = np.flatnonzero(non_slack)
-    p_min = net.gen_p_min[adjustable].tolist()
-    p_max = net.gen_p_max[adjustable].tolist()
-    # project onto the capability box up front
+    adj = np.flatnonzero(non_slack)
+    p_min, p_max = net.gen_p_min[adj], net.gen_p_max[adj]
+    top = 0.05 * p_max.max() if adj.size else 0.0  # the step base of ``scale``
+    rows = len(ops)
     p = setpoints.copy()
-    p[adjustable] = np.clip(p[adjustable], p_min, p_max)
+    p[:, adj] = np.clip(p[:, adj], p_min, p_max)  # onto the capability box up front
+    trials = np.empty((rows, 3, p.shape[1]))  # each row's line-search dispatches
+    tot, prev = np.full(rows, math.inf), np.full(rows, math.inf)
+    it, stage = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int)
+    sols, reps = [None] * rows, [None] * rows  # the iterate's solution and report
+    # Each row's dispatches solved so far.  Totals fall strictly along the
+    # iterates, and a trial is taken only below its iterate's total, so a
+    # dispatch that was solved before is rejected without solving it again.
+    solved = [{tuple(d)} for d in p.tolist()]
+    results: list = [None] * rows
 
-    def distance(dispatch: np.ndarray) -> float:
-        return sum((a - b) ** 2 for a, b in zip(dispatch[non_slack].tolist(),
-                                                 setpoints[non_slack].tolist()))
-
-    # An accepted line-search trial is the next outer iterate: solve it once.
-    solved: dict[tuple[float, ...], tuple] = {}
-
-    def violation_total(dispatch: np.ndarray):
-        """``(total, solution, report)`` of ``dispatch``; yields its power
-        flow unless it was solved before."""
-        key = tuple(dispatch.tolist())
-        if key not in solved:
-            solved[key] = yield case, dispatch
-        return solved[key]
-
-    prev = math.inf
-    for _it in range(REPAIR_MAX_OUTER):
-        solved_p = p  # the dispatch of sol and rep, also when the loop runs out
-        tot, sol, rep = yield from violation_total(p)
+    def finish(r: int) -> None:
+        sol, rep = sols[r], reps[r]
+        distance = sum((a - b) ** 2 for a, b in zip(p[r, non_slack].tolist(),
+                                                     setpoints[r, non_slack].tolist()))
         if rep.clean and sol.converged:
-            adjusted = _apply_dispatch(grid, op, sol.gen_p)
-            verdict = classify(adjusted, sol, rep, cell, distance(p))
-            return adjusted, sol, verdict
-        if not sol.converged or not adjustable.size:
-            break
-        if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
-            break
-        prev = tot
+            adjusted = _apply_dispatch(grid, ops[r], sol.gen_p)
+            verdict = classify(adjusted, sol, rep, cells[r], distance)
+        else:
+            adjusted = _apply_dispatch(grid, ops[r], sol.gen_p if sol.converged else p[r])
+            verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance)
+        results[r] = adjusted, sol, verdict
+
+    def search(r: int) -> None:
+        """Pend row ``r``'s first line-search trial from ``stage[r]`` on
+        that was not solved before, or finish the row if none is left."""
+        for s in range(stage[r], 3):
+            key = tuple(trials[r, s].tolist())
+            if key not in solved[r]:
+                solved[r].add(key)
+                stage[r] = s
+                return
+        finish(r)
+
+    live = np.arange(rows)
+    first = True
+    while live.size:
+        gen_ps = p[live] if first else trials[live, stage[live]]
+        step_sols = solve([cases[r] for r in live], list(gen_ps))
+        converged = np.array([sol.converged for sol in step_sols])
+        step_tot = np.full(live.size, math.inf)
+        step_reps = [None if c else ConstraintReport([("pf_diverged", 1.0)])
+                     for c in converged.tolist()]
+        checked = converged.nonzero()[0].tolist()
+        if checked:
+            reports, step_tot[checked] = check_constraints_many(
+                grid, *(np.array([getattr(step_sols[k], f) for k in checked])
+                        for f in ("vm", "va", "gen_p", "gen_q")))
+            for k, rep in zip(checked, reports):
+                step_reps[k] = rep
+        taken = (step_tot < tot[live]) & (not first)
+        last = taken & (it[live] + 1 == REPAIR_MAX_OUTER)
+        for r in live[last].tolist():
+            finish(r)
+        if not first:  # a rejected trial pends the row's next one
+            rejected = live[~taken]
+            stage[rejected] += 1
+            for r in rejected.tolist():
+                search(r)
+        fresh = (taken | first) & ~last  # rows with a new iterate
+        first = False
+        new = live[fresh]
+        p[new], tot[new] = gen_ps[fresh], step_tot[fresh]
+        it[new] += taken[fresh]
+        for k, r in zip(fresh.nonzero()[0].tolist(), new.tolist()):
+            sols[r], reps[r] = step_sols[k], step_reps[k]
+        clean = np.array([reps[r].clean for r in new], dtype=bool)
+        go = converged[fresh] & ~clean & (adj.size > 0)
+        g = new[go]  # converged rows only: no inf - inf
+        go[go] = ~(prev[g] - tot[g] < REPAIR_REL_STOP * np.maximum(prev[g], 1.0))
+        for r in new[~go].tolist():
+            finish(r)
+        rows_t = new[go]
+        prev[rows_t] = tot[rows_t]
         # finite-difference descent on adjustable group set points, a
         # forward 1 MW step unless the capability box forces a backward one
-        h = 1.0  # MW
-        moved, groups, steps = [], [], []
-        for k, (i, p_i) in enumerate(zip(adjustable.tolist(), p[adjustable].tolist())):
-            step = min(max(p_i + h, p_min[k]), p_max[k])
-            if step == p_i:
-                step = max(p_i - h, p_min[k])
-                if step == p_i:
-                    continue
-            moved.append(k)
-            groups.append(i)
-            steps.append(step)
-        totals = yield sol, p, groups, steps
-        if totals is None:
-            break
-        grad = np.zeros(len(adjustable))
-        for k, i, step, t_tot in zip(moved, groups, steps, totals):
-            grad[k] = (t_tot - tot) / (step - p[i])
-        gmax = float(np.abs(grad).max())
-        if gmax <= 0:
-            break
-        scale = 0.05 * max(p_max) / gmax
-        improved = False
-        for alpha in (scale, scale / 4, scale / 16):
-            trial = p.copy()
-            trial[adjustable] = np.clip(p[adjustable] - alpha * grad, p_min, p_max)
-            t_tot, _, _ = yield from violation_total(trial)
-            if t_tot < tot:
-                p = trial
-                improved = True
-                break
-        if not improved:
-            break
-    adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else solved_p)
-    verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance(solved_p))
-    return adjusted, sol, verdict
+        pa = p[rows_t][:, adj]
+        steps = np.minimum(np.maximum(pa + 1.0, p_min), p_max)
+        back = steps == pa
+        steps[back] = np.maximum(pa - 1.0, p_min)[back]
+        moved = steps != pa
+        totals = _trial_totals(grid, [(sols[r], p[r], adj[m], st[m])
+                                      for r, m, st in zip(rows_t.tolist(), moved, steps)])
+        ok = np.array([t is not None for t in totals], dtype=bool)
+        for r in rows_t[~ok].tolist():
+            finish(r)
+        rows_t, pa, steps, moved = rows_t[ok], pa[ok], steps[ok], moved[ok]
+        trial_tot = np.zeros(moved.shape)
+        trial_tot[moved] = [t for row in totals if row is not None for t in row]
+        grad = np.where(moved, (trial_tot - tot[rows_t, None])
+                        / np.where(moved, steps - pa, 1.0), 0.0)
+        gmax = np.abs(grad).max(axis=1, initial=0.0)
+        flat = gmax <= 0
+        for r in rows_t[flat].tolist():
+            finish(r)
+        rows_t, pa, grad, gmax = rows_t[~flat], pa[~flat], grad[~flat], gmax[~flat]
+        alpha = (top / gmax)[:, None] / np.array([1.0, 4.0, 16.0])
+        line = np.repeat(p[rows_t, None], 3, axis=1)
+        line[..., adj] = np.clip(pa[:, None] - alpha[..., None] * grad[:, None], p_min, p_max)
+        trials[rows_t] = line
+        stage[rows_t] = 0
+        for r in rows_t.tolist():
+            search(r)
+        live = live[[results[r] is None for r in live.tolist()]]
+    return results

@@ -253,23 +253,34 @@ class ForestModel:
         return (self.votes(x) * 2 > len(self.trees)).astype(int)
 
 
+def _value_ranks(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``xt`` (one feature), each value's rank among the row's
+    distinct values, and those values ascending, zero-padded: what
+    ``np.unique(row, return_inverse=True)`` gives, from one stable sort."""
+    order = np.argsort(xt, axis=1, kind="stable")
+    ordered = np.take_along_axis(xt, order, axis=1)
+    first = np.ones(xt.shape, dtype=bool)  # the first of each run of equal values
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ordered_rank = np.cumsum(first, axis=1) - 1
+    rank = np.empty(xt.shape, dtype=np.intp)
+    np.put_along_axis(rank, order, ordered_rank, axis=1)
+    vals = np.zeros(xt.shape)
+    vals[first.nonzero()[0], ordered_rank[first]] = ordered[first]
+    return rank, vals
+
+
 def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
                  seed: int = 0) -> ForestModel:
     """Bagged CART forest with Gini splits and sqrt(d) feature subsampling."""
     x, y = data.features, data.labels
-    if len(np.unique(y)) < 2:
+    if np.count_nonzero(np.bincount(y)) < 2:
         raise SensitivityUnavailableError("sensitivity unavailable: single-class data")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    n, d = x.shape
-    code = np.empty((d, n), dtype=np.intp)
-    vals = np.zeros((d, n))
-    for j in range(d):
-        distinct, rank = np.unique(x[:, j], return_inverse=True)
-        code[j] = 2 * rank + y
-        vals[j, :len(distinct)] = distinct
+    d = x.shape[1]
+    rank, vals = _value_ranks(x.T)
     rng = np.random.default_rng(seed)
-    trees, imp = _grow(y, n_trees, max_depth, code.ravel(), vals, rng)
+    trees, imp = _grow(y, n_trees, max_depth, (2 * rank + y).ravel(), vals, rng)
     tot = imp.sum(axis=1, keepdims=True)
     raw = np.divide(imp, tot, out=imp, where=tot > 0).sum(axis=0)
     total = raw.sum()
@@ -288,11 +299,13 @@ def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
     if k < 2:
         raise ValueError("k must be >= 2")
     y = data.labels
-    classes, counts = np.unique(y, return_counts=True)
+    counts = np.bincount(y)
+    classes = counts.nonzero()[0]
     if len(classes) < 2:
         raise SensitivityUnavailableError("sensitivity unavailable: single-class data")
-    if counts.min() < k:
-        raise ValueError(f"smallest class has {counts.min()} samples, cannot stratify into {k} folds")
+    smallest = counts[classes].min()
+    if smallest < k:
+        raise ValueError(f"smallest class has {smallest} samples, cannot stratify into {k} folds")
     rng = np.random.default_rng(seed)
     fold = np.empty(len(y), dtype=int)
     for c in classes:

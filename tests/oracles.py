@@ -4,10 +4,11 @@ Kept deliberately separate from the package: the Gauss-Seidel power flow
 and the analytic formulas below share the modeling conventions of the
 engine (bus types, group Q limits, load power factor) but none of its
 numerics, so agreement is meaningful evidence.  ``newton_pf_one``,
-``newton_step_trials``, ``check_constraints_loop`` and ``violation_total``
-are the exception: the engine's one-point forms of the power flow, the
-repair's 1 MW trials, the constraint checks and the repair's objective,
-kept as the bit-for-bit references of their stacked forms.  So are
+``newton_step_trials``, ``check_constraints_loop``, ``violation_total``
+and ``repair_one`` are the exception: the engine's one-point forms of the
+power flow, the repair's 1 MW trials, the constraint checks, the repair's
+objective and the repair itself, kept as the bit-for-bit references of
+their stacked forms.  So are
 ``tree_predict``, one tree's share of the forest's stacked vote, and
 ``voltage_walk``, the voltage walk with the grid's lookups rebuilt for
 every sample.
@@ -19,8 +20,10 @@ import math
 
 import numpy as np
 
-from stabgen.feasibility import (PF_MAX_ITER, PF_TOL, ConstraintReport, PowerFlowSolution,
-                                 _solutions, _unknowns)
+from stabgen.feasibility import (DEFAULT_LOAD_PF, INFEASIBLE, PF_MAX_ITER, PF_TOL,
+                                 REPAIR_MAX_OUTER, REPAIR_REL_STOP, ConstraintReport,
+                                 FeasibilityVerdict, PowerFlowSolution, _apply_dispatch,
+                                 _solutions, _unknowns, classify, pf_case)
 from stabgen.forest import Tree
 from stabgen.grid import SLACK, GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
@@ -287,6 +290,96 @@ def violation_total(report: ConstraintReport, base_mva: float) -> float:
         tot += mag / base_mva if cid.split("_")[0] in (
             "line", "pmin", "pmax", "qmin", "qmax") else mag
     return tot
+
+
+def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAULT_LOAD_PF,
+               max_outer: int = REPAIR_MAX_OUTER):
+    """The repair of one operating point as one loop, one power flow at a
+    time: the reference of ``feasibility.adjust_many`` and
+    ``adjust_to_feasible``, bit for bit.  Returns the repaired point, its
+    solution and its verdict.
+
+    Each iteration solves the iterate (``newton_pf_one``), checks it
+    (``check_constraints_loop``, ``violation_total``), takes the 1 MW trial
+    of each adjustable group (``newton_step_trials``), and tries three step
+    lengths along the finite-difference gradient; the first one whose total
+    is below the iterate's is the next iterate.  A dispatch is solved at
+    most once: a later request for it reads the memo.
+    """
+    net = grid.network
+    case = pf_case(grid, op, load_pf)
+    setpoints = case.gen_p
+    non_slack = net.gen_bus != net.slack
+    adjustable = np.flatnonzero(non_slack)
+    p_min = net.gen_p_min[adjustable].tolist()
+    p_max = net.gen_p_max[adjustable].tolist()
+    p = setpoints.copy()
+    p[adjustable] = np.clip(p[adjustable], p_min, p_max)
+
+    def distance(dispatch: np.ndarray) -> float:
+        return sum((a - b) ** 2 for a, b in zip(dispatch[non_slack].tolist(),
+                                                 setpoints[non_slack].tolist()))
+
+    solved: dict[tuple[float, ...], tuple] = {}
+
+    def solve(dispatch: np.ndarray) -> tuple:
+        key = tuple(dispatch.tolist())
+        if key not in solved:
+            sol = newton_pf_one(grid, case, dispatch)
+            if sol.converged:
+                rep = check_constraints_loop(sol, grid)
+                solved[key] = violation_total(rep, grid.base_mva), sol, rep
+            else:
+                solved[key] = math.inf, sol, ConstraintReport([("pf_diverged", 1.0)])
+        return solved[key]
+
+    prev = math.inf
+    for _it in range(max_outer):
+        solved_p = p  # the dispatch of sol and rep, also when the loop runs out
+        tot, sol, rep = solve(p)
+        if rep.clean and sol.converged:
+            adjusted = _apply_dispatch(grid, op, sol.gen_p)
+            return adjusted, sol, classify(adjusted, sol, rep, cell, distance(p))
+        if not sol.converged or not adjustable.size:
+            break
+        if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
+            break
+        prev = tot
+        # a forward 1 MW step unless the capability box forces a backward one
+        moved, groups, steps = [], [], []
+        for k, (i, p_i) in enumerate(zip(adjustable.tolist(), p[adjustable].tolist())):
+            step = min(max(p_i + 1.0, p_min[k]), p_max[k])
+            if step == p_i:
+                step = max(p_i - 1.0, p_min[k])
+                if step == p_i:
+                    continue
+            moved.append(k)
+            groups.append(i)
+            steps.append(step)
+        try:
+            trials = newton_step_trials(grid, sol, p, groups, steps)
+        except np.linalg.LinAlgError:
+            break
+        grad = np.zeros(len(adjustable))
+        for k, i, step, trial in zip(moved, groups, steps, trials):
+            t_tot = violation_total(check_constraints_loop(trial, grid), grid.base_mva)
+            grad[k] = (t_tot - tot) / (step - p[i])
+        gmax = float(np.abs(grad).max())
+        if gmax <= 0:
+            break
+        scale = 0.05 * max(p_max) / gmax
+        improved = False
+        for alpha in (scale, scale / 4, scale / 16):
+            trial = p.copy()
+            trial[adjustable] = np.clip(p[adjustable] - alpha * grad, p_min, p_max)
+            if solve(trial)[0] < tot:
+                p = trial
+                improved = True
+                break
+        if not improved:
+            break
+    adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else solved_p)
+    return adjusted, sol, FeasibilityVerdict(INFEASIBLE, rep.violations, distance(solved_p))
 
 
 def two_bus_closed_form(p_pu: float, x: float, v1: float = 1.0, v2: float = 1.0):

@@ -33,6 +33,13 @@ control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
 """
 
 
+def _fast_with(lines):
+    """FAST_CFG with ``lines`` in place of its lines of the same keys."""
+    keys = {line.partition("=")[0] for line in lines.splitlines()}
+    kept = [line for line in FAST_CFG.splitlines() if line.partition("=")[0] not in keys]
+    return "".join(line + "\n" for line in kept) + lines
+
+
 def _write_cfg(tmp_path, text=FAST_CFG, out_dir=None):
     cfg = tmp_path / "run.ini"
     body = text
@@ -126,15 +133,30 @@ def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path
     if env_workers is not None:
         monkeypatch.setenv("STABGEN_WORKERS", env_workers)
     out_dir = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, FAST_CFG + extra, out_dir=str(out_dir))
+    cfg = _write_cfg(tmp_path, _fast_with(extra), out_dir=str(out_dir))
     with pytest.raises(ConfigError):
         parse_config(cfg)
     assert main(["generate", "--config", str(cfg)]) == 2
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "n_samples=4\nn_samples=6\n",          # the first line would do nothing
+    "grid=9bus\n",                          # fixture=3bus names the same key
+    "control_params=k_p:0.1:1.0\n",
+    "out_dir=elsewhere\n",
+])
+def test_config_key_given_twice_rejected_at_parse_time(lines, tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, FAST_CFG + lines, out_dir=str(out_dir))
+    with pytest.raises(ConfigError, match="given twice"):
+        parse_config(cfg)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+
+
 def test_range_edges_accepted(tmp_path):
-    cfg = parse_config(_write_cfg(tmp_path, FAST_CFG + (
+    cfg = parse_config(_write_cfg(tmp_path, _fast_with(
         "min_feasible_rate=0\nentropy_decrease_threshold=-1\n"
         "min_tolerance_frac=0\neps_margin=0\ndev_bound=0\n")))
     e = cfg.exploration
@@ -187,7 +209,7 @@ def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path):
 def test_fixed_split_dims_accepts_control_names(tmp_path):
     # checked against the final control_params, whichever line comes first
     cfg = parse_config(_write_cfg(tmp_path, "fixed_split_dims=V_anchor,k_p\n"
-                                  + FAST_CFG + "control_params=k_p:0.1:1.0\n"))
+                                  + _fast_with("control_params=k_p:0.1:1.0\n")))
     assert cfg.exploration.fixed_split_dims == ("V_anchor", "k_p")
 
 
@@ -344,3 +366,21 @@ def test_cli_import_starts_no_pool_machinery():
     probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
              "('multiprocessing', 'concurrent.futures')))")
     assert _probe(probe) == ["[]"]
+
+
+def test_generate_and_report_load_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma (about 1.4 MB of RSS); a workers-1 generate
+    # and a report, both of which train forests, need none of it
+    out_dir, rep_dir = tmp_path / "out", tmp_path / "report"
+    cfg = _write_cfg(tmp_path, PARITY_CFG, out_dir=str(out_dir))
+    probe = (
+        "import sys\nfrom stabgen.cli import main\n"
+        f"assert main(['generate', '--config', {str(cfg)!r}]) == 0\n"
+        f"assert main(['report', '--dataset', {str(out_dir / 'dataset.csv')!r}, "
+        f"'--out', {str(rep_dir)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "import numpy as np\nnp.unique([1])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert _probe(probe)[-2:] == ["False", "True"]
+    with open(rep_dir / "accuracy_vs_depth.csv", newline="") as fh:
+        assert any(r["accuracy_mean"] for r in csv.DictReader(fh))

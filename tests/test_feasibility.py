@@ -20,7 +20,8 @@ from stabgen.space import OperatingPoint, build_space, split
 
 import oracles
 from oracles import (check_constraints_loop, gauss_seidel_pf, newton_pf_one,
-                     newton_step_trials, two_bus_closed_form, violation_total)
+                     newton_step_trials, repair_one, two_bus_closed_form,
+                     violation_total)
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -670,29 +671,80 @@ def _repair_bits(result):
     return (repr(adjusted), _solution_bits(sol)[:4], repr(verdict))
 
 
+def _reference_repairs(grid, items, max_outer):
+    """``repair_one`` of each item at ``max_outer`` iterations, and the
+    number of power flows that it solved."""
+    real = oracles.newton_pf_one
+    solves = []
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "newton_pf_one", lambda *args: solves.append(1) or real(*args))
+        for op, cell in items:
+            solves.clear()
+            out.append((repair_one(grid, op, cell, max_outer=max_outer), len(solves)))
+    return out
+
+
 @pytest.fixture(scope="module", params=[(fixture_3bus, 8), (fixture_9bus, 3)],
                 ids=["3bus", "9bus"])
 def repair_pool(request):
-    """Points of the root and of its two P_SG halves, each with the result
-    of repairing it alone."""
+    """Points of the root and of its two P_SG halves, with the reference
+    repair of each at 1, 2 and 20 iterations (``_reference_repairs``)."""
     fixture, per_cell = request.param
     grid = fixture()
     root = build_space(grid, CONTROL).root_cell()
     items = [(op, cell) for cell in [root, *split(root, "P_SG", 0.01)]
              for op in hierarchical_sample(cell, per_cell, 1, grid, seed=11)]
-    return grid, items, [adjust_to_feasible(grid, op, cell) for op, cell in items]
+    return grid, items, {m: _reference_repairs(grid, items, m) for m in (1, 2, 20)}
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_adjust_many_matches_one_repair_at_a_time(repair_pool, data):
-    grid, items, alone = repair_pool
+    # Both entry points against the one-point reference, also at 1 and 2
+    # iterations, where a trial taken in the last iteration is not the
+    # result.  The chunk solves each point's power flows, no more: its
+    # solve_many calls are the costliest point's solves, its rows their sum.
+    grid, items, reference = repair_pool
+    max_outer = data.draw(st.sampled_from(sorted(reference)))
     picks = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
                                max_size=len(items)))
-    together = adjust_many(grid, [items[i][0] for i in picks],
-                           [items[i][1] for i in picks])
+    real = feasibility.solve_many
+    rows = []
+
+    def counting(grid, cases, gen_ps):
+        rows.append(len(cases))
+        return real(grid, cases, gen_ps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "REPAIR_MAX_OUTER", max_outer)
+        alone = {i: adjust_to_feasible(grid, *items[i]) for i in set(picks)}
+        mp.setattr(feasibility, "solve_many", counting)
+        together = adjust_many(grid, [items[i][0] for i in picks],
+                               [items[i][1] for i in picks])
+    solves = [reference[max_outer][i][1] for i in picks]
+    assert (len(rows), sum(rows)) == (max(solves), sum(solves))
     for i, result in zip(picks, together):
-        assert _repair_bits(result) == _repair_bits(alone[i])
+        want = _repair_bits(reference[max_outer][i][0])
+        assert _repair_bits(result) == want
+        assert _repair_bits(alone[i]) == want
+
+
+def test_repair_of_a_grid_with_only_the_slack_group_matches_the_reference():
+    # No group is adjustable: each point is solved once, clean or not.
+    grid = GridModel(
+        buses=(Bus(1, SLACK, 0.9, 1.1), Bus(2, PQ, 0.9, 1.1)),
+        lines=(Line(1, 2, 0.01, 0.1, 0.0, 300.0),),
+        gen_groups=(GenGroup(1, SG, 100.0, 0.95),),
+        loads=(Load(2, 1.0),),
+    )
+    root = build_space(grid, CONTROL).root_cell()
+    ops = list(hierarchical_sample(root, 6, 1, grid, seed=3))
+    reference = [repair_one(grid, op, root) for op in ops]
+    assert {verdict.status for *_, verdict in reference} == {FEASIBLE, INFEASIBLE}
+    want = [_repair_bits(r) for r in reference]
+    assert [_repair_bits(r) for r in adjust_many(grid, ops, [root] * len(ops))] == want
+    assert [_repair_bits(adjust_to_feasible(grid, op, root)) for op in ops] == want
 
 
 @pytest.mark.parametrize("fixture, n_samples", [(fixture_3bus, 40), (fixture_9bus, 12)])
