@@ -35,22 +35,20 @@ def _fmt(x: float | None) -> str:
 
 def dataset_columns(space: OperatingSpaceSpec) -> list[str]:
     dims = [d.name for d in space.dimensions]
-    vars_ = [v.name for v in space.variables]
-    return FIXED_COLUMNS + dims + vars_ + TAIL_COLUMNS
+    return FIXED_COLUMNS + dims + list(space.variables) + TAIL_COLUMNS
 
 
 def write_dataset(path: str | Path, records: list[LabeledRecord],
                   space: OperatingSpaceSpec) -> None:
     cols = dataset_columns(space)
     dims = [d.name for d in space.dimensions]
-    vars_ = [v.name for v in space.variables]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
         for r in records:
             w.writerow([r.cell_path, r.depth, r.sample_index, r.case_index,
                         *(_fmt(r.dims.get(d)) for d in dims),
-                        *(_fmt(r.vars.get(v)) for v in vars_),
+                        *(_fmt(r.vars.get(v)) for v in space.variables),
                         r.verdict, "" if r.stable is None else str(int(r.stable)),
                         _fmt(r.max_real), _fmt(r.dominant_freq_hz),
                         _fmt(r.dominant_damping), _fmt(r.adjustment_distance),

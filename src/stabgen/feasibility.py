@@ -35,7 +35,7 @@ DISCARDED = "Discarded"
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 30
-REPAIR_MAX_OUTER = 20  # redispatch iterations per point
+REPAIR_MAX_OUTER = 20  # redispatch iterates per point, set points included
 REPAIR_REL_STOP = 1e-4  # give up below this relative violation decrease
 DEFAULT_LOAD_PF = 0.98
 
@@ -108,31 +108,19 @@ def pf_case(grid: GridModel, op: OperatingPoint,
     return PfCase(p_load, q_load, vm, gen_p)
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    """Guard arrays that every later solve on the network shares."""
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
-    """PV and PQ bus indices of a PV mask and its Newton unknowns, built
-    once per mask and network: ``(pv, pq, pvpq, rc, s_rows)``.
+    """PV and PQ bus indices of a PV mask and its Newton unknowns:
+    ``(pv, pq, pvpq, rc, s_rows)``.
 
     The unknowns are the [P; Q] rows and [theta; |V|] columns ``rc`` at
     ``pvpq`` and ``n + pq``, and ``s_rows`` their rows of S viewed as
     interleaved (P, Q) floats."""
-    key = ("pv", is_pv.tobytes())
-    sets = net.by_mask.get(key)
-    if sets is None:
-        n = len(is_pv)
-        pv = is_pv.nonzero()[0]
-        pq = (~is_pv & (np.arange(n) != net.slack)).nonzero()[0]
-        pvpq = np.concatenate([pv, pq])
-        rc = np.concatenate([pvpq, n + pq])
-        s_rows = np.concatenate([2 * pvpq, 2 * pq + 1])
-        _read_only(pv, pq, pvpq, rc, s_rows)
-        sets = net.by_mask[key] = (pv, pq, pvpq, rc, s_rows)
-    return sets
+    n = len(is_pv)
+    pv = is_pv.nonzero()[0]
+    pq = (~is_pv & (np.arange(n) != net.slack)).nonzero()[0]
+    pvpq = np.concatenate([pv, pq])
+    return (pv, pq, pvpq, np.concatenate([pvpq, n + pq]),
+            np.concatenate([2 * pvpq, 2 * pq + 1]))
 
 
 def _solutions(net: Network, cases: list[PfCase], gen_p: np.ndarray, vm: np.ndarray,
@@ -207,13 +195,13 @@ def solve_many(grid: GridModel, cases: list[PfCase],
     rounds: list = [None] * len(cases)  # each row's last Newton round
     pending = list(range(len(cases)))
     for _round in range(5):  # PV->PQ switching rounds
-        by_mask: dict[bytes, list[int]] = {}
+        by_pv: dict[bytes, list[int]] = {}
         for r in pending:
-            by_mask.setdefault(is_pv[r].tobytes(), []).append(r)
+            by_pv.setdefault(is_pv[r].tobytes(), []).append(r)
         pending = []
-        for rows in by_mask.values():
+        for rows in by_pv.values():
             round_pv = is_pv[rows[0]].copy()  # the switch below changes is_pv
-            pv = _unknowns(net, round_pv)[0]
+            pv = round_pv.nonzero()[0]
             converged, iterations, max_mismatch, x, s_calc = _newton_round(
                 net, round_pv, [cases[r] for r in rows],
                 np.array([p_spec[r] for r in rows]), np.array([q_spec[r] for r in rows]))
@@ -501,18 +489,19 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     linearized power flow (``_trial_totals``); the line search tries
     ``scale``, ``scale / 4`` and ``scale / 16``.  The first constraint-clean
     iterate, the closest to the sampled set points along the descent path,
-    is accepted with its squared set-point deviation.  Every failure, a
-    singular Jacobian at the iterate included, is Infeasible, with the last
-    iterate's solution and report; a trial taken in the last iteration is
-    not an iterate.
+    is accepted with its squared set-point deviation.  The clipped set
+    points are the first iterate and each taken trial the next; a point
+    stops at its ``REPAIR_MAX_OUTER``-th iterate.  Every failure, a singular
+    Jacobian at the iterate and that cap included, is Infeasible, with the
+    last iterate's solution and report.
 
     The state is one array row per point: the iterate ``p``, its total
-    ``tot``, the one before ``prev``, the iteration ``it``, the three line
-    ``trials`` and the ``stage`` (0-2) of the one pending.  The first step
-    solves the clipped set points; each later one solves every unfinished
-    row's pending trial.  Each step is one ``solve(cases, gen_ps)`` call;
-    masks then take or reject the trials, finish rows, and build the
-    others' 1 MW trials for one ``_trial_totals`` call.
+    ``tot``, the one before ``prev``, the number ``it`` of iterates, the
+    three line ``trials`` and the ``stage`` (0-2) of the one pending.  The
+    first step solves the clipped set points; each later one solves every
+    unfinished row's pending trial.  Each step is one ``solve(cases,
+    gen_ps)`` call; masks then take or reject the trials, finish rows, and
+    build the others' 1 MW trials for one ``_trial_totals`` call.
     """
     if not ops:
         return []
@@ -575,24 +564,19 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
                         for f in ("vm", "va", "gen_p", "gen_q")))
             for k, rep in zip(checked, reports):
                 step_reps[k] = rep
-        taken = (step_tot < tot[live]) & (not first)
-        last = taken & (it[live] + 1 == REPAIR_MAX_OUTER)
-        for r in live[last].tolist():
-            finish(r)
-        if not first:  # a rejected trial pends the row's next one
-            rejected = live[~taken]
-            stage[rejected] += 1
-            for r in rejected.tolist():
-                search(r)
-        fresh = (taken | first) & ~last  # rows with a new iterate
+        taken = (step_tot < tot[live]) | first  # rows with a new iterate
         first = False
-        new = live[fresh]
-        p[new], tot[new] = gen_ps[fresh], step_tot[fresh]
-        it[new] += taken[fresh]
-        for k, r in zip(fresh.nonzero()[0].tolist(), new.tolist()):
+        rejected = live[~taken]  # a rejected trial pends the row's next one
+        stage[rejected] += 1
+        for r in rejected.tolist():
+            search(r)
+        new = live[taken]
+        p[new], tot[new] = gen_ps[taken], step_tot[taken]
+        it[new] += 1
+        for k, r in zip(taken.nonzero()[0].tolist(), new.tolist()):
             sols[r], reps[r] = step_sols[k], step_reps[k]
         clean = np.array([reps[r].clean for r in new], dtype=bool)
-        go = converged[fresh] & ~clean & (adj.size > 0)
+        go = converged[taken] & ~clean & (adj.size > 0) & (it[new] < REPAIR_MAX_OUTER)
         g = new[go]  # converged rows only: no inf - inf
         go[go] = ~(prev[g] - tot[g] < REPAIR_REL_STOP * np.maximum(prev[g], 1.0))
         for r in new[~go].tolist():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,8 @@ def capability_limits(p_nom: float, cos_phi: float) -> tuple[float, float, float
 
     ``s_rated = p_nom / cos_phi``; active power is bounded below by 20 % of
     s_rated and above by p_nom; reactive power is symmetric,
-    ``q_max = s_rated * sin(arccos(cos_phi))``.
+    ``q_max = s_rated * sin(arccos(cos_phi))``.  At ``cos_phi <= 0.2`` the
+    active range is empty, which is an error.
     """
     if p_nom <= 0:
         raise GridError(f"p_nom must be positive, got {p_nom}")
@@ -43,6 +44,9 @@ def capability_limits(p_nom: float, cos_phi: float) -> tuple[float, float, float
     s_rated = p_nom / cos_phi
     p_min = 0.2 * s_rated
     p_max = p_nom
+    if p_min >= p_max:
+        raise GridError(f"cos_phi {cos_phi}: empty active range, "
+                        f"p_min {p_min} >= p_max {p_max}")
     q_max = s_rated * math.sin(math.acos(cos_phi))
     return s_rated, p_min, p_max, -q_max, q_max
 
@@ -213,8 +217,9 @@ class GridModel:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A grid as read-only arrays in bus, line and group order, shared by
-    every power flow, constraint check and linearization on that grid.
+    """A grid as read-only arrays in bus, line and group order, built once
+    and shared by every power flow, constraint check and linearization on
+    that grid; it holds no other state.
 
     Every group is dispatched: a non-slack bus that hosts a group is PV, and
     a bus's groups share its reactive injection by ``gen_q_max``, the slack
@@ -248,9 +253,6 @@ class Network:
     gen_cos_phi: np.ndarray
     check_ids: tuple[str, ...]
     check_scaled: np.ndarray
-    # the Newton unknowns of each PV mask, keyed by the mask, each built on
-    # first use
-    by_mask: dict = field(default_factory=dict, repr=False)
 
 
 def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
@@ -379,7 +381,8 @@ _SCHEMAS = {
 }
 
 
-def _read_table(path: Path, name: str) -> list[dict]:
+def _read_table(path: Path, name: str) -> list:
+    """Per row of a table, its ``_cell`` parser."""
     if not path.exists():
         raise GridError(f"missing table file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -388,28 +391,46 @@ def _read_table(path: Path, name: str) -> list[dict]:
         missing = [c for c in _SCHEMAS[name] if c not in cols]
         if missing:
             raise GridError(f"{name}.csv: missing column(s) {', '.join(missing)}")
-        return list(reader)
+        return [partial(_cell, f"{name}.csv line {reader.line_num}", r) for r in reader]
+
+
+def _cell(where: str, row: dict, col: str, number=None):
+    """Column ``col`` of a table row: stripped text, or parsed by ``number``
+    (``int`` or ``float``).  A missing cell, or one that is not a finite
+    number, raises GridError saying ``where`` it is."""
+    text = row[col]
+    if text is None:
+        raise GridError(f"{where}: missing {col}")
+    if number is None:
+        return text.strip()
+    try:
+        value = number(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise GridError(f"{where}: {col} {text!r} is not a finite number")
+    return value
 
 
 def load_grid(directory: str | Path, base_mva: float = 100.0) -> GridModel:
     """Build a validated GridModel from buses/lines/gens/loads CSV tables."""
     d = Path(directory)
     buses = tuple(
-        Bus(int(r["id"]), r["kind"].strip(), float(r["v_min"]), float(r["v_max"]))
-        for r in _read_table(d / "buses.csv", "buses")
+        Bus(c("id", int), c("kind"), c("v_min", float), c("v_max", float))
+        for c in _read_table(d / "buses.csv", "buses")
     )
     lines = tuple(
-        Line(int(r["from"]), int(r["to"]), float(r["r"]), float(r["x"]),
-             float(r["b"]), float(r["s_max"]))
-        for r in _read_table(d / "lines.csv", "lines")
+        Line(c("from", int), c("to", int), c("r", float), c("x", float),
+             c("b", float), c("s_max", float))
+        for c in _read_table(d / "lines.csv", "lines")
     )
     gens = tuple(
-        GenGroup(int(r["bus"]), r["tech"].strip(), float(r["p_nom"]), float(r["cos_phi"]))
-        for r in _read_table(d / "gens.csv", "gens")
+        GenGroup(c("bus", int), c("tech"), c("p_nom", float), c("cos_phi", float))
+        for c in _read_table(d / "gens.csv", "gens")
     )
     loads = tuple(
-        Load(int(r["bus"]), float(r["participation"]))
-        for r in _read_table(d / "loads.csv", "loads")
+        Load(c("bus", int), c("participation", float))
+        for c in _read_table(d / "loads.csv", "loads")
     )
     return GridModel(buses, lines, gens, loads, base_mva)
 

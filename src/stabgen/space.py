@@ -9,7 +9,7 @@ Subregions are axis-aligned hyperrectangles produced by midpoint bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .grid import GridModel, SG, IBR
 
@@ -44,23 +44,9 @@ class DimensionSpec:
 
 
 @dataclass(frozen=True)
-class VariableSpec:
-    name: str
-    parent_dimension: str
-    element: str  # generation-group or load identifier
-    lo: float
-    hi: float
-    kind: str  # Independent or Dependent
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise SpaceError(f"variable {self.name}: lo {self.lo} > hi {self.hi}")
-
-
-@dataclass(frozen=True)
 class OperatingSpaceSpec:
     dimensions: tuple[DimensionSpec, ...]
-    variables: tuple[VariableSpec, ...]
+    variables: tuple[str, ...]  # variable names, in dataset column order
 
     @property
     def independent(self) -> tuple[DimensionSpec, ...]:
@@ -184,39 +170,26 @@ def build_space(grid: GridModel,
     Independent dimensions: total SG power, total IBR power (when IBR
     groups exist), the grid-forming share in [0, 1], the voltage anchor at
     the slack bus, and one dimension per declared control parameter.  The
-    dependent dimension is the total demand.  Variables carry the
-    capability-box bounds of each group and the participation of each load.
+    dependent dimension is the total demand.  The variables are named per
+    group (``P_SG_<bus>``; ``P_IBR``, ``P_GFM`` and ``P_GFL`` of each IBR
+    group) and per load (``P_L_<bus>``).
     """
     sg = grid.groups_of(SG)
     ibr = grid.groups_of(IBR)
     dims: list[DimensionSpec] = []
-    vars_: list[VariableSpec] = []
-
     if sg:
         dims.append(DimensionSpec(P_SG, INDEPENDENT,
                                   sum(g.p_min for g in sg), sum(g.p_max for g in sg)))
-        for g in sg:
-            vars_.append(VariableSpec(f"P_SG_{g.bus}", P_SG, g.name,
-                                      g.p_min, g.p_max, INDEPENDENT))
     if ibr:
         dims.append(DimensionSpec(P_IBR, INDEPENDENT,
                                   sum(g.p_min for g in ibr), sum(g.p_max for g in ibr)))
         dims.append(DimensionSpec(PCT_GFM, INDEPENDENT, 0.0, 1.0))
-        for g in ibr:
-            vars_.append(VariableSpec(f"P_IBR_{g.bus}", P_IBR, g.name,
-                                      g.p_min, g.p_max, INDEPENDENT))
-            # realized bound is [0, P_IBR_i]; p_max is the static envelope
-            vars_.append(VariableSpec(f"P_GFM_{g.bus}", PCT_GFM, g.name,
-                                      0.0, g.p_max, INDEPENDENT))
-            vars_.append(VariableSpec(f"P_GFL_{g.bus}", PCT_GFM, g.name,
-                                      0.0, g.p_max, DEPENDENT))
     slack = grid.slack_bus
     dims.append(DimensionSpec(V_ANCHOR, INDEPENDENT, slack.v_min, slack.v_max))
     for name, lo, hi in control_params:
         dims.append(DimensionSpec(name, INDEPENDENT, lo, hi))
     dims.append(DimensionSpec(P_D, DEPENDENT))
-    for ld in grid.loads:
-        total = sum(g.p_max for g in grid.gen_groups)
-        vars_.append(VariableSpec(f"P_L_{ld.bus}", P_D, f"load_{ld.bus}",
-                                  0.0, total, INDEPENDENT))
-    return OperatingSpaceSpec(tuple(dims), tuple(vars_))
+    variables = ([f"P_SG_{g.bus}" for g in sg]
+                 + [f"P_{kind}_{g.bus}" for g in ibr for kind in ("IBR", "GFM", "GFL")]
+                 + [f"P_L_{ld.bus}" for ld in grid.loads])
+    return OperatingSpaceSpec(tuple(dims), tuple(variables))

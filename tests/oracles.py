@@ -303,8 +303,9 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
     (``check_constraints_loop``, ``violation_total``), takes the 1 MW trial
     of each adjustable group (``newton_step_trials``), and tries three step
     lengths along the finite-difference gradient; the first one whose total
-    is below the iterate's is the next iterate.  A dispatch is solved at
-    most once: a later request for it reads the memo.
+    is below the iterate's is the next iterate.  The ``max_outer``-th
+    iterate is the last.  A dispatch is solved at most once: a later request
+    for it reads the memo.
     """
     net = grid.network
     case = pf_case(grid, op, load_pf)
@@ -334,13 +335,12 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
         return solved[key]
 
     prev = math.inf
-    for _it in range(max_outer):
-        solved_p = p  # the dispatch of sol and rep, also when the loop runs out
+    for it in range(1, max_outer + 1):
         tot, sol, rep = solve(p)
         if rep.clean and sol.converged:
             adjusted = _apply_dispatch(grid, op, sol.gen_p)
             return adjusted, sol, classify(adjusted, sol, rep, cell, distance(p))
-        if not sol.converged or not adjustable.size:
+        if not sol.converged or not adjustable.size or it == max_outer:
             break
         if prev - tot < REPAIR_REL_STOP * max(prev, 1.0):
             break
@@ -378,8 +378,8 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
                 break
         if not improved:
             break
-    adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else solved_p)
-    return adjusted, sol, FeasibilityVerdict(INFEASIBLE, rep.violations, distance(solved_p))
+    adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else p)
+    return adjusted, sol, FeasibilityVerdict(INFEASIBLE, rep.violations, distance(p))
 
 
 def two_bus_closed_form(p_pu: float, x: float, v1: float = 1.0, v2: float = 1.0):

@@ -14,8 +14,8 @@ from stabgen.config import (_EXPLORATION_KEYS, ConfigError, config_as_dict,
                             parse_config)
 from stabgen.dataset import read_dataset
 from stabgen.explorer import ExplorationConfig
-from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG, SLACK,
-                          export_tables)
+from stabgen.grid import (IBR, Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
+                          SLACK, export_tables)
 
 FAST_CFG = """\
 fixture=3bus
@@ -188,22 +188,37 @@ def test_split_dim_absent_from_grid_rejected(tmp_path):
 
 
 def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path):
-    grid = tmp_path / "grid"
-    export_tables(GridModel(
-        buses=(Bus(1, SLACK, 0.95, 1.05), Bus(2, PV, 0.95, 1.05),
-               Bus(3, PQ, 0.95, 1.05)),
-        lines=(Line(1, 2, 0.01, 0.10, 0.02, 300.0), Line(2, 3, 0.01, 0.10, 0.02, 300.0)),
-        gen_groups=(GenGroup(1, SG, 300.0, 0.95), GenGroup(2, SG, 200.0, 0.95)),
-        loads=(Load(3, 1.0),)), grid)
-    buses = grid / "buses.csv"
-    buses.write_text(buses.read_text().replace("3,PQ", "3,PV"))  # bus 3 hosts no group
-    out_dir = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, f"grid={grid}\nn_samples=8\nn_cases=1\nmax_depth=0\n",
-                     out_dir=str(out_dir))
-    assert main(["generate", "--config", str(cfg)]) == 2
-    assert not out_dir.exists()
-    assert main(["scan", "--grid", str(grid), "--component", "GFOR_2",
-                 "--fmin", "1", "--fmax", "10"]) == 2
+    # So do tables with a bad number or an empty capability box: each exits 2
+    # before it writes anything.
+    cases = [
+        ("buses", "3,PQ", "3,PV"),  # bus 3 hosts no group
+        ("lines", "1,2,0.01,", "1,2,abc,"),
+        ("buses", "3,PQ,0.95,1.05", "3,PQ,0.95"),  # a short row
+        ("lines", "1,2,0.01,", "1,2,nan,"),
+        ("gens", "2,IBR,200.0,0.95", "2,IBR,200.0,0.15"),  # p_min > p_max
+    ]
+    for k, (table, old, new) in enumerate(cases):
+        grid = tmp_path / str(k) / "grid"
+        export_tables(GridModel(
+            buses=(Bus(1, SLACK, 0.95, 1.05), Bus(2, PV, 0.95, 1.05),
+                   Bus(3, PQ, 0.95, 1.05)),
+            lines=(Line(1, 2, 0.01, 0.10, 0.02, 300.0),
+                   Line(2, 3, 0.01, 0.10, 0.02, 300.0)),
+            gen_groups=(GenGroup(1, SG, 300.0, 0.95), GenGroup(2, IBR, 200.0, 0.95)),
+            loads=(Load(3, 1.0),)), grid)
+        path = grid / f"{table}.csv"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        out_dir = tmp_path / str(k) / "out"
+        cfg = _write_cfg(tmp_path / str(k), f"grid={grid}\nn_samples=8\nn_cases=1\n"
+                         "max_depth=0\n", out_dir=str(out_dir))
+        assert main(["generate", "--config", str(cfg)]) == 2, new
+        assert not out_dir.exists()
+        scan = tmp_path / str(k) / "scan.csv"
+        assert main(["scan", "--grid", str(grid), "--component", "GFOR_2",
+                     "--fmin", "1", "--fmax", "10", "--out", str(scan)]) == 2, new
+        assert not scan.exists()
 
 
 def test_fixed_split_dims_accepts_control_names(tmp_path):

@@ -376,8 +376,9 @@ def test_check_constraints_many_matches_the_loop(fixture, seed, rows):
 
 
 def test_infeasible_distance_is_that_of_the_returned_dispatch(monkeypatch):
-    # One outer iteration, so a line-search step that it accepts is never solved.
-    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
+    # Two iterates: a line-search step that the first one takes is the second
+    # iterate and the last, returned with its own distance.
+    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 2)
     real = feasibility.solve_pf
     solves = []
 
@@ -404,9 +405,10 @@ def test_infeasible_distance_is_that_of_the_returned_dispatch(monkeypatch):
 
 
 def test_repair_solves_no_power_flow_per_group(monkeypatch):
-    # One outer iteration: the iterate plus at most three line-search trials;
-    # the 1 MW difference of each of the 4 adjustable groups solves no power flow.
-    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
+    # Two iterates: the first plus at most three line-search trials, the last
+    # of them taken as the second; the 1 MW difference of each of the 4
+    # adjustable groups solves no power flow.
+    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 2)
     real = feasibility.solve_pf
     solves = []
 
@@ -425,6 +427,37 @@ def test_repair_solves_no_power_flow_per_group(monkeypatch):
         assert len(solves) <= 4
         searched += len(solves) > 1
     assert searched
+
+
+def test_a_repair_capped_at_one_iterate_solves_only_its_set_points(monkeypatch):
+    # The first iterate is the last: no 1 MW trials and no line search follow.
+    monkeypatch.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
+    real_pf, real_many = feasibility.solve_pf, feasibility.solve_many
+    solves, calls = [], []
+
+    def counting_pf(*args):
+        solves.append(1)
+        return real_pf(*args)
+
+    def counting_many(*args):
+        calls.append(1)
+        return real_many(*args)
+
+    monkeypatch.setattr(feasibility, "solve_pf", counting_pf)
+    monkeypatch.setattr(feasibility, "solve_many", counting_many)
+    grid = fixture_9bus()
+    root = build_space(grid, CONTROL).root_cell()
+    ops = list(hierarchical_sample(root, 20, 1, grid, seed=7))
+    infeasible = 0
+    for op in ops:
+        solves.clear()
+        _adj, _sol, verdict = adjust_to_feasible(grid, op, root)
+        assert len(solves) == 1
+        infeasible += verdict.status == INFEASIBLE
+    assert infeasible  # a repair that the cap ended
+    calls.clear()  # solve_pf is solve_many of one row
+    adjust_many(grid, ops, [root] * len(ops))
+    assert len(calls) == 1
 
 
 def _mask_mismatch(grid, case, gen_p, sol):
@@ -689,7 +722,7 @@ def _reference_repairs(grid, items, max_outer):
                 ids=["3bus", "9bus"])
 def repair_pool(request):
     """Points of the root and of its two P_SG halves, with the reference
-    repair of each at 1, 2 and 20 iterations (``_reference_repairs``)."""
+    repair of each at 1, 2 and 20 iterates (``_reference_repairs``)."""
     fixture, per_cell = request.param
     grid = fixture()
     root = build_space(grid, CONTROL).root_cell()
@@ -702,9 +735,9 @@ def repair_pool(request):
 @given(data=st.data())
 def test_adjust_many_matches_one_repair_at_a_time(repair_pool, data):
     # Both entry points against the one-point reference, also at 1 and 2
-    # iterations, where a trial taken in the last iteration is not the
-    # result.  The chunk solves each point's power flows, no more: its
-    # solve_many calls are the costliest point's solves, its rows their sum.
+    # iterates, where the cap ends most repairs.  The chunk solves each
+    # point's power flows, no more: its solve_many calls are the costliest
+    # point's solves, its rows their sum.
     grid, items, reference = repair_pool
     max_outer = data.draw(st.sampled_from(sorted(reference)))
     picks = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
@@ -771,8 +804,9 @@ def test_repairs_hand_the_power_flow_only_dispatches_in_the_boxes(fixture, n_sam
 
 
 def test_adjust_many_keeps_its_repairs_in_phase(repair_pool, monkeypatch):
-    # Every step answers the trial requests before its power flows, so a chunk
-    # costs as many solve_many calls as its costliest point's solves alone.
+    # Every step solves one power flow of each unfinished point, its first
+    # iterate or its pending line-search trial, so a chunk costs as many
+    # solve_many calls as its costliest point's solves alone.
     grid, items, _alone = repair_pool
     real_pf, real_many = feasibility.solve_pf, feasibility.solve_many
     solves = []

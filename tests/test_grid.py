@@ -29,7 +29,8 @@ def test_capability_limits_unity_pf():
 
 
 @pytest.mark.parametrize("p_nom,cos_phi", [(0.0, 0.95), (-5.0, 0.95),
-                                           (100.0, 0.0), (100.0, 1.5)])
+                                           (100.0, 0.0), (100.0, 1.5),
+                                           (100.0, 0.15), (100.0, 0.2)])
 def test_capability_limits_rejects_bad_inputs(p_nom, cos_phi):
     with pytest.raises(GridError):
         capability_limits(p_nom, cos_phi)

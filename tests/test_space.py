@@ -17,8 +17,7 @@ def test_build_space_3bus():
     indep = [d.name for d in space.independent]
     assert indep == [P_SG, P_IBR, PCT_GFM, V_ANCHOR, "tau_u", "tau_w"]
     assert space.dimension(P_D).kind == "Dependent"
-    names = [v.name for v in space.variables]
-    assert names == ["P_SG_1", "P_IBR_2", "P_GFM_2", "P_GFL_2", "P_L_3"]
+    assert space.variables == ("P_SG_1", "P_IBR_2", "P_GFM_2", "P_GFL_2", "P_L_3")
 
 
 def test_build_space_9bus_counts():
