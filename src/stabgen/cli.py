@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,7 +113,7 @@ def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
     except (GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if fmin <= 0 or fmax <= fmin:
+    if not 0 < fmin < fmax < math.inf:  # NaN fails every comparison
         print("error: empty or invalid frequency range", file=sys.stderr)
         return 2
     if points_per_decade < 1 or n_units < 1:

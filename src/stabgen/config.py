@@ -16,11 +16,13 @@ name must be a field of ``GforParams`` and/or ``GfolParams``, given once;
 of ``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
 that dimension is checked by ``generate`` once the space is built).
 Unknown keys, keys given twice (``fixture`` and ``grid`` are one key),
-bad values and out-of-range settings raise ConfigError at parse time.
+bad values (a real number that is not finite among them) and out-of-range
+settings raise ConfigError at parse time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -48,16 +50,23 @@ class RunConfig:
     exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 _EXPLORATION_KEYS = {
     "n_samples": int, "n_cases": int, "max_depth": int,
-    "min_feasible_rate": float, "entropy_decrease_threshold": float,
-    "min_tolerance_frac": float, "use_sensitivity": "bool",
+    "min_feasible_rate": _finite, "entropy_decrease_threshold": _finite,
+    "min_tolerance_frac": _finite, "use_sensitivity": "bool",
     "fixed_split_dims": "strlist", "split_dims_per_node": int,
-    "loss_factor": float, "eps_margin": float, "seed": int, "workers": int,
-    "dev_bound": float, "randomize_loads": "bool", "load_pf": float,
+    "loss_factor": _finite, "eps_margin": _finite, "seed": int, "workers": int,
+    "dev_bound": _finite, "randomize_loads": "bool", "load_pf": _finite,
     "forest_trees": int, "forest_depth": int,
 }
 
@@ -71,7 +80,7 @@ def _parse_control(value: str) -> tuple[tuple[str, float, float], ...]:
         bits = part.split(":")
         if len(bits) != 3:
             raise ConfigError(f"control parameter {part!r} must be name:lo:hi")
-        name, lo, hi = bits[0], float(bits[1]), float(bits[2])
+        name, lo, hi = bits[0], _finite(bits[1]), _finite(bits[2])
         if name not in CONTROL_PARAM_NAMES:
             raise ConfigError(f"control parameter {name!r} is not a field of "
                               f"GforParams or GfolParams")

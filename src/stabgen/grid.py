@@ -98,7 +98,10 @@ class GenGroup:
     def __post_init__(self):
         if self.tech not in (SG, IBR):
             raise GridError(f"gen at bus {self.bus}: unknown tech {self.tech!r}")
-        s, pmin, pmax, qmin, qmax = capability_limits(self.p_nom, self.cos_phi)
+        try:
+            s, pmin, pmax, qmin, qmax = capability_limits(self.p_nom, self.cos_phi)
+        except GridError as exc:
+            raise GridError(f"{self.name}: {exc}") from exc
         object.__setattr__(self, "s_rated", s)
         object.__setattr__(self, "p_min", pmin)
         object.__setattr__(self, "p_max", pmax)
@@ -381,8 +384,10 @@ _SCHEMAS = {
 }
 
 
-def _read_table(path: Path, name: str) -> list:
-    """Per row of a table, its ``_cell`` parser."""
+def _read_table(path: Path, name: str, build) -> tuple:
+    """``build`` applied to the ``_cell`` parser of each row of a table.  A
+    GridError raised by a cell or by the object built from the row names
+    the row's file and line."""
     if not path.exists():
         raise GridError(f"missing table file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -391,16 +396,22 @@ def _read_table(path: Path, name: str) -> list:
         missing = [c for c in _SCHEMAS[name] if c not in cols]
         if missing:
             raise GridError(f"{name}.csv: missing column(s) {', '.join(missing)}")
-        return [partial(_cell, f"{name}.csv line {reader.line_num}", r) for r in reader]
+        built = []
+        for row in reader:
+            try:
+                built.append(build(partial(_cell, row)))
+            except GridError as exc:
+                raise GridError(f"{name}.csv line {reader.line_num}: {exc}") from exc
+        return tuple(built)
 
 
-def _cell(where: str, row: dict, col: str, number=None):
+def _cell(row: dict, col: str, number=None):
     """Column ``col`` of a table row: stripped text, or parsed by ``number``
     (``int`` or ``float``).  A missing cell, or one that is not a finite
-    number, raises GridError saying ``where`` it is."""
+    number, raises GridError."""
     text = row[col]
     if text is None:
-        raise GridError(f"{where}: missing {col}")
+        raise GridError(f"missing {col}")
     if number is None:
         return text.strip()
     try:
@@ -408,30 +419,22 @@ def _cell(where: str, row: dict, col: str, number=None):
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise GridError(f"{where}: {col} {text!r} is not a finite number")
+        raise GridError(f"{col} {text!r} is not a finite number")
     return value
 
 
 def load_grid(directory: str | Path, base_mva: float = 100.0) -> GridModel:
     """Build a validated GridModel from buses/lines/gens/loads CSV tables."""
     d = Path(directory)
-    buses = tuple(
-        Bus(c("id", int), c("kind"), c("v_min", float), c("v_max", float))
-        for c in _read_table(d / "buses.csv", "buses")
-    )
-    lines = tuple(
-        Line(c("from", int), c("to", int), c("r", float), c("x", float),
-             c("b", float), c("s_max", float))
-        for c in _read_table(d / "lines.csv", "lines")
-    )
-    gens = tuple(
-        GenGroup(c("bus", int), c("tech"), c("p_nom", float), c("cos_phi", float))
-        for c in _read_table(d / "gens.csv", "gens")
-    )
-    loads = tuple(
-        Load(c("bus", int), c("participation", float))
-        for c in _read_table(d / "loads.csv", "loads")
-    )
+    buses = _read_table(d / "buses.csv", "buses", lambda c: Bus(
+        c("id", int), c("kind"), c("v_min", float), c("v_max", float)))
+    lines = _read_table(d / "lines.csv", "lines", lambda c: Line(
+        c("from", int), c("to", int), c("r", float), c("x", float), c("b", float),
+        c("s_max", float)))
+    gens = _read_table(d / "gens.csv", "gens", lambda c: GenGroup(
+        c("bus", int), c("tech"), c("p_nom", float), c("cos_phi", float)))
+    loads = _read_table(d / "loads.csv", "loads", lambda c: Load(
+        c("bus", int), c("participation", float)))
     return GridModel(buses, lines, gens, loads, base_mva)
 
 

@@ -2,7 +2,10 @@
 
 Every random draw is keyed on (global seed, cell path, sample index, case
 index), so identical inputs reproduce identical operating points no matter
-how many workers run or in which order calls happen.
+how many workers run or in which order calls happen.  Each total is
+disaggregated by one variance-maximizing fill, and each operating point is
+built once, with its dependent values (total demand, grid-following
+remainders) already in place.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ import hashlib
 import numpy as np
 
 from .grid import GridModel, IBR, SG
-from .space import (OperatingPoint, Subregion, P_D, P_IBR, P_SG, PCT_GFM,
-                    V_ANCHOR, derive_dependent)
+from .space import OperatingPoint, Subregion, P_D, P_IBR, P_SG, PCT_GFM, V_ANCHOR
 
 
 def rng_stream(seed: int, cell_path: str, *indices: int) -> np.random.Generator:
@@ -77,13 +79,21 @@ def sample_voltage_profile(grid: GridModel, anchor_v: float, dev_bound: float,
     return profile
 
 
-def disaggregate_variance_max(target: float, lo: np.ndarray, hi: np.ndarray,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Extreme-value allocation: start at the lower bounds, then raise
-    elements toward their upper bounds in a shuffled order until the
-    remaining deficit is exhausted."""
-    x = lo.astype(float).copy()
-    deficit = target - float(lo.sum())
+def disaggregate(target: float, lo: np.ndarray, hi: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Allocate a total across elements within per-element bounds [lo, hi].
+
+    Variance-maximizing fill: start at the lower bounds, then raise elements
+    toward their upper bounds in a shuffled order until the remaining deficit
+    is exhausted.  A target outside the bound sums by more than rounding
+    raises ValueError; one within rounding of them is clamped onto them.
+    """
+    lo_sum, hi_sum = float(lo.sum()), float(hi.sum())
+    tol = 1e-9 * max(1.0, abs(target))
+    if target < lo_sum - tol or target > hi_sum + tol:
+        raise ValueError(f"target {target} outside feasible range [{lo_sum}, {hi_sum}]")
+    x = lo.astype(float)
+    deficit = min(max(target, lo_sum), hi_sum) - lo_sum
     for i in rng.permutation(len(x)):
         step = min(hi[i] - lo[i], deficit)
         x[i] += step
@@ -93,57 +103,6 @@ def disaggregate_variance_max(target: float, lo: np.ndarray, hi: np.ndarray,
     return x
 
 
-def disaggregate_gaussian(target: float, lo: np.ndarray, hi: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Gaussian allocation centered at the bound-scaled means.
-
-    Means are lo + f*(hi-lo) with f the fractional position of the target
-    between the bound sums; sigma spans a sixth of each range.  Values are
-    clamped to the bounds and the offsets (x - lo) proportionally rescaled
-    until the sum matches the target.
-    """
-    span = float((hi - lo).sum())
-    if span <= 0:
-        return lo.astype(float).copy()
-    f = (target - float(lo.sum())) / span
-    mean = lo + f * (hi - lo)
-    sigma = (hi - lo) / 6.0
-    x = np.clip(rng.normal(mean, sigma), lo, hi)
-    want = target - float(lo.sum())
-    for _ in range(100):
-        got = float((x - lo).sum())
-        if got <= 0:
-            x = mean.copy()
-            got = float((x - lo).sum())
-        x = lo + (x - lo) * (want / got)
-        over = x > hi
-        if not over.any() and abs(float(x.sum()) - target) <= 1e-9 * max(1.0, abs(target)):
-            break
-        x = np.clip(x, lo, hi)
-    return x
-
-
-def disaggregate(target: float, bounds: list[tuple[float, float]],
-                 rng: np.random.Generator, max_tries: int = 50) -> np.ndarray:
-    """Allocate a total across elements within per-element bounds.
-
-    The variance-maximizing strategy is tried up to ``max_tries`` shuffles;
-    if it cannot match the target it falls back to the Gaussian strategy.
-    """
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    tol = 1e-9 * max(1.0, abs(target))
-    if target < lo.sum() - tol or target > hi.sum() + tol:
-        raise ValueError(
-            f"target {target} outside feasible range [{lo.sum()}, {hi.sum()}]")
-    target = min(max(target, float(lo.sum())), float(hi.sum()))
-    for _ in range(max_tries):
-        x = disaggregate_variance_max(target, lo, hi, rng)
-        if abs(float(x.sum()) - target) <= tol:
-            return x
-    return disaggregate_gaussian(target, lo, hi, rng)
-
-
 def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
                         grid: GridModel, seed: int,
                         loss_factor: float = 0.97, dev_bound: float = 0.02,
@@ -151,48 +110,58 @@ def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
     """Draw n_samples dimension tuples and n_cases variable realizations each.
 
     Dimension tuples come from the Latin hypercube draw plus the voltage
-    graph walk; each case disaggregates the SG, IBR, grid-forming and
-    demand totals onto individual elements and derives the dependent
-    values.  Output length is exactly n_samples * n_cases.
+    graph walk, and gain the total demand ``P_D``, the ``loss_factor``
+    fraction of total generation.  Each case disaggregates the SG, IBR,
+    grid-forming and demand totals onto individual elements; every
+    grid-following allocation is its IBR group's remainder after the
+    grid-forming share, which is bounded by that group's allocation.
+    Output length is exactly n_samples * n_cases.
     """
     if n_samples < 1 or n_cases < 1:
         raise ValueError("n_samples and n_cases must be >= 1")
     sg = grid.groups_of(SG)
     ibr = grid.groups_of(IBR)
+    sg_lo, sg_hi = _power_bounds(sg)
+    ibr_lo, ibr_hi = _power_bounds(ibr)
+    gfm_lo = np.zeros(len(ibr))
+    share = np.array([ld.participation for ld in grid.loads])
+    sg_keys = [f"P_SG_{g.bus}" for g in sg]
+    ibr_keys, gfm_keys, gfl_keys = ([f"P_{kind}_{g.bus}" for g in ibr]
+                                    for kind in ("IBR", "GFM", "GFL"))
+    load_keys = [f"P_L_{ld.bus}" for ld in grid.loads]
     dim_tuples = lhs(n_samples, cell, rng_stream(seed, cell.path, 0))
     points: list[OperatingPoint] = []
     for i, dims in enumerate(dim_tuples):
+        p_d = loss_factor * (dims.get(P_SG, 0.0) + dims.get(P_IBR, 0.0))
+        dims[P_D] = p_d
         profile = sample_voltage_profile(
             grid, dims[V_ANCHOR], dev_bound, rng_stream(seed, cell.path, i + 1, 0))
         for j in range(n_cases):
             rng = rng_stream(seed, cell.path, i + 1, j + 1)
             varv: dict[str, float] = {}
             if sg:
-                alloc = disaggregate(dims[P_SG], [(g.p_min, g.p_max) for g in sg], rng)
-                for g, v in zip(sg, alloc):
-                    varv[f"P_SG_{g.bus}"] = float(v)
+                p_sg = disaggregate(dims[P_SG], sg_lo, sg_hi, rng)
+                varv.update(zip(sg_keys, p_sg.tolist()))
             if ibr:
-                alloc = disaggregate(dims[P_IBR], [(g.p_min, g.p_max) for g in ibr], rng)
-                for g, v in zip(ibr, alloc):
-                    varv[f"P_IBR_{g.bus}"] = float(v)
-                gfm_total = dims[PCT_GFM] * dims[P_IBR]
-                gfm_bounds = [(0.0, varv[f"P_IBR_{g.bus}"]) for g in ibr]
-                alloc = disaggregate(gfm_total, gfm_bounds, rng)
-                for g, v in zip(ibr, alloc):
-                    varv[f"P_GFM_{g.bus}"] = float(v)
-            p_d = loss_factor * (dims.get(P_SG, 0.0) + dims.get(P_IBR, 0.0))
+                p_ibr = disaggregate(dims[P_IBR], ibr_lo, ibr_hi, rng)
+                p_gfm = disaggregate(dims[PCT_GFM] * dims[P_IBR], gfm_lo, p_ibr, rng)
+                varv.update(zip(ibr_keys, p_ibr.tolist()))
+                varv.update(zip(gfm_keys, p_gfm.tolist()))
             if grid.loads:
                 if randomize_loads:
-                    load_bounds = [(0.8 * ld.participation * p_d,
-                                    min(1.2 * ld.participation * p_d, p_d))
-                                   for ld in grid.loads]
-                    alloc = disaggregate(p_d, load_bounds, rng)
+                    loads = disaggregate(p_d, 0.8 * share * p_d,
+                                         np.minimum(1.2 * share * p_d, p_d), rng)
                 else:
-                    alloc = [ld.participation * p_d for ld in grid.loads]
-                for ld, v in zip(grid.loads, alloc):
-                    varv[f"P_L_{ld.bus}"] = float(v)
-            op = OperatingPoint(dim_values=dict(dims), var_values=varv,
-                                voltage_profile=profile,
-                                sample_index=i, case_index=j)
-            points.append(derive_dependent(op, loss_factor))
+                    loads = share * p_d
+                varv.update(zip(load_keys, loads.tolist()))
+            if ibr:
+                varv.update(zip(gfl_keys, (p_ibr - p_gfm).tolist()))
+            points.append(OperatingPoint(dim_values=dict(dims), var_values=varv,
+                                         voltage_profile=profile,
+                                         sample_index=i, case_index=j))
     return points
+
+
+def _power_bounds(groups) -> tuple[np.ndarray, np.ndarray]:
+    """The active-power bounds (p_min, p_max) of generation groups, as arrays."""
+    return np.array([g.p_min for g in groups]), np.array([g.p_max for g in groups])

@@ -9,7 +9,7 @@ Subregions are axis-aligned hyperrectangles produced by midpoint bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .grid import GridModel, SG, IBR
 
@@ -95,8 +95,8 @@ class Subregion:
 def split(cell: Subregion, dim: str, min_tolerance_frac: float) -> tuple[Subregion, Subregion]:
     """Bisect a cell at the midpoint of one independent dimension.
 
-    Raises ToleranceFloorError if either child's range would fall below
-    ``min_tolerance_frac`` of the dimension's initial range.
+    Raises ToleranceFloorError if the cell's own range of ``dim`` is already
+    at or below ``min_tolerance_frac`` of the dimension's initial range.
     """
     if dim not in cell.bounds:
         raise SpaceError(f"cannot split on {dim!r}: not a bounded dimension of the cell")
@@ -138,29 +138,6 @@ def contains_values(cell: Subregion, dim_values: dict[str, float]) -> bool:
         if v >= hi and not (hi == cell.initial[dim][1] and v == hi):
             return False
     return True
-
-
-def derive_dependent(op: OperatingPoint, loss_factor: float) -> OperatingPoint:
-    """Fill in the dependent dimension and variables of an operating point.
-
-    Total demand is the loss-factor fraction of total generation; every
-    grid-following allocation is the IBR-group remainder after its sampled
-    grid-forming share.  Idempotent.
-    """
-    dims = dict(op.dim_values)
-    dims[P_D] = loss_factor * (dims.get(P_SG, 0.0) + dims.get(P_IBR, 0.0))
-    varv = dict(op.var_values)
-    for name, value in op.var_values.items():
-        if not name.startswith("P_GFM_"):
-            continue
-        elem = name[len("P_GFM_"):]
-        p_ibr_i = op.var_values[f"P_IBR_{elem}"]
-        p_gfl_i = p_ibr_i - value
-        if p_gfl_i < -1e-9:
-            raise SpaceError(
-                f"GFM allocation {value} exceeds IBR allocation {p_ibr_i} at {elem}")
-        varv[f"P_GFL_{elem}"] = max(p_gfl_i, 0.0)
-    return replace(op, dim_values=dims, var_values=varv)
 
 
 def build_space(grid: GridModel,

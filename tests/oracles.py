@@ -11,7 +11,8 @@ objective and the repair itself, kept as the bit-for-bit references of
 their stacked forms.  So are
 ``tree_predict``, one tree's share of the forest's stacked vote, and
 ``voltage_walk``, the voltage walk with the grid's lookups rebuilt for
-every sample.
+every sample.  ``disaggregate_gaussian`` is the allocation strategy that the
+sampler's variance-maximizing fill is compared against.
 """
 
 from __future__ import annotations
@@ -428,6 +429,36 @@ def voltage_walk(grid: GridModel, anchor_v: float, dev_bound: float,
             profile[child] = min(max(v, bus.v_min), bus.v_max)
             frontier.append(child)
     return profile
+
+
+def disaggregate_gaussian(target: float, lo: np.ndarray, hi: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Gaussian allocation centered at the bound-scaled means.
+
+    Means are lo + f*(hi-lo) with f the fractional position of the target
+    between the bound sums; sigma spans a sixth of each range.  Values are
+    clamped to the bounds and the offsets (x - lo) proportionally rescaled
+    until the sum matches the target.
+    """
+    span = float((hi - lo).sum())
+    if span <= 0:
+        return lo.astype(float).copy()
+    f = (target - float(lo.sum())) / span
+    mean = lo + f * (hi - lo)
+    sigma = (hi - lo) / 6.0
+    x = np.clip(rng.normal(mean, sigma), lo, hi)
+    want = target - float(lo.sum())
+    for _ in range(100):
+        got = float((x - lo).sum())
+        if got <= 0:
+            x = mean.copy()
+            got = float((x - lo).sum())
+        x = lo + (x - lo) * (want / got)
+        over = x > hi
+        if not over.any() and abs(float(x.sum()) - target) <= 1e-9 * max(1.0, abs(target)):
+            break
+        x = np.clip(x, lo, hi)
+    return x
 
 
 def tree_predict(tree: Tree, x: np.ndarray) -> np.ndarray:

@@ -23,15 +23,15 @@ from stabgen.forest import (LabeledDataset, feature_importance, kfold_accuracy,
                             train_forest)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus, fixture_9bus)
-from stabgen.sampling import (disaggregate, disaggregate_gaussian,
-                              disaggregate_variance_max, lhs, rng_stream)
+from stabgen.sampling import disaggregate, lhs, rng_stream
 from stabgen.smallsignal import (ConverterUnit, DynUnit, GfolParams,
                                  GforParams, KIND_SG, OMEGA_BASE, SgParams,
                                  admittance_scan, aggregate_ibrs, linearize,
                                  terminal_model)
 from stabgen.space import OperatingPoint, build_space
 
-from oracles import gauss_seidel_pf, smib_analytic_eigs, two_bus_closed_form
+from oracles import (disaggregate_gaussian, gauss_seidel_pf, smib_analytic_eigs,
+                     two_bus_closed_form)
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -109,7 +109,7 @@ def test_criterion_3_disaggregation():
         lo = rng.uniform(0, 50, k)
         hi = lo + rng.uniform(1, 150, k)
         target = float(rng.uniform(lo.sum(), hi.sum()))
-        x = disaggregate(target, list(zip(lo, hi)), rng)
+        x = disaggregate(target, lo, hi, rng)
         assert abs(float(x.sum()) - target) <= 1e-9 * max(1.0, abs(target))
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
     lo3 = np.zeros(3)
@@ -118,7 +118,7 @@ def test_criterion_3_disaggregation():
     v_max, v_gauss = [], []
     for i in range(10_000):
         r = rng_stream(1, "R", i)
-        v_max.append(float(np.var(disaggregate_variance_max(target3, lo3, hi3, r))))
+        v_max.append(float(np.var(disaggregate(target3, lo3, hi3, r))))
         v_gauss.append(float(np.var(disaggregate_gaussian(target3, lo3, hi3, r))))
     assert np.mean(v_max) > np.mean(v_gauss)
     assert time.perf_counter() - t0 < 10.0

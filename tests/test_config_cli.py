@@ -127,6 +127,10 @@ def test_workers_env_override(tmp_path, monkeypatch):
     ("min_tolerance_frac=1\n", None),
     ("min_feasible_rate=-0.1\n", None),
     ("min_feasible_rate=2\n", None),
+    ("dev_bound=inf\n", None),                   # not a number the walk can draw from
+    ("entropy_decrease_threshold=nan\n", None),  # would silently never stop a cell
+    ("eps_margin=inf\n", None),                  # would call every mode unstable
+    ("control_params=tau_u:0.01:inf\n", None),   # would write tau_u=inf on every row
 ])
 def test_out_of_range_config_rejected_at_parse_time(extra, env_workers, tmp_path,
                                                     monkeypatch):
@@ -187,7 +191,7 @@ def test_split_dim_absent_from_grid_rejected(tmp_path):
     assert (out_dir / "dataset.csv").exists()
 
 
-def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path):
+def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path, capsys):
     # So do tables with a bad number or an empty capability box: each exits 2
     # before it writes anything.
     cases = [
@@ -219,6 +223,9 @@ def test_grid_tables_with_an_ignored_bus_kind_exit_2(tmp_path):
         assert main(["scan", "--grid", str(grid), "--component", "GFOR_2",
                      "--fmin", "1", "--fmax", "10", "--out", str(scan)]) == 2, new
         assert not scan.exists()
+        if table == "gens":  # the error names the table line and the group
+            said = "error: gens.csv line 3: IBR_2: cos_phi 0.15: empty active range"
+            assert capsys.readouterr().err.count(said) == 2
 
 
 def test_fixed_split_dims_accepts_control_names(tmp_path):
@@ -347,6 +354,12 @@ def test_scan_writes_csv(tmp_path):
      "--fmin", "1", "--fmax", "10", "--units", "0"],              # no units
     ["scan", "--grid", "3bus", "--component", "GFOR_2",
      "--fmin", "1", "--fmax", "10", "--points-per-decade", "0"],  # no points
+    ["scan", "--grid", "3bus", "--component", "GFOR_2",
+     "--fmin", "nan", "--fmax", "10"],
+    ["scan", "--grid", "3bus", "--component", "GFOR_2",
+     "--fmin", "1", "--fmax", "nan"],
+    ["scan", "--grid", "3bus", "--component", "GFOR_2",
+     "--fmin", "1", "--fmax", "inf"],
 ])
 def test_scan_error_exit_codes(args, tmp_path, capsys):
     assert main(args) == 2

@@ -2,15 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabgen.grid import Line, fixture_3bus, fixture_9bus
-from stabgen.sampling import (disaggregate, disaggregate_gaussian,
-                              disaggregate_variance_max, hierarchical_sample,
-                              lhs, rng_stream, sample_voltage_profile)
+from stabgen.sampling import (disaggregate, hierarchical_sample, lhs, rng_stream,
+                              sample_voltage_profile)
 from stabgen.space import build_space, contains_values
 
-from oracles import voltage_walk
+from oracles import disaggregate_gaussian, voltage_walk
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -98,6 +97,8 @@ def test_voltage_profile_zero_deviation_is_flat():
        st.floats(min_value=0.0, max_value=600.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=100, deadline=None)
+@example(0, 0.0)      # the target at the lower bound sum
+@example(0, 600.0)    # and within rounding of the upper one
 def test_disaggregate_sum_and_bounds(seed, frac_seed):
     rng = rng_stream(seed, "R", 0)
     bounds = [(float(rng.uniform(0, 50)), float(rng.uniform(60, 200)))
@@ -105,7 +106,7 @@ def test_disaggregate_sum_and_bounds(seed, frac_seed):
     lo = sum(b[0] for b in bounds)
     hi = sum(b[1] for b in bounds)
     target = lo + (frac_seed / 600.0) * (hi - lo)
-    x = disaggregate(target, bounds, rng)
+    x = disaggregate(target, *np.array(bounds).T, rng)
     assert abs(x.sum() - target) <= 1e-9 * max(1.0, abs(target))
     for v, (blo, bhi) in zip(x, bounds):
         assert blo - 1e-12 <= v <= bhi + 1e-12
@@ -113,9 +114,9 @@ def test_disaggregate_sum_and_bounds(seed, frac_seed):
 
 def test_disaggregate_out_of_range():
     with pytest.raises(ValueError):
-        disaggregate(1000.0, [(0.0, 10.0), (0.0, 10.0)], rng_stream(0, "R", 0))
+        disaggregate(1000.0, np.zeros(2), np.full(2, 10.0), rng_stream(0, "R", 0))
     with pytest.raises(ValueError):
-        disaggregate(-5.0, [(0.0, 10.0), (0.0, 10.0)], rng_stream(0, "R", 0))
+        disaggregate(-5.0, np.zeros(2), np.full(2, 10.0), rng_stream(0, "R", 0))
 
 
 def test_variance_max_beats_gaussian():
@@ -125,7 +126,7 @@ def test_variance_max_beats_gaussian():
     var_v, var_g = [], []
     for k in range(2000):
         rng = rng_stream(1, "R", k)
-        var_v.append(np.var(disaggregate_variance_max(target, lo, hi, rng)))
+        var_v.append(np.var(disaggregate(target, lo, hi, rng)))
         var_g.append(np.var(disaggregate_gaussian(target, lo, hi, rng)))
     assert np.mean(var_v) > np.mean(var_g)
 
@@ -149,6 +150,29 @@ def test_hierarchical_sample_shape_and_containment():
         assert gfm == pytest.approx(
             p.dim_values["pct_P_GFM"] * p.dim_values["P_IBR"], abs=1e-9)
         assert p.var_values["P_L_3"] == pytest.approx(p.dim_values["P_D"])
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([fixture_3bus, fixture_9bus]), st.booleans(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_hierarchical_sample_dependent_values(seed, grid, all_gfm, randomize_loads):
+    # P_D and every P_GFL are written exactly; a grid-following remainder
+    # stays >= 0 even when the grid-forming share takes the whole IBR total
+    g = grid()
+    space = build_space(g, CONTROL)
+    cell = space.root_cell()
+    if all_gfm:  # every point at pct_P_GFM = 1 exactly
+        cell = dataclasses.replace(cell, bounds={**cell.bounds, "pct_P_GFM": (1.0, 1.0)})
+    for p in hierarchical_sample(cell, 4, 2, g, seed, loss_factor=0.9,
+                                 randomize_loads=randomize_loads):
+        d, v = p.dim_values, p.var_values
+        assert list(d) == [*cell.bounds, "P_D"]
+        assert set(v) == set(space.variables)
+        assert d["P_D"] == 0.9 * (d["P_SG"] + d["P_IBR"])
+        for grp in g.groups_of("IBR"):
+            gfl = v[f"P_GFL_{grp.bus}"]
+            assert gfl == v[f"P_IBR_{grp.bus}"] - v[f"P_GFM_{grp.bus}"]
+            assert gfl >= 0.0
 
 
 def test_hierarchical_sample_deterministic():

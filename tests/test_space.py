@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stabgen.grid import fixture_3bus, fixture_9bus
-from stabgen.space import (OperatingPoint, SpaceError, Subregion,
-                           ToleranceFloorError, build_space,
-                           contains_values, derive_dependent, split,
-                           P_D, P_IBR, P_SG, PCT_GFM, V_ANCHOR)
+from stabgen.space import (Subregion, ToleranceFloorError, build_space,
+                           contains_values, split, P_D, P_IBR, P_SG, PCT_GFM,
+                           V_ANCHOR)
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -97,50 +96,3 @@ def test_children_partition_points(v):
     in_l = contains_values(l, {"P_SG": v})
     in_h = contains_values(h, {"P_SG": v})
     assert in_l != in_h  # exactly one child owns each in-range point
-
-
-def _op(**dims):
-    return OperatingPoint(dim_values=dims, var_values={}, voltage_profile={})
-
-
-def test_derive_dependent_total():
-    op = OperatingPoint(dim_values={P_SG: 600.0, P_IBR: 400.0},
-                        var_values={}, voltage_profile={})
-    out = derive_dependent(op, 0.97)
-    assert out.dim_values[P_D] == pytest.approx(970.0)
-
-
-def test_derive_dependent_gfl():
-    op = OperatingPoint(dim_values={P_SG: 0.0, P_IBR: 50.0},
-                        var_values={"P_IBR_2": 50.0, "P_GFM_2": 50.0},
-                        voltage_profile={})
-    out = derive_dependent(op, 0.97)
-    assert out.var_values["P_GFL_2"] == 0.0
-
-
-def test_derive_dependent_rejects_excess_gfm():
-    op = OperatingPoint(dim_values={P_SG: 0.0, P_IBR: 50.0},
-                        var_values={"P_IBR_2": 50.0, "P_GFM_2": 60.0},
-                        voltage_profile={})
-    with pytest.raises(SpaceError):
-        derive_dependent(op, 0.97)
-
-
-def test_derive_dependent_idempotent():
-    op = OperatingPoint(dim_values={P_SG: 100.0, P_IBR: 80.0},
-                        var_values={"P_IBR_2": 80.0, "P_GFM_2": 30.0},
-                        voltage_profile={})
-    once = derive_dependent(op, 0.97)
-    twice = derive_dependent(once, 0.97)
-    assert once == twice
-
-
-@given(st.floats(min_value=0.0, max_value=80.0,
-                 allow_nan=False, allow_infinity=False))
-def test_gfm_gfl_consistency(gfm):
-    op = OperatingPoint(dim_values={P_SG: 0.0, P_IBR: 80.0},
-                        var_values={"P_IBR_2": 80.0, "P_GFM_2": gfm},
-                        voltage_profile={})
-    out = derive_dependent(op, 0.97)
-    total = out.var_values["P_GFM_2"] + out.var_values["P_GFL_2"]
-    assert total == pytest.approx(80.0, abs=1e-9)
