@@ -1,4 +1,10 @@
-"""Command-line entry points: generate, report, scan."""
+"""Command-line entry points: generate, report, scan.
+
+Each command imports the layers it runs when it starts: ``report`` loads
+only the record format (``dataset``), the forests and ``space``'s names,
+``scan`` adds the grid and the converter models, and only ``generate``
+loads the config parser, the sampler and the power flow.
+"""
 
 from __future__ import annotations
 
@@ -12,23 +18,35 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, config_as_dict, parse_config
 from .dataset import (_fmt, compute_metrics, importances_by_depth, read_dataset,
                       write_dataset, write_metrics, write_tree)
-from .explorer import ExplorationConfig, explore
-from .grid import FIXTURES, GridError, IBR, get_fixture, load_grid
-from .smallsignal import (ConverterUnit, GfolParams, GforParams, admittance_scan,
-                          aggregate_ibrs, terminal_model)
-from .space import P_D, build_space
+from .space import P_D
+
+
+# parse_config and explore stay attributes of this module, which run_generate
+# calls by name, so that a caller can replace or wrap them here.
+def parse_config(path):
+    from .config import parse_config as parse
+    return parse(path)
+
+
+def explore(space, grid, config):
+    from .explorer import explore as run
+    return run(space, grid, config)
 
 
 def _load_grid_arg(name: str):
+    from .grid import FIXTURES, get_fixture, load_grid
     if name in FIXTURES:
         return get_fixture(name)
     return load_grid(name)
 
 
 def run_generate(config_path: str) -> int:
+    from .config import ConfigError, config_as_dict
+    from .explorer import ExplorationConfig
+    from .grid import GridError
+    from .space import build_space
     try:
         cfg = parse_config(config_path)
         grid = _load_grid_arg(cfg.grid)
@@ -78,10 +96,17 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
         print(f"error: cannot read the forest settings from {manifest}: {exc!r}",
               file=sys.stderr)
         return 2
+    # parse_config's rules; a JSON true is a Python int, but not an integer here
+    for key, value in zip(("forest_trees", "forest_depth", "seed"), forest):
+        if type(value) is not int or (key != "seed" and value < 1):
+            need = "an integer" if key == "seed" else "an integer >= 1"
+            print(f"error: {manifest}: {key} must be {need}, got {value!r}",
+                  file=sys.stderr)
+            return 2
     out = Path(out_dir or Path(dataset_path).parent)
     out.mkdir(parents=True, exist_ok=True)
     # The independent dimensions in file order, as generate's features.
-    dim_names = [d for d in records[0].dims if d != P_D] if records else []
+    dim_names = [d for d in records[0].dims if d != P_D]
     metrics = compute_metrics(records, dim_names, *forest)
     with open(out / "rates_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -108,6 +133,9 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
 def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
              points_per_decade: int = 50, out_path: str | None = None,
              n_units: int = 2) -> int:
+    from .grid import IBR, GridError
+    from .smallsignal import (ConverterUnit, GfolParams, GforParams, admittance_scan,
+                              aggregate_ibrs, terminal_model)
     try:
         grid = _load_grid_arg(grid_name)
     except (GridError, OSError) as exc:

@@ -1,6 +1,9 @@
-"""Dataset and metrics serialization.
+"""The record format, and dataset and metrics serialization.
 
-dataset.csv holds one labeled record per row, its columns the fields of
+``LabeledRecord``, the three verdict names and the label ``entropy`` are
+defined here, and the engine modules take them from this module, so that
+reading a dataset loads no power flow, model or sampler.  dataset.csv
+holds one labeled record per row, its columns the fields of
 ``LabeledRecord``; metrics.csv aggregates per-depth rates, entropy, cross
 validated accuracy and dimension importances; tree.json dumps the
 exploration tree.  All CSV output is UTF-8 with a header row and
@@ -11,20 +14,63 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .explorer import ExplorationNode, LabeledRecord, entropy
-from .feasibility import DISCARDED, FEASIBLE, INFEASIBLE
 from .forest import LabeledDataset, kfold_accuracy
-from .space import OperatingSpaceSpec
+
+if TYPE_CHECKING:
+    from .explorer import ExplorationNode
+    from .space import OperatingSpaceSpec
+
+FEASIBLE = "Feasible"
+INFEASIBLE = "Infeasible"
+DISCARDED = "Discarded"
 
 FIXED_COLUMNS = ["cell_path", "depth", "sample_index", "case_index"]
 TAIL_COLUMNS = ["verdict", "stable", "max_real", "dominant_freq_hz",
                 "dominant_damping", "adjustment_distance", "violations",
                 "pf_iterations"]
+
+
+@dataclass
+class LabeledRecord:
+    """One assessed operating point; its fields are the dataset.csv columns."""
+
+    cell_path: str                    # the cell that sampled the point
+    depth: int
+    sample_index: int
+    case_index: int
+    dims: dict[str, float]            # adjusted dimension values
+    vars: dict[str, float]            # adjusted variable values
+    verdict: str                      # Feasible, Infeasible or Discarded
+    stable: bool | None               # None unless Feasible
+    max_real: float | None
+    dominant_freq_hz: float | None
+    dominant_damping: float | None
+    adjustment_distance: float
+    violations: str                   # ConstraintReport.serialize()
+    pf_iterations: int
+
+    @property
+    def labeled(self) -> bool:
+        return self.verdict == FEASIBLE and self.stable is not None
+
+
+def entropy(labels: list[bool] | list[int] | np.ndarray) -> float:
+    """Binary entropy of the stable/unstable labels, in nats (H(empty) = 0)."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        return 0.0
+    p = float(np.mean(labels))
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return float(-p * math.log(p) - (1 - p) * math.log(1 - p))
 
 
 def _fmt(x: float | None) -> str:
@@ -60,35 +106,71 @@ def _opt_float(s: str) -> float | None:
 
 
 def read_dataset(path: str | Path) -> tuple[list[LabeledRecord], list[str]]:
+    """The records of a dataset.csv and its header.
+
+    Raises ValueError, naming the file and line, on any row that
+    ``write_dataset`` could not have written, and on a file with no rows.
+    """
+    name = Path(path).name
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        cols = reader.fieldnames or []
+        reader = csv.reader(fh)
+        cols = next(reader, [])
         for c in FIXED_COLUMNS + TAIL_COLUMNS:
             if c not in cols:
                 raise ValueError(f"dataset schema mismatch: missing column {c}")
+        at = {c: i for i, c in enumerate(cols)}
         middle = [c for c in cols if c not in FIXED_COLUMNS and c not in TAIL_COLUMNS]
         dim_cols = [c for c in middle if not c.startswith(("P_SG_", "P_IBR_", "P_GFM_",
                                                            "P_GFL_", "P_L_"))]
-        var_cols = [c for c in middle if c not in dim_cols]
+        dims_at = [(c, at[c]) for c in dim_cols]
+        vars_at = [(c, at[c]) for c in middle if c not in dim_cols]
         records = []
-        for rec in reader:
-            records.append(LabeledRecord(
-                cell_path=rec["cell_path"],
-                depth=int(rec["depth"]),
-                sample_index=int(rec["sample_index"]),
-                case_index=int(rec["case_index"]),
-                dims={c: float(rec[c]) for c in dim_cols if rec[c] != ""},
-                vars={c: float(rec[c]) for c in var_cols if rec[c] != ""},
-                verdict=rec["verdict"],
-                stable=bool(int(rec["stable"])) if rec["stable"] != "" else None,
-                max_real=_opt_float(rec["max_real"]),
-                dominant_freq_hz=_opt_float(rec["dominant_freq_hz"]),
-                dominant_damping=_opt_float(rec["dominant_damping"]),
-                adjustment_distance=float(rec["adjustment_distance"]),
-                violations=rec["violations"],
-                pf_iterations=int(rec["pf_iterations"]),
-            ))
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            try:
+                records.append(_record(row, len(cols), at, dims_at, vars_at))
+            except ValueError as exc:
+                raise ValueError(f"{name} line {reader.line_num}: {exc}") from None
+    if not records:
+        raise ValueError(f"{name}: no rows")
     return records, cols
+
+
+def _record(row: list[str], width: int, at: dict[str, int],
+            dims_at: list[tuple[str, int]],
+            vars_at: list[tuple[str, int]]) -> LabeledRecord:
+    if len(row) != width:
+        raise ValueError(f"{len(row)} cells, the header has {width}")
+    dims = {c: float(row[i]) for c, i in dims_at if row[i] != ""}
+    vars_ = {c: float(row[i]) for c, i in vars_at if row[i] != ""}
+    distance = float(row[at["adjustment_distance"]])
+    if not (all(map(math.isfinite, dims.values()))
+            and all(map(math.isfinite, vars_.values())) and math.isfinite(distance)):
+        numbers = chain(dims.items(), vars_.items(), [("adjustment_distance", distance)])
+        bad = next(c for c, v in numbers if not math.isfinite(v))
+        raise ValueError(f"{bad} is not a finite number")
+    verdict, stable = row[at["verdict"]], row[at["stable"]]
+    if verdict not in (FEASIBLE, INFEASIBLE, DISCARDED):
+        raise ValueError(f"unknown verdict {verdict!r}")
+    if stable not in ("", "0", "1"):
+        raise ValueError(f"stable must be empty, 0 or 1, got {stable!r}")
+    return LabeledRecord(
+        cell_path=row[at["cell_path"]],
+        depth=int(row[at["depth"]]),
+        sample_index=int(row[at["sample_index"]]),
+        case_index=int(row[at["case_index"]]),
+        dims=dims,
+        vars=vars_,
+        verdict=verdict,
+        stable=stable == "1" if stable else None,
+        max_real=_opt_float(row[at["max_real"]]),
+        dominant_freq_hz=_opt_float(row[at["dominant_freq_hz"]]),
+        dominant_damping=_opt_float(row[at["dominant_damping"]]),
+        adjustment_distance=distance,
+        violations=row[at["violations"]],
+        pf_iterations=int(row[at["pf_iterations"]]),
+    )
 
 
 @dataclass

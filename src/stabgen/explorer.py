@@ -14,16 +14,15 @@ depend on the points it is repaired with.  The pool lives only inside one
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 
 import numpy as np
 
-from .feasibility import (DEFAULT_LOAD_PF, DISCARDED, FEASIBLE, INFEASIBLE,
-                          ConstraintReport, FeasibilityVerdict, adjust_many,
-                          adjust_to_feasible)
+from .dataset import DISCARDED, FEASIBLE, INFEASIBLE, LabeledRecord, entropy
+from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
+                          adjust_many, adjust_to_feasible)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
                      feature_importance, train_forest)
 from .grid import GridModel
@@ -69,30 +68,6 @@ class ExplorationConfig:
 
 
 @dataclass
-class LabeledRecord:
-    """One assessed operating point; its fields are the dataset.csv columns."""
-
-    cell_path: str                    # the cell that sampled the point
-    depth: int
-    sample_index: int
-    case_index: int
-    dims: dict[str, float]            # adjusted dimension values
-    vars: dict[str, float]            # adjusted variable values
-    verdict: str                      # Feasible, Infeasible or Discarded
-    stable: bool | None               # None unless Feasible
-    max_real: float | None
-    dominant_freq_hz: float | None
-    dominant_damping: float | None
-    adjustment_distance: float
-    violations: str                   # ConstraintReport.serialize()
-    pf_iterations: int
-
-    @property
-    def labeled(self) -> bool:
-        return self.verdict == FEASIBLE and self.stable is not None
-
-
-@dataclass
 class ExplorationNode:
     cell: Subregion
     records: list[LabeledRecord] = field(default_factory=list)
@@ -115,17 +90,6 @@ class ExplorationNode:
     @property
     def feasible_rate(self) -> float:
         return self.n_feasible / self.n_records if self.records else 0.0
-
-
-def entropy(labels: list[bool] | list[int] | np.ndarray) -> float:
-    """Binary entropy of the stable/unstable labels, in nats (H(empty) = 0)."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0.0
-    p = float(np.mean(labels))
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * math.log(p) - (1 - p) * math.log(1 - p))
 
 
 def _candidate_dims(cell: Subregion, space: OperatingSpaceSpec,

@@ -23,15 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import DISCARDED, FEASIBLE, INFEASIBLE
 # build_admittance stays importable here for bench/tracer.py, which wraps it
 # by this module's name; the compiled network (GridModel.network) calls it.
 from .grid import (GridModel, IBR, SG, Network, build_admittance,  # noqa: F401
                    power_jacobian)
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)
-
-FEASIBLE = "Feasible"
-INFEASIBLE = "Infeasible"
-DISCARDED = "Discarded"
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 30

@@ -18,15 +18,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # build_admittance stays importable here for bench/tracer.py, which wraps it
 # by this module's name; the compiled network (GridModel.network) calls it.
-from .grid import (GridModel, SG as SG_TECH, build_admittance,  # noqa: F401
-                   power_jacobian)
-from .feasibility import PowerFlowSolution
-from .space import OperatingPoint
+from .grid import SG as SG_TECH, build_admittance, power_jacobian  # noqa: F401
+
+if TYPE_CHECKING:
+    from .feasibility import PowerFlowSolution
+    from .grid import GridModel
+    from .space import OperatingPoint
 
 OMEGA_BASE = 2 * math.pi * 50.0
 EPS_MARGIN = 1e-6

@@ -10,8 +10,10 @@ Subregions are axis-aligned hyperrectangles produced by midpoint bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .grid import GridModel, SG, IBR
+if TYPE_CHECKING:
+    from .grid import GridModel
 
 INDEPENDENT = "Independent"
 DEPENDENT = "Dependent"
@@ -151,6 +153,7 @@ def build_space(grid: GridModel,
     group (``P_SG_<bus>``; ``P_IBR``, ``P_GFM`` and ``P_GFL`` of each IBR
     group) and per load (``P_L_<bus>``).
     """
+    from .grid import IBR, SG  # here, so that reading a dataset loads no grid
     sg = grid.groups_of(SG)
     ibr = grid.groups_of(IBR)
     dims: list[DimensionSpec] = []

@@ -310,11 +310,19 @@ def test_report_accuracy_equals_generate_metrics(tmp_path):
     assert got == want
 
 
-def test_report_without_manifest_exit_code(tmp_path):
+def test_report_without_manifest_exit_code(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write_cfg(tmp_path, out_dir=str(out_dir))
     assert main(["generate", "--config", str(cfg)]) == 0
     manifest = out_dir / "manifest.json"
+    good = json.loads(manifest.read_text(encoding="utf-8"))
+    # forest settings that parse_config would have refused
+    for key, value in (("forest_depth", 0), ("forest_trees", 0), ("forest_trees", 2.5),
+                       ("forest_trees", True), ("seed", "abc"), ("seed", None)):
+        run = dict(good["config"], **{key: value})
+        manifest.write_text(json.dumps({"config": run}), encoding="utf-8")
+        assert main(["report", "--dataset", str(out_dir / "dataset.csv")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
     manifest.write_text("{not json", encoding="utf-8")
     assert main(["report", "--dataset", str(out_dir / "dataset.csv")]) == 2
     manifest.unlink()
@@ -394,6 +402,27 @@ def test_cli_import_starts_no_pool_machinery():
     probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
              "('multiprocessing', 'concurrent.futures')))")
     assert _probe(probe) == ["[]"]
+
+
+def test_report_and_scan_load_only_their_layers(tmp_path):
+    # report reads a dataset and trains forests, and scan adds the grid and
+    # the converter models; neither loads the config parser, the sampler or
+    # the power flow
+    out_dir = tmp_path / "out"
+    assert main(["generate", "--config", str(_write_cfg(tmp_path, out_dir=str(out_dir)))]) == 0
+    commands = [
+        (["report", "--dataset", str(out_dir / "dataset.csv"),
+          "--out", str(tmp_path / "report")],
+         ("explorer", "feasibility", "smallsignal", "sampling", "grid", "config")),
+        (["scan", "--grid", "3bus", "--component", "GFOR_2", "--fmin", "1",
+          "--fmax", "100", "--out", str(tmp_path / "scan.csv")],
+         ("explorer", "feasibility", "sampling", "config")),
+    ]
+    for argv, unused in commands:
+        probe = ("import sys\nfrom stabgen.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 f"print([m for m in {unused!r} if 'stabgen.' + m in sys.modules])\n")
+        assert _probe(probe)[-1] == "[]"
 
 
 def test_generate_and_report_load_no_masked_arrays(tmp_path):

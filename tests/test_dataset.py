@@ -1,15 +1,19 @@
+import csv
+import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from stabgen import dataset
-from stabgen.dataset import (FIXED_COLUMNS, TAIL_COLUMNS, compute_metrics,
-                             dataset_columns, importances_by_depth,
-                             node_to_dict, read_dataset, write_dataset,
-                             write_metrics, write_tree)
-from stabgen.explorer import ExplorationConfig, LabeledRecord, explore
+from stabgen.cli import main
+from stabgen.dataset import (FIXED_COLUMNS, TAIL_COLUMNS, LabeledRecord,
+                             compute_metrics, dataset_columns,
+                             importances_by_depth, node_to_dict, read_dataset,
+                             write_dataset, write_metrics, write_tree)
+from stabgen.explorer import ExplorationConfig, explore
 from stabgen.grid import fixture_3bus
 from stabgen.space import build_space
 
@@ -47,11 +51,59 @@ def test_dataset_bytes_stable_across_rewrites(small_run, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_read_rejects_schema_mismatch(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("cell_path,depth\nR,0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_dataset(bad)
+def _cell(column, value):
+    """An edit of a dataset's rows that sets ``column`` of file line 3."""
+    def edit(rows):
+        rows[2][rows[0].index(column)] = value
+        return rows
+    return edit
+
+
+# Edits of a good dataset's rows, each with what read_dataset's error says.
+BAD_DATASETS = [
+    (lambda rows: [["cell_path", "depth"], ["R", "0"]], "missing column"),
+    (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:], "line 3: 23 cells"),
+    (lambda rows: rows[:1], "dataset.csv: no rows"),
+    (_cell("P_SG", "nan"), "line 3: P_SG is not a finite number"),
+    (_cell("P_L_3", "-inf"), "line 3: P_L_3 is not a finite number"),
+    (_cell("adjustment_distance", "inf"), "line 3: adjustment_distance is not"),
+    (_cell("adjustment_distance", "abc"), "line 3: could not convert"),
+    (_cell("depth", "1.5"), "line 3: invalid literal"),
+    (_cell("sample_index", ""), "line 3: invalid literal"),
+    (_cell("case_index", "x"), "line 3: invalid literal"),
+    (_cell("pf_iterations", "2.0"), "line 3: invalid literal"),
+    (_cell("verdict", "Stable"), "line 3: unknown verdict 'Stable'"),
+    (_cell("stable", "2"), "line 3: stable must be empty, 0 or 1"),
+]
+
+
+def test_read_rejects_schema_mismatch(small_run, tmp_path):
+    # Nothing write_dataset could not have written is read; report exits 2
+    # even with good forest settings beside the file.
+    _, space, _, records = small_run
+    bad = tmp_path / "dataset.csv"
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"config": {"forest_trees": 5, "forest_depth": 2, "seed": 0}}), encoding="utf-8")
+    write_dataset(bad, records, space)
+    assert main(["report", "--dataset", str(bad), "--out", str(tmp_path / "r")]) == 0
+    for edit, message in BAD_DATASETS:
+        write_dataset(bad, records, space)
+        with open(bad, newline="", encoding="utf-8") as fh:
+            rows = edit(list(csv.reader(fh)))
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError, match=message):
+            read_dataset(bad)
+        assert main(["report", "--dataset", str(bad), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_read_accepts_what_eig_stability_writes(small_run, tmp_path):
+    # A state matrix without eigenvalues gives max_real -inf, a finite label.
+    _, space, _, records = small_run
+    path = tmp_path / "dataset.csv"
+    records = [dataclasses.replace(records[0], max_real=-math.inf)] + records[1:]
+    write_dataset(path, records, space)
+    assert read_dataset(path)[0] == records
 
 
 def test_compute_metrics_per_depth(small_run):
