@@ -13,7 +13,10 @@ pending line-search trial in one ``solve_many`` call and answers the 1 MW
 trials of its descent directions in one ``_trial_totals`` call; one
 constraint kernel, ``_violations``, checks both, and only the power flows'
 checks go on to build reports (``check_constraints_many``).  Each row's
-numbers are those of the row computed alone, bit for bit.
+numbers are those of the row computed alone, bit for bit.  The same
+trials' bus voltages certify hopeless rows (``_out_of_reach``): a row
+whose voltage violation no dispatch in its box can reach, by a linear
+bound with a safety factor of ``REPAIR_V_SAFETY``, is given up at once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ PF_TOL = 1e-8
 PF_MAX_ITER = 30
 REPAIR_MAX_OUTER = 20  # redispatch iterates per point, set points included
 REPAIR_REL_STOP = 1e-4  # give up below this relative violation decrease
+REPAIR_V_SAFETY = 2.0  # the margin of the voltage certificate (``_out_of_reach``)
 DEFAULT_LOAD_PF = 0.98
 
 
@@ -283,9 +287,12 @@ def _solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _trial_totals(grid: GridModel, points: list[tuple]) -> list[list[float] | None]:
-    """The violation totals of each point's 1 MW trials; ``None`` for a
-    point whose Jacobian is singular or gives a non-finite step.
+def _trial_totals(grid: GridModel, points: list[tuple],
+                  ) -> tuple[list[list[float] | None], np.ndarray]:
+    """The violation totals of each point's 1 MW trials, ``None`` for a
+    point whose Jacobian is singular or gives a non-finite step; and the
+    bus voltage-band magnitudes of ``_violations`` of the answered trials,
+    one row per trial, in point and then trial order.
 
     A point ``(sol, p, groups, steps)`` has one trial per ``c``: dispatch
     ``p`` with ``p[groups[c]]`` moved to ``steps[c]``.  Each trial is one
@@ -294,14 +301,14 @@ def _trial_totals(grid: GridModel, points: list[tuple]) -> list[list[float] | No
     that holds the step in the P row of the group's bus.  Points that share
     a PV mask and a number of trials are one batched Jacobian and one
     stacked solve, and all trials are one ``_violations`` call; each
-    point's totals are those of answering it alone, bit for bit.
+    point's numbers are those of answering it alone, bit for bit.
     """
     net = grid.network
     n = len(net.bus_ids)
     by_key: dict[tuple, list[int]] = {}
     for r, (sol, _p, groups, _steps) in enumerate(points):
         by_key.setdefault((sol.pv.tobytes(), len(groups)), []).append(r)
-    answered, xs, dispatches, cases = [], [], [], []
+    answered, owners, xs, dispatches, cases = [], [], [], [], []
     for rows in by_key.values():
         sols = [points[r][0] for r in rows]
         _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sols[0].pv)
@@ -320,6 +327,7 @@ def _trial_totals(grid: GridModel, points: list[tuple]) -> list[list[float] | No
         ok = np.isfinite(dx).all(axis=(1, 2))
         kept = ok.nonzero()[0].tolist()
         answered += [rows[j] for j in kept]
+        owners.append(np.repeat(np.array(rows)[ok], k))
         trial_x = np.repeat(x[ok, None], k, axis=1)
         trial_x[..., rc] += dx[ok].transpose(0, 2, 1)
         trial_p = np.repeat(p[ok, None], k, axis=1)
@@ -329,20 +337,46 @@ def _trial_totals(grid: GridModel, points: list[tuple]) -> list[list[float] | No
         cases += [sols[j].case for j in kept for _ in range(k)]
     totals: list = [None] * len(points)
     if not answered:
-        return totals
+        return totals, np.zeros((0, n))
     x = np.concatenate(xs)
     v = x[:, n:] * np.exp(1j * x[:, :n])
     s_calc = v * np.conj((net.ybus @ v[..., None])[..., 0])
     gen_p, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
                                      np.array([c.q_load for c in cases]),
                                      np.concatenate(dispatches), s_calc)
-    flat = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)[1].tolist()
+    mags, flat = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)
+    order = np.argsort(np.concatenate(owners), kind="stable")  # into point order
+    flat = flat[order].tolist()
     start = 0
-    for r in answered:
+    for r in sorted(answered):
         k = len(points[r][2])
         totals[r] = flat[start:start + k]
         start += k
-    return totals
+    return totals, mags[order, :n]
+
+
+def _out_of_reach(v_mag: np.ndarray, trial_v: np.ndarray, dp: np.ndarray,
+                  pa: np.ndarray, p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
+    """The rows that no dispatch in their adjustable box can bring into the
+    voltage band, by the repair's voltage certificate.
+
+    Per row, ``v_mag`` holds each bus's voltage-band magnitude at the
+    iterate and ``pa`` the adjustable groups' set points; ``trial_v[:, g]``
+    holds the magnitudes at group ``g``'s 1 MW trial, ``dp[:, g]`` MW away
+    (a group that did not move holds the iterate's).  A trial gives the
+    slope ``s`` of each bus magnitude in its group's set point, and the
+    bus's reach is the sum over the groups of ``max(-s (p_max - p),
+    -s (p_min - p), 0)``: every group at its best box edge at once, in the
+    linear model.  A row is out of reach when some violated bus has
+    ``REPAIR_V_SAFETY * reach < v_mag``.
+    """
+    slope = (trial_v - v_mag[:, None]) / dp[..., None]
+    gain = np.maximum(np.maximum(-slope * (p_max - pa)[..., None],
+                                 -slope * (p_min - pa)[..., None]), 0.0)
+    reach = np.zeros(v_mag.shape)
+    for g in range(dp.shape[1]):  # a running sum over the groups, in order
+        reach += gain[:, g]
+    return (REPAIR_V_SAFETY * reach < v_mag).any(axis=1)
 
 
 def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.ndarray:
@@ -354,6 +388,14 @@ def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.
     ir = (dr * sr - di * si) + (ar * hr - ai * hi)
     ii = -((dr * si + di * sr) + (ar * hi + ai * hr))  # the conjugate current
     return np.hypot(ar * ir - ai * ii, ar * ii + ai * ir)
+
+
+def _band(net: Network, vm: np.ndarray) -> np.ndarray:
+    """Each bus's voltage-band violation magnitude, pu, per row of bus
+    voltages ``vm``: 0 within 1e-6 of the band."""
+    v_min, v_max = net.bus_v_min, net.bus_v_max
+    return np.where(vm < v_min - 1e-6, v_min - vm,
+                    np.where(vm > v_max + 1e-6, vm - v_max, 0.0))
 
 
 def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
@@ -375,10 +417,9 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     """
     net = grid.network
     base = net.base_mva
-    v_min, v_max, s_max = net.bus_v_min, net.bus_v_max, net.line_s_max
+    s_max = net.line_s_max
     tol = 1e-6
-    low = vm < v_min - tol
-    v_mag = np.where(low, v_min - vm, np.where(vm > v_max + tol, vm - v_max, 0.0))
+    v_mag = _band(net, vm)
     v = vm * np.exp(1j * va)
     fr, fi = v.real[:, net.line_from], v.imag[:, net.line_from]
     tr, ti = v.real[:, net.line_to], v.imag[:, net.line_to]
@@ -488,17 +529,23 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     iterate, the closest to the sampled set points along the descent path,
     is accepted with its squared set-point deviation.  The clipped set
     points are the first iterate and each taken trial the next; a point
-    stops at its ``REPAIR_MAX_OUTER``-th iterate.  Every failure, a singular
-    Jacobian at the iterate and that cap included, is Infeasible, with the
-    last iterate's solution and report.
+    stops at its ``REPAIR_MAX_OUTER``-th iterate.  At every iterate the 1 MW
+    trials also give each violated bus's linear reach over the capability
+    box, and a row is given up when some violated bus's reach, times
+    ``REPAIR_V_SAFETY``, falls short of its violation (``_out_of_reach``).
+    Every failure, a singular Jacobian at the iterate, that cap and a
+    given-up row included, is Infeasible, with the last iterate's solution,
+    report, dispatch and distance.
 
     The state is one array row per point: the iterate ``p``, its total
-    ``tot``, the one before ``prev``, the number ``it`` of iterates, the
+    ``tot`` and its voltage-band magnitudes ``v_mag``, the total before
+    ``prev``, the number ``it`` of iterates, the
     three line ``trials`` and the ``stage`` (0-2) of the one pending.  The
     first step solves the clipped set points; each later one solves every
     unfinished row's pending trial.  Each step is one ``solve(cases,
     gen_ps)`` call; masks then take or reject the trials, finish rows, and
-    build the others' 1 MW trials for one ``_trial_totals`` call.
+    build the others' 1 MW trials for one ``_trial_totals`` call, whose
+    totals and bus voltages finish the flat and the hopeless rows.
     """
     if not ops:
         return []
@@ -514,6 +561,7 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     p[:, adj] = np.clip(p[:, adj], p_min, p_max)  # onto the capability box up front
     trials = np.empty((rows, 3, p.shape[1]))  # each row's line-search dispatches
     tot, prev = np.full(rows, math.inf), np.full(rows, math.inf)
+    v_mag = np.zeros((rows, len(net.bus_ids)))  # the iterate's voltage-band magnitudes
     it, stage = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int)
     sols, reps = [None] * rows, [None] * rows  # the iterate's solution and report
     # Each row's dispatches solved so far.  Totals fall strictly along the
@@ -552,13 +600,15 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
         step_sols = solve([cases[r] for r in live], list(gen_ps))
         converged = np.array([sol.converged for sol in step_sols])
         step_tot = np.full(live.size, math.inf)
+        step_v = np.zeros((live.size, v_mag.shape[1]))
         step_reps = [None if c else ConstraintReport([("pf_diverged", 1.0)])
                      for c in converged.tolist()]
         checked = converged.nonzero()[0].tolist()
         if checked:
-            reports, step_tot[checked] = check_constraints_many(
-                grid, *(np.array([getattr(step_sols[k], f) for k in checked])
-                        for f in ("vm", "va", "gen_p", "gen_q")))
+            vm, va, gen_p, gen_q = (np.array([getattr(step_sols[k], f) for k in checked])
+                                    for f in ("vm", "va", "gen_p", "gen_q"))
+            reports, step_tot[checked] = check_constraints_many(grid, vm, va, gen_p, gen_q)
+            step_v[checked] = _band(net, vm)
             for k, rep in zip(checked, reports):
                 step_reps[k] = rep
         taken = (step_tot < tot[live]) | first  # rows with a new iterate
@@ -568,7 +618,7 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
         for r in rejected.tolist():
             search(r)
         new = live[taken]
-        p[new], tot[new] = gen_ps[taken], step_tot[taken]
+        p[new], tot[new], v_mag[new] = gen_ps[taken], step_tot[taken], step_v[taken]
         it[new] += 1
         for k, r in zip(taken.nonzero()[0].tolist(), new.tolist()):
             sols[r], reps[r] = step_sols[k], step_reps[k]
@@ -587,21 +637,25 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
         back = steps == pa
         steps[back] = np.maximum(pa - 1.0, p_min)[back]
         moved = steps != pa
-        totals = _trial_totals(grid, [(sols[r], p[r], adj[m], st[m])
-                                      for r, m, st in zip(rows_t.tolist(), moved, steps)])
+        totals, trial_v = _trial_totals(grid, [(sols[r], p[r], adj[m], st[m]) for r, m, st
+                                               in zip(rows_t.tolist(), moved, steps)])
         ok = np.array([t is not None for t in totals], dtype=bool)
         for r in rows_t[~ok].tolist():
             finish(r)
         rows_t, pa, steps, moved = rows_t[ok], pa[ok], steps[ok], moved[ok]
         trial_tot = np.zeros(moved.shape)
         trial_tot[moved] = [t for row in totals if row is not None for t in row]
-        grad = np.where(moved, (trial_tot - tot[rows_t, None])
-                        / np.where(moved, steps - pa, 1.0), 0.0)
+        v_it = v_mag[rows_t]
+        band = np.repeat(v_it[:, None], moved.shape[1], axis=1)  # a group not moved: v_it
+        band[moved] = trial_v
+        dp = np.where(moved, steps - pa, 1.0)
+        grad = np.where(moved, (trial_tot - tot[rows_t, None]) / dp, 0.0)
         gmax = np.abs(grad).max(axis=1, initial=0.0)
-        flat = gmax <= 0
-        for r in rows_t[flat].tolist():
+        # a flat gradient, or a voltage violation out of the box's reach
+        stop = (gmax <= 0) | _out_of_reach(v_it, band, dp, pa, p_min, p_max)
+        for r in rows_t[stop].tolist():
             finish(r)
-        rows_t, pa, grad, gmax = rows_t[~flat], pa[~flat], grad[~flat], gmax[~flat]
+        rows_t, pa, grad, gmax = rows_t[~stop], pa[~stop], grad[~stop], gmax[~stop]
         alpha = (top / gmax)[:, None] / np.array([1.0, 4.0, 16.0])
         line = np.repeat(p[rows_t, None], 3, axis=1)
         line[..., adj] = np.clip(pa[:, None] - alpha[..., None] * grad[:, None], p_min, p_max)

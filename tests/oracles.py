@@ -4,15 +4,18 @@ Kept deliberately separate from the package: the Gauss-Seidel power flow
 and the analytic formulas below share the modeling conventions of the
 engine (bus types, group Q limits, load power factor) but none of its
 numerics, so agreement is meaningful evidence.  ``newton_pf_one``,
-``newton_step_trials``, ``check_constraints_loop``, ``violation_total``
-and ``repair_one`` are the exception: the engine's one-point forms of the
-power flow, the repair's 1 MW trials, the constraint checks, the repair's
-objective and the repair itself, kept as the bit-for-bit references of
-their stacked forms.  So are
-``tree_predict``, one tree's share of the forest's stacked vote, and
+``newton_step_trials``, ``check_constraints_loop``, ``violation_total``,
+``out_of_reach`` and ``repair_one`` are the exception: the engine's
+one-point forms of the power flow, the repair's 1 MW trials, the
+constraint checks, the repair's objective, its voltage certificate and the
+repair itself, kept as the bit-for-bit references of their stacked forms.
+So are ``tree_predict``, one tree's share of the forest's stacked vote, and
 ``voltage_walk``, the voltage walk with the grid's lookups rebuilt for
-every sample.  ``disaggregate_gaussian`` is the allocation strategy that the
-sampler's variance-maximizing fill is compared against.
+every sample.  ``dispatch_scan`` scans a repair's capability box with
+``newton_pf_one`` and ``check_constraints_loop`` alone, a reference that
+does not depend on the repair's descent path.  ``disaggregate_gaussian`` is
+the allocation strategy that the sampler's variance-maximizing fill is
+compared against.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import math
 import numpy as np
 
 from stabgen.feasibility import (DEFAULT_LOAD_PF, INFEASIBLE, PF_MAX_ITER, PF_TOL,
-                                 REPAIR_MAX_OUTER, REPAIR_REL_STOP, ConstraintReport,
-                                 FeasibilityVerdict, PowerFlowSolution, _apply_dispatch,
-                                 _solutions, _unknowns, classify, pf_case)
+                                 REPAIR_MAX_OUTER, REPAIR_REL_STOP, REPAIR_V_SAFETY,
+                                 ConstraintReport, FeasibilityVerdict, PowerFlowSolution,
+                                 _apply_dispatch, _solutions, _unknowns, classify, pf_case)
 from stabgen.forest import Tree
 from stabgen.grid import SLACK, GridModel, build_admittance, power_jacobian
 from stabgen.space import OperatingPoint
@@ -304,9 +307,10 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
     (``check_constraints_loop``, ``violation_total``), takes the 1 MW trial
     of each adjustable group (``newton_step_trials``), and tries three step
     lengths along the finite-difference gradient; the first one whose total
-    is below the iterate's is the next iterate.  The ``max_outer``-th
-    iterate is the last.  A dispatch is solved at most once: a later request
-    for it reads the memo.
+    is below the iterate's is the next iterate.  The repair gives up when a
+    violated bus is out of the box's reach by the trials' voltages
+    (``out_of_reach``).  The ``max_outer``-th iterate is the last.  A
+    dispatch is solved at most once: a later request for it reads the memo.
     """
     net = grid.network
     case = pf_case(grid, op, load_pf)
@@ -362,11 +366,14 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
         except np.linalg.LinAlgError:
             break
         grad = np.zeros(len(adjustable))
-        for k, i, step, trial in zip(moved, groups, steps, trials):
-            t_tot = violation_total(check_constraints_loop(trial, grid), grid.base_mva)
-            grad[k] = (t_tot - tot) / (step - p[i])
+        trial_reps = [check_constraints_loop(trial, grid) for trial in trials]
+        for k, i, step, t_rep in zip(moved, groups, steps, trial_reps):
+            grad[k] = (violation_total(t_rep, grid.base_mva) - tot) / (step - p[i])
         gmax = float(np.abs(grad).max())
         if gmax <= 0:
+            break
+        bounds = [(p_min[k], p_max[k]) for k in moved]
+        if out_of_reach(rep, trial_reps, p[groups].tolist(), steps, bounds):
             break
         scale = 0.05 * max(p_max) / gmax
         improved = False
@@ -381,6 +388,52 @@ def repair_one(grid: GridModel, op: OperatingPoint, cell, load_pf: float = DEFAU
             break
     adjusted = _apply_dispatch(grid, op, sol.gen_p if sol.converged else p)
     return adjusted, sol, FeasibilityVerdict(INFEASIBLE, rep.violations, distance(p))
+
+
+def out_of_reach(rep: ConstraintReport, trial_reps: list, p: list[float],
+                 steps: list[float], bounds: list[tuple]) -> bool:
+    """The repair's voltage certificate of one iterate, one bus and group at
+    a time: the reference of ``feasibility._out_of_reach``, bit for bit.
+
+    ``rep`` is the iterate's report and ``trial_reps[c]`` that of the 1 MW
+    trial moving a group from ``p[c]`` to ``steps[c]`` in its box
+    ``bounds[c]``.  Each violated bus's magnitude gives a slope per trial,
+    and its reach is the sum over the trials of the best box edge's gain;
+    True when some violated bus has ``REPAIR_V_SAFETY * reach`` below its
+    magnitude.
+    """
+    def band(report: ConstraintReport) -> dict[str, float]:
+        return {cid: mag for cid, mag in report.violations if cid.startswith("v_")}
+
+    trial_bands = [band(t) for t in trial_reps]
+    for cid, mag in band(rep).items():
+        reach = 0.0
+        for p_c, step, (lo, hi), t_band in zip(p, steps, bounds, trial_bands):
+            slope = (t_band.get(cid, 0.0) - mag) / (step - p_c)
+            reach += max(-slope * (hi - p_c), -slope * (lo - p_c), 0.0)
+        if REPAIR_V_SAFETY * reach < mag:
+            return True
+    return False
+
+
+def dispatch_scan(grid: GridModel, op: OperatingPoint, levels: int) -> list[tuple]:
+    """The power flows of ``levels`` dispatches spread evenly over the
+    capability box of the grid's one adjustable (non-slack) group, the
+    other groups at their sampled set points: per level, the dispatch, its
+    solution (``newton_pf_one``) and its report (``check_constraints_loop``),
+    ``None`` where the solve did not converge.  A box scan that does not
+    depend on the repair's descent path."""
+    net = grid.network
+    (i,) = np.flatnonzero(net.gen_bus != net.slack).tolist()
+    case = pf_case(grid, op)
+    scan = []
+    for level in np.linspace(net.gen_p_min[i], net.gen_p_max[i], levels).tolist():
+        dispatch = case.gen_p.copy()
+        dispatch[i] = level
+        sol = newton_pf_one(grid, case, dispatch)
+        scan.append((dispatch, sol, check_constraints_loop(sol, grid) if sol.converged
+                     else None))
+    return scan
 
 
 def two_bus_closed_form(p_pu: float, x: float, v1: float = 1.0, v2: float = 1.0):

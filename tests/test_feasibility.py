@@ -19,9 +19,9 @@ from stabgen.sampling import hierarchical_sample
 from stabgen.space import OperatingPoint, build_space, split
 
 import oracles
-from oracles import (check_constraints_loop, gauss_seidel_pf, newton_pf_one,
-                     newton_step_trials, repair_one, two_bus_closed_form,
-                     violation_total)
+from oracles import (check_constraints_loop, dispatch_scan, gauss_seidel_pf,
+                     newton_pf_one, newton_step_trials, repair_one,
+                     two_bus_closed_form, violation_total)
 
 CONTROL = [("tau_u", 0.01, 1.0), ("tau_w", 0.01, 1.0)]
 
@@ -507,7 +507,7 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
         # forward unless p_max is already reached, as in adjust_to_feasible
         steps = [min(p[i] + 1.0, net.gen_p_max[i]) if p[i] < net.gen_p_max[i]
                  else p[i] - 1.0 for i in adjustable]
-        (predicted,) = _trial_totals(grid, [(sol, p, adjustable, steps)])
+        (predicted,), _v_mags = _trial_totals(grid, [(sol, p, adjustable, steps)])
         for i, step, guess in zip(adjustable, steps, predicted):
             trial = p.copy()
             trial[i] = step
@@ -567,7 +567,7 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
         return jac
 
     monkeypatch.setattr(feasibility, "power_jacobian", zeroing)
-    totals = _trial_totals(grid, requests)
+    totals, _v_mags = _trial_totals(grid, requests)
     assert totals[singular] is None
     for r, (sol, p, groups, steps) in enumerate(requests):
         if r == singular:
@@ -582,8 +582,9 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
 
 
 def test_trial_totals_build_no_constraint_report(monkeypatch):
-    # A trial keeps only its violation total; the reports are built for the
-    # repair's power flows alone (check_constraints_many).
+    # A trial keeps only its violation total and its bus voltage-band
+    # magnitudes; the reports are built for the repair's power flows alone
+    # (check_constraints_many).
     grid = fixture_3bus()
     net = grid.network
     requests = [(sol, p, adjustable, [min(p[i] + 1.0, net.gen_p_max[i]) for i in adjustable])
@@ -596,7 +597,7 @@ def test_trial_totals_build_no_constraint_report(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(feasibility, "ConstraintReport", counting)
-    totals = _trial_totals(grid, requests)
+    totals, _v_mags = _trial_totals(grid, requests)
     assert len(requests) > 10 and None not in totals
     assert not built
     check_constraints(requests[0][0], grid)  # the count sees the report step
@@ -778,6 +779,57 @@ def test_repair_of_a_grid_with_only_the_slack_group_matches_the_reference():
     want = [_repair_bits(r) for r in reference]
     assert [_repair_bits(r) for r in adjust_many(grid, ops, [root] * len(ops))] == want
     assert [_repair_bits(adjust_to_feasible(grid, op, root)) for op in ops] == want
+
+
+def test_voltage_certificate_ends_no_repair_that_a_box_scan_rescues(monkeypatch):
+    # Every 3-bus repair that the voltage certificate ends is out of reach in
+    # its whole box: no converged dispatch of a scan of the one adjustable
+    # group's box clears the voltage violations that the repair ends with.
+    # Seed 302's sample 18 is the closest call: its box holds such a dispatch
+    # and its first violation is 0.566 of its reach, so a safety factor below
+    # 1 / 0.566 ends it and fails here.
+    grid = fixture_3bus()
+    root = build_space(grid, CONTROL).root_cell()
+    real = feasibility._out_of_reach
+    fired = []
+
+    def spying(*args):
+        out = real(*args)
+        fired.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(feasibility, "_out_of_reach", spying)
+    ended = 0
+    for seed in (302, 5, 11):
+        for op in hierarchical_sample(root, 80, 1, grid, seed):
+            fired.clear()
+            ((_adjusted, _sol, verdict),) = adjust_many(grid, [op], [root])
+            if not any(fired):
+                continue
+            ended += 1
+            held = {cid for cid, _ in verdict.violations if cid.startswith("v_")}
+            assert verdict.status == INFEASIBLE and held
+            for _dispatch, _sol, report in dispatch_scan(grid, op, 31):
+                assert report is None or held & {cid for cid, _ in report.violations}
+    assert ended > 100
+
+
+def test_voltage_certificate_keeps_a_small_voltage_violation_that_the_repair_clears():
+    # 9-bus sample 58 of seed 21 starts with v_5 0.00084 pu outside its band
+    # and ends Feasible: a repair that gave up at any voltage violation
+    # would lose it.
+    grid = fixture_9bus()
+    net = grid.network
+    root = build_space(grid, CONTROL).root_cell()
+    ops = list(hierarchical_sample(root, 60, 1, grid, 21))
+    case = pf_case(grid, ops[58])
+    p = case.gen_p.copy()
+    adjustable = net.gen_bus != net.slack
+    p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
+                            net.gen_p_max[adjustable])
+    first = dict(check_constraints(solve_pf(grid, case, p), grid).violations)
+    assert first["v_5"] == pytest.approx(0.00084, abs=1e-5)
+    assert adjust_many(grid, ops, [root] * len(ops))[58][2].status == FEASIBLE
 
 
 @pytest.mark.parametrize("fixture, n_samples", [(fixture_3bus, 40), (fixture_9bus, 12)])
