@@ -134,7 +134,7 @@ def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
              points_per_decade: int = 50, out_path: str | None = None,
              n_units: int = 2) -> int:
     from .grid import IBR, GridError
-    from .smallsignal import (ConverterUnit, GfolParams, GforParams, admittance_scan,
+    from .smallsignal import (DynUnit, GfolParams, GforParams, admittance_scan,
                               aggregate_ibrs, terminal_model)
     try:
         grid = _load_grid_arg(grid_name)
@@ -163,8 +163,8 @@ def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
         print(f"error: no IBR group at bus {bus}", file=sys.stderr)
         return 2
     params = GforParams() if mode == "GFOR" else GfolParams()
-    units = [ConverterUnit(mode, params, group.s_rated / n_units,
-                           0.5 * group.p_nom / n_units) for _ in range(n_units)]
+    units = [DynUnit(mode, bus, params, group.s_rated / n_units,
+                     0.5 * group.p_nom / n_units) for _ in range(n_units)]
     agg = aggregate_ibrs(units)
     n_pts = max(2, int(points_per_decade * np.log10(fmax / fmin)) + 1)
     freqs = np.logspace(np.log10(fmin), np.log10(fmax), n_pts)

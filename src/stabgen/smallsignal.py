@@ -10,15 +10,18 @@ the electrical coupling enters through the linearized power-flow Jacobian
 restricted to dynamic-source buses.  Grid-forming and machine buses act as
 voltage sources (angle and magnitude set by states); buses hosting only
 grid-following converters act as power sources whose terminal angle and
-voltage are solved algebraically.
+voltage are solved algebraically.  Each kind's control law is written once
+(``_LAWS``) and closed two ways: through the Kron-reduced network by
+``linearize``, and at one terminal, for the admittance scan, by
+``terminal_model``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,8 @@ if TYPE_CHECKING:
 OMEGA_BASE = 2 * math.pi * 50.0
 EPS_MARGIN = 1e-6
 UNIT_MIN_MW = 1e-6  # a group at or below this dispatch has no dynamic unit
+X_C = 0.1           # coupling reactance of the grid-forming terminal model, unit pu
+V_T0 = 1.0          # terminal voltage magnitude of the terminal models, pu
 
 KIND_SG = "SG"
 KIND_GFOR = "GFOR"
@@ -98,6 +103,71 @@ class DynUnit:
     @property
     def uid(self) -> str:
         return f"{self.kind}_{self.bus}"
+
+
+class _Law(NamedTuple):
+    """One kind's control law, in the unit's own base.  ``outputs`` maps the
+    states to a forming (SG, GFOR) unit's source angle and magnitude, or a
+    grid-following unit's P and Q.  ``equations(a, o, in1, in2)`` adds state
+    rows ``o, o+1, ...`` to ``a`` from two input rows over its columns: a
+    forming unit's P and Q, or a follower's terminal angle and magnitude."""
+    states: list[str]
+    outputs: np.ndarray  # (2, len(states))
+    equations: Callable[[np.ndarray, int, np.ndarray, np.ndarray], None]
+
+
+def _sg_law(prm: SgParams) -> _Law:
+    """Classical swing plus optional governor, behind a fixed magnitude."""
+    states = ["delta", "domega"] + (["pgov"] if prm.droop_r is not None else [])
+    outputs = np.zeros((2, len(states)))
+    outputs[0, 0] = 1.0  # source angle = delta
+
+    def equations(a, o, pe, qe):
+        a[o, o + 1] = OMEGA_BASE
+        a[o + 1, :] -= pe / (2 * prm.inertia_h)
+        a[o + 1, o + 1] -= prm.damping_d / (2 * prm.inertia_h)
+        if prm.droop_r is not None:
+            a[o + 1, o + 2] += 1.0 / (2 * prm.inertia_h)
+            a[o + 2, o + 1] = -1.0 / (prm.droop_r * prm.t_g)
+            a[o + 2, o + 2] = -1.0 / prm.t_g
+    return _Law(states, outputs, equations)
+
+
+def _gfor_law(prm: GforParams) -> _Law:
+    """P/f droop synchronization and Q/V droop on filtered P and Q."""
+    # source angle = theta, source magnitude = e0 - k_q qfilt
+    outputs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -prm.k_q]])
+
+    def equations(a, o, pe, qe):
+        a[o, o + 1] = -prm.k_p
+        a[o + 1, :] += pe / prm.tau_u
+        a[o + 1, o + 1] += -1.0 / prm.tau_u
+        a[o + 2, :] += qe / prm.tau_w
+        a[o + 2, o + 2] += -1.0 / prm.tau_w
+    return _Law(["theta", "pfilt", "qfilt"], outputs, equations)
+
+
+def _gfol_law(prm: GfolParams) -> _Law:
+    """PLL, power loop with frequency droop, and Q/V droop."""
+    # P = pctl, Q = -k_v wfilt
+    outputs = np.array([[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -prm.k_v]])
+
+    def equations(a, o, theta_t, v_t):
+        err = theta_t.copy()
+        err[o] -= 1.0  # PLL error = terminal angle - pll phase
+        a[o, :] += prm.pll_kp * err
+        a[o, o + 1] += 1.0
+        a[o + 1, :] += prm.pll_ki * err
+        a[o + 3, o + 1] += 1.0 / prm.tau_u
+        a[o + 3, o + 3] -= 1.0 / prm.tau_u
+        a[o + 2, o + 3] = -prm.k_f / prm.t_p
+        a[o + 2, o + 2] = -1.0 / prm.t_p
+        a[o + 4, :] += v_t / prm.tau_w
+        a[o + 4, o + 4] -= 1.0 / prm.tau_w
+    return _Law(["pll_phase", "pll_int", "pctl", "ufilt", "wfilt"], outputs, equations)
+
+
+_LAWS = {KIND_SG: _sg_law, KIND_GFOR: _gfor_law, KIND_GFOL: _gfol_law}
 
 
 @dataclass
@@ -174,8 +244,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
                            if p > UNIT_MIN_MW and g.bus not in modeled})
     follow_only = sorted({u.bus for u in units if u.kind == KIND_GFOL}
                          - set(forming_buses) - set(static_buses))
-    a_buses = forming_buses + static_buses
-    a_buses = sorted(set(a_buses))
+    a_buses = sorted(set(forming_buses) | set(static_buses))
     retained = sorted(set(a_buses) | set(follow_only))
     jac = _reduced_jacobian(grid, solution, retained)
 
@@ -184,37 +253,20 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
     i_a = [pos[b] for b in a_buses]
     i_b = [pos[b] for b in follow_only]
 
-    offsets: dict[str, int] = {}
-    labels: list[tuple[str, str]] = []
-    for u in units:
-        offsets[u.uid] = len(labels)
-        if u.kind == KIND_SG:
-            names = ["delta", "domega"] + (["pgov"] if u.params.droop_r is not None else [])
-        elif u.kind == KIND_GFOR:
-            names = ["theta", "pfilt", "qfilt"]
-        else:
-            names = ["pll_phase", "pll_int", "pctl", "ufilt", "wfilt"]
-        labels.extend((u.uid, nm) for nm in names)
+    laws = [_LAWS[u.kind](u.params) for u in units]
+    labels = [(u.uid, nm) for u, law in zip(units, laws) for nm in law.states]
+    offsets = np.cumsum([0] + [len(law.states) for law in laws]).tolist()
     n_x = len(labels)
 
-    # state -> retained-bus angle/magnitude maps for voltage-source buses
-    t_theta = np.zeros((n_r, n_x))
-    t_vmag = np.zeros((n_r, n_x))
-    # state -> bus injection maps for grid-following converters (system pu)
-    inj_p = np.zeros((n_r, n_x))
-    inj_q = np.zeros((n_r, n_x))
-    for u in units:
-        o = offsets[u.uid]
-        r = pos[u.bus]
-        bconv = u.s_rated / grid.base_mva
-        if u.kind == KIND_SG:
-            t_theta[r, o] = 1.0
-        elif u.kind == KIND_GFOR:
-            t_theta[r, o] = 1.0
-            t_vmag[r, o + 2] = -u.params.k_q
+    # state -> retained-bus angle/magnitude maps of voltage-source buses, and
+    # state -> bus injection maps of grid-following converters (system pu)
+    t_theta, t_vmag, inj_p, inj_q = np.zeros((4, n_r, n_x))
+    for u, law, o in zip(units, laws, offsets):
+        r, cols = pos[u.bus], slice(o, o + len(law.states))
+        if u.kind == KIND_GFOL:
+            inj_p[r, cols], inj_q[r, cols] = u.s_rated / grid.base_mva * law.outputs
         else:
-            inj_p[r, o + 2] = bconv          # power-loop state ps
-            inj_q[r, o + 4] = -bconv * u.params.k_v  # voltage droop via wfilt
+            t_theta[r, cols], t_vmag[r, cols] = law.outputs
 
     cols_known = i_a + [n_r + i for i in i_a]
     cols_unknown = i_b + [n_r + i for i in i_b]
@@ -222,8 +274,7 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
 
     # full [theta; V] over retained buses as a linear map of the states
     t_full = np.zeros((2 * n_r, n_x))
-    if i_a:
-        t_full[cols_known, :] = t_known
+    t_full[cols_known, :] = t_known
     if i_b:
         rows_b = i_b + [n_r + i for i in i_b]
         inj_b = np.vstack([inj_p[i_b, :], inj_q[i_b, :]])
@@ -241,46 +292,16 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
     q_bus = jac[n_r:, :] @ t_full
 
     a = np.zeros((n_x, n_x))
-    for u in units:
-        o = offsets[u.uid]
+    for u, law, o in zip(units, laws, offsets):
         r = pos[u.bus]
-        bconv = u.s_rated / grid.base_mva
-        if u.kind in (KIND_SG, KIND_GFOR):
+        if u.kind == KIND_GFOL:
+            law.equations(a, o, t_full[r, :], t_full[n_r + r, :])
+        else:
             # electrical power of the forming source: bus power minus any
             # co-located follower injections, in the unit's own base
-            pe_row = (p_bus[r, :] - inj_p[r, :]) / bconv
-            qe_row = (q_bus[r, :] - inj_q[r, :]) / bconv
-        if u.kind == KIND_SG:
-            prm: SgParams = u.params
-            a[o, o + 1] = OMEGA_BASE
-            a[o + 1, :] -= pe_row / (2 * prm.inertia_h)
-            a[o + 1, o + 1] -= prm.damping_d / (2 * prm.inertia_h)
-            if prm.droop_r is not None:
-                a[o + 1, o + 2] += 1.0 / (2 * prm.inertia_h)
-                a[o + 2, o + 1] = -1.0 / (prm.droop_r * prm.t_g)
-                a[o + 2, o + 2] = -1.0 / prm.t_g
-        elif u.kind == KIND_GFOR:
-            prm: GforParams = u.params
-            a[o, o + 1] = -prm.k_p
-            a[o + 1, :] += pe_row / prm.tau_u
-            a[o + 1, o + 1] += -1.0 / prm.tau_u
-            a[o + 2, :] += qe_row / prm.tau_w
-            a[o + 2, o + 2] += -1.0 / prm.tau_w
-        else:
-            prm: GfolParams = u.params
-            theta_t = t_full[r, :]
-            v_t = t_full[n_r + r, :]
-            err = theta_t.copy()
-            err[o] -= 1.0  # PLL error = terminal angle - pll phase
-            a[o, :] += prm.pll_kp * err
-            a[o, o + 1] += 1.0
-            a[o + 1, :] += prm.pll_ki * err
-            a[o + 3, o + 1] += 1.0 / prm.tau_u
-            a[o + 3, o + 3] -= 1.0 / prm.tau_u
-            a[o + 2, o + 3] = -prm.k_f / prm.t_p
-            a[o + 2, o + 2] = -1.0 / prm.t_p
-            a[o + 4, :] += v_t / prm.tau_w
-            a[o + 4, o + 4] -= 1.0 / prm.tau_w
+            bconv = u.s_rated / grid.base_mva
+            law.equations(a, o, (p_bus[r, :] - inj_p[r, :]) / bconv,
+                          (q_bus[r, :] - inj_q[r, :]) / bconv)
     if not np.all(np.isfinite(a)):
         raise LinearizationError("non-finite entries in the state matrix")
     return StateSpaceModel(a, labels, has_reference=bool(static_buses))
@@ -316,21 +337,22 @@ def eig_stability(ssm: StateSpaceModel, eps_margin: float = EPS_MARGIN) -> Stabi
 # -- building units from an operating point ---------------------------------
 
 GFM_MIN_MW = 1e-3
+SG_PARAMS = SgParams(inertia_h=3.5, damping_d=2.0)
 
 
 def build_units(grid: GridModel, op: OperatingPoint,
-                sg_params: SgParams = SgParams(inertia_h=3.5, damping_d=2.0),
                 gfor_params: GforParams = GforParams(),
                 gfol_params: GfolParams = GfolParams()) -> list[DynUnit]:
     """Dynamic units for an operating point: one machine unit per dispatched
     SG group, and per IBR group a grid-forming and/or grid-following
-    sub-unit sized by the point's GFM/GFL split."""
+    sub-unit sized by the point's GFM/GFL split.  Every machine has the
+    parameters ``SG_PARAMS``, a module constant."""
     units: list[DynUnit] = []
     for g in grid.gen_groups:
         if g.tech == SG_TECH:
             p = op.var_values.get(f"P_SG_{g.bus}", 0.0)
             if p > UNIT_MIN_MW:
-                units.append(DynUnit(KIND_SG, g.bus, sg_params, g.s_rated, p))
+                units.append(DynUnit(KIND_SG, g.bus, SG_PARAMS, g.s_rated, p))
         else:
             p_total = op.var_values.get(f"P_IBR_{g.bus}", 0.0)
             if p_total <= UNIT_MIN_MW:
@@ -350,90 +372,68 @@ def build_units(grid: GridModel, op: OperatingPoint,
 
 @dataclass
 class TerminalModel:
-    """Small-signal terminal characterization of a single unit.
-
-    Input: terminal voltage-magnitude perturbation (pu).  Output: complex
-    injected power perturbation dP + j dQ, in system per unit.  The scan
-    admittance is ``Y(jw) = c (jwI - a)^-1 b + d``.
-    """
+    """Small-signal terminal model of one unit.  Input: terminal voltage-
+    magnitude perturbation (pu).  Output: injected power perturbation
+    dP + j dQ (system pu).  The scan admittance is Y(jw) = c (jwI - a)^-1 b + d."""
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray  # complex row
     d: complex
 
 
-@dataclass(frozen=True)
-class ConverterUnit:
-    mode: str                 # GFOR or GFOL
-    params: GforParams | GfolParams
-    s_rated: float            # MVA
-    p_mw: float
-
-
-def aggregate_ibrs(units: list[ConverterUnit]) -> ConverterUnit:
+def aggregate_ibrs(units: list[DynUnit]) -> DynUnit:
     """Equivalent converter: summed ratings and dispatch, shared per-unit
     parameters.  Mixing control modes is an error."""
     if not units:
         raise ValueError("no units to aggregate")
-    modes = {u.mode for u in units}
-    if len(modes) > 1:
-        raise ValueError(f"cannot aggregate mixed control modes: {sorted(modes)}")
+    kinds = {u.kind for u in units}
+    if len(kinds) > 1:
+        raise ValueError(f"cannot aggregate mixed control modes: {sorted(kinds)}")
     params = {u.params for u in units}
     if len(params) > 1:
         raise ValueError("units must share identical per-unit parameters")
-    return ConverterUnit(units[0].mode, units[0].params,
-                         sum(u.s_rated for u in units), sum(u.p_mw for u in units))
+    return replace(units[0], s_rated=sum(u.s_rated for u in units),
+                   p_mw=sum(u.p_mw for u in units))
 
 
-def terminal_model(unit: ConverterUnit, base_mva: float = 100.0,
-                   x_c: float = 0.1, v_t0: float = 1.0) -> TerminalModel:
-    """Terminal model of a converter behind a coupling reactance.
+def terminal_model(unit: DynUnit, base_mva: float = 100.0) -> TerminalModel:
+    """Terminal model of one converter: its law closed at one terminal.
 
-    The grid-forming unit is a controlled voltage source behind x_c; the
-    grid-following unit injects its power-loop output directly.  Both are
-    linearized at the unit's per-unit dispatch.
+    The grid-forming unit is its voltage source behind the coupling
+    reactance ``X_C`` at a terminal of ``V_T0`` = 1 pu, both module
+    constants; the grid-following unit closes at a fixed terminal angle.
+    Both are linearized at the unit's per-unit dispatch.
     """
-    scale = unit.s_rated / base_mva
-    if unit.mode == "GFOR":
-        prm: GforParams = unit.params
+    if unit.kind not in (KIND_GFOR, KIND_GFOL):
+        raise ValueError(f"no terminal model for unit kind {unit.kind!r}")
+    law = _LAWS[unit.kind](unit.params)
+    n = len(law.states)
+    # rows over the columns of [a | b]: the states, then the terminal magnitude
+    ab = np.zeros((n, n + 1))
+    out = np.hstack([law.outputs, np.zeros((2, 1))])
+    v_t = np.eye(n + 1)[n]
+    if unit.kind == KIND_GFOL:
+        law.equations(ab, 0, np.zeros(n + 1), v_t)
+        p, q = out
+    else:
         p0 = unit.p_mw / unit.s_rated  # unit pu
-        theta0 = math.atan(p0 * x_c / v_t0 ** 2)
-        e0 = v_t0 / math.cos(theta0)
-        # terminal-side power of the branch E<theta -> V_t<0 through jx_c:
-        #   P = E V sin(theta)/x_c ; Q = (E V cos(theta) - V^2)/x_c
+        theta0 = math.atan(p0 * X_C / V_T0 ** 2)
+        e0 = V_T0 / math.cos(theta0)
+        # terminal-side power of the branch E<theta -> V_t<0 through jX_C:
+        #   P = E V sin(theta)/X_C ; Q = (E V cos(theta) - V^2)/X_C
         sin0, cos0 = math.sin(theta0), math.cos(theta0)
-        dp_dth = e0 * v_t0 * cos0 / x_c
-        dp_de = v_t0 * sin0 / x_c
-        dp_dv = e0 * sin0 / x_c
-        dq_dth = -e0 * v_t0 * sin0 / x_c
-        dq_de = v_t0 * cos0 / x_c
-        dq_dv = (e0 * cos0 - 2 * v_t0) / x_c
-        # states: theta, pfilt, qfilt; E = e0 - k_q qfilt
-        a = np.array([
-            [0.0, -prm.k_p, 0.0],
-            [dp_dth / prm.tau_u, -1.0 / prm.tau_u, -dp_de * prm.k_q / prm.tau_u],
-            [dq_dth / prm.tau_w, 0.0, (-1.0 - dq_de * prm.k_q) / prm.tau_w],
-        ])
-        b = np.array([0.0, dp_dv / prm.tau_u, dq_dv / prm.tau_w])
-        c = scale * np.array([dp_dth + 1j * dq_dth, 0.0,
-                              -(dp_de + 1j * dq_de) * prm.k_q])
-        d = scale * complex(dp_dv, dq_dv)
-        return TerminalModel(a, b, c, d)
-    if unit.mode == "GFOL":
-        prm: GfolParams = unit.params
-        # states: pll_phase, pll_int, pctl, ufilt, wfilt (terminal angle fixed)
-        a = np.array([
-            [-prm.pll_kp, 1.0, 0.0, 0.0, 0.0],
-            [-prm.pll_ki, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0 / prm.t_p, -prm.k_f / prm.t_p, 0.0],
-            [0.0, 1.0 / prm.tau_u, 0.0, -1.0 / prm.tau_u, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -1.0 / prm.tau_w],
-        ])
-        b = np.array([0.0, 0.0, 0.0, 0.0, 1.0 / prm.tau_w])
-        c = scale * np.array([0.0, 0.0, 1.0, 0.0, -1j * prm.k_v])
-        d = 0j
-        return TerminalModel(a, b, c, d)
-    raise ValueError(f"unknown converter mode {unit.mode!r}")
+        dp_dth = e0 * V_T0 * cos0 / X_C
+        dp_de = V_T0 * sin0 / X_C
+        dp_dv = e0 * sin0 / X_C
+        dq_dth = -e0 * V_T0 * sin0 / X_C
+        dq_de = V_T0 * cos0 / X_C
+        dq_dv = (e0 * cos0 - 2 * V_T0) / X_C
+        # the law's outputs are the source's angle and magnitude
+        p = dp_dth * out[0] + dp_de * out[1] + dp_dv * v_t
+        q = dq_dth * out[0] + dq_de * out[1] + dq_dv * v_t
+        law.equations(ab, 0, p, q)
+    y = unit.s_rated / base_mva * (p + 1j * q)  # injected dP + j dQ, system pu
+    return TerminalModel(ab[:, :n], ab[:, n], y[:n], complex(y[n]))
 
 
 def admittance_scan(model: TerminalModel, freqs_hz: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from stabgen.forest import (LabeledDataset, feature_importance, kfold_accuracy,
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus, fixture_9bus)
 from stabgen.sampling import disaggregate, lhs, rng_stream
-from stabgen.smallsignal import (ConverterUnit, DynUnit, GfolParams,
+from stabgen.smallsignal import (DynUnit, GfolParams,
                                  GforParams, KIND_SG, OMEGA_BASE, SgParams,
                                  admittance_scan, aggregate_ibrs, linearize,
                                  terminal_model)
@@ -242,17 +242,17 @@ def test_criterion_6_aggregation_scan():
     freqs = np.logspace(0.0, 3.0, 151)  # 1 Hz .. 1000 Hz
     for mode, params in (("GFOR", GforParams()), ("GFOL", GfolParams())):
         for n in (2, 3, 5):
-            unit = ConverterUnit(mode, params, 80.0, 50.0)
+            unit = DynUnit(mode, 2, params, 80.0, 50.0)
             agg = aggregate_ibrs([unit] * n)
             y_agg = admittance_scan(terminal_model(agg), freqs)
             y_one = admittance_scan(terminal_model(unit), freqs)
             mask = np.isfinite(y_agg) & np.isfinite(y_one)
             assert mask.sum() >= len(freqs) - 2
             assert np.max(np.abs(y_agg[mask] - n * y_one[mask])) < 1e-8
-    y_for = admittance_scan(terminal_model(ConverterUnit("GFOR", GforParams(),
-                                                         100.0, 60.0)), freqs)
-    y_fol = admittance_scan(terminal_model(ConverterUnit("GFOL", GfolParams(),
-                                                         100.0, 60.0)), freqs)
+    y_for = admittance_scan(terminal_model(DynUnit("GFOR", 2, GforParams(),
+                                                   100.0, 60.0)), freqs)
+    y_fol = admittance_scan(terminal_model(DynUnit("GFOL", 2, GfolParams(),
+                                                   100.0, 60.0)), freqs)
     mask = np.isfinite(y_for) & np.isfinite(y_fol)
     assert np.max(np.abs(y_for[mask] - y_fol[mask])) > 1e-3
     assert time.perf_counter() - t0 < 10.0

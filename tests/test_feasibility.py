@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from stabgen import feasibility
 from stabgen.feasibility import (ConstraintReport, DISCARDED, FEASIBLE,
                                  INFEASIBLE, PF_MAX_ITER, PF_TOL, PowerFlowSolution,
-                                 _trial_totals, adjust_many,
+                                 _apply_dispatch, _trial_totals, adjust_many,
                                  adjust_to_feasible, check_constraints,
                                  check_constraints_many, classify, pf_case, solve_many,
                                  solve_pf)
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, IBR, fixture_3bus, fixture_9bus)
 from stabgen.sampling import hierarchical_sample
-from stabgen.space import OperatingPoint, build_space, split
+from stabgen.space import OperatingPoint, build_space, contains_values, split
 
 import oracles
 from oracles import (check_constraints_loop, dispatch_scan, gauss_seidel_pf,
@@ -787,7 +787,8 @@ def test_voltage_certificate_ends_no_repair_that_a_box_scan_rescues(monkeypatch)
     # group's box clears the voltage violations that the repair ends with.
     # Seed 302's sample 18 is the closest call: its box holds such a dispatch
     # and its first violation is 0.566 of its reach, so a safety factor below
-    # 1 / 0.566 ends it and fails here.
+    # 1 / 0.566 ends it and fails here.  More broadly, no Infeasible row, ended
+    # or not, has a scanned dispatch that is clean and inside its cell.
     grid = fixture_3bus()
     root = build_space(grid, CONTROL).root_cell()
     real = feasibility._out_of_reach
@@ -799,19 +800,44 @@ def test_voltage_certificate_ends_no_repair_that_a_box_scan_rescues(monkeypatch)
         return out
 
     monkeypatch.setattr(feasibility, "_out_of_reach", spying)
-    ended = 0
+    ended = infeasible = 0
     for seed in (302, 5, 11):
         for op in hierarchical_sample(root, 80, 1, grid, seed):
             fired.clear()
             ((_adjusted, _sol, verdict),) = adjust_many(grid, [op], [root])
-            if not any(fired):
-                continue
-            ended += 1
             held = {cid for cid, _ in verdict.violations if cid.startswith("v_")}
-            assert verdict.status == INFEASIBLE and held
-            for _dispatch, _sol, report in dispatch_scan(grid, op, 31):
-                assert report is None or held & {cid for cid, _ in report.violations}
-    assert ended > 100
+            if any(fired):
+                ended += 1
+                assert verdict.status == INFEASIBLE and held
+            if verdict.status != INFEASIBLE:
+                continue
+            infeasible += 1
+            for _dispatch, sol, report in dispatch_scan(grid, op, 31):
+                if any(fired):
+                    assert report is None or held & {cid for cid, _ in report.violations}
+                assert not (report is not None and report.clean and contains_values(
+                    root, _apply_dispatch(grid, op, sol.gen_p).dim_values))
+    assert ended > 100 and infeasible > ended
+
+
+def test_every_feasible_repair_is_clean_under_the_oracles():
+    # Each Feasible row's recorded dispatch, solved again by the one-solve
+    # Newton oracle and checked by the loop oracle, converges with no
+    # violation at all.
+    grid = fixture_3bus()
+    root = build_space(grid, CONTROL).root_cell()
+    feasible = 0
+    for seed in (5, 11, 21, 302):
+        ops = list(hierarchical_sample(root, 80, 1, grid, seed))
+        for adjusted, _sol, verdict in adjust_many(grid, ops, [root] * len(ops)):
+            if verdict.status != FEASIBLE:
+                continue
+            feasible += 1
+            case = pf_case(grid, adjusted)
+            sol = newton_pf_one(grid, case, case.gen_p)
+            assert sol.converged
+            assert check_constraints_loop(sol, grid).violations == []
+    assert feasible > 40
 
 
 def test_voltage_certificate_keeps_a_small_voltage_violation_that_the_repair_clears():

@@ -10,7 +10,7 @@ from stabgen.feasibility import pf_case, solve_pf
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus, fixture_9bus, power_jacobian)
 from stabgen.sampling import hierarchical_sample
-from stabgen.smallsignal import (ConverterUnit, DynUnit, GfolParams,
+from stabgen.smallsignal import (DynUnit, GfolParams,
                                  GforParams, KIND_GFOL, KIND_GFOR, KIND_SG,
                                  LinearizationError, OMEGA_BASE,
                                  SgParams, StateSpaceModel, admittance_scan,
@@ -244,7 +244,7 @@ def _freq_grid():
     ("GFOR", GforParams()), ("GFOL", GfolParams())])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_aggregation_matches_parallel_sum(mode, params, n):
-    single = ConverterUnit(mode, params, 80.0, 50.0)
+    single = DynUnit(mode, 2, params, 80.0, 50.0)
     agg = aggregate_ibrs([single] * n)
     assert agg.s_rated == pytest.approx(n * 80.0)
     assert agg.p_mw == pytest.approx(n * 50.0)
@@ -257,29 +257,51 @@ def test_aggregation_matches_parallel_sum(mode, params, n):
 
 def test_modes_have_distinct_signatures():
     freqs = _freq_grid()
-    y_for = admittance_scan(terminal_model(ConverterUnit("GFOR", GforParams(),
-                                                         100.0, 60.0)), freqs)
-    y_fol = admittance_scan(terminal_model(ConverterUnit("GFOL", GfolParams(),
-                                                         100.0, 60.0)), freqs)
+    y_for = admittance_scan(terminal_model(DynUnit("GFOR", 2, GforParams(),
+                                                   100.0, 60.0)), freqs)
+    y_fol = admittance_scan(terminal_model(DynUnit("GFOL", 2, GfolParams(),
+                                                   100.0, 60.0)), freqs)
     mask = np.isfinite(y_for) & np.isfinite(y_fol)
     assert np.max(np.abs(y_for[mask] - y_fol[mask])) > 1e-3
 
 
 def test_aggregate_rejects_mixed_inputs():
-    a = ConverterUnit("GFOR", GforParams(), 80.0, 50.0)
-    b = ConverterUnit("GFOL", GfolParams(), 80.0, 50.0)
+    a = DynUnit("GFOR", 2, GforParams(), 80.0, 50.0)
+    b = DynUnit("GFOL", 2, GfolParams(), 80.0, 50.0)
     with pytest.raises(ValueError):
         aggregate_ibrs([a, b])
-    c = ConverterUnit("GFOR", GforParams(tau_w=0.2), 80.0, 50.0)
+    c = DynUnit("GFOR", 2, GforParams(tau_w=0.2), 80.0, 50.0)
     with pytest.raises(ValueError):
         aggregate_ibrs([a, c])
     with pytest.raises(ValueError):
         aggregate_ibrs([])
 
 
+@pytest.mark.parametrize("s_rated, p_mw", [(80.0, 50.0), (100.0, 5.0), (250.0, 240.0)])
+def test_terminal_models_match_their_closed_form_dc_gain(s_rated, p_mw):
+    # Y(0) = d - c a^-1 b.  At DC the grid-following PLL and power loop settle
+    # at zero and the voltage droop is left: Y(0) = -j k_v S/S_base.  The
+    # grid-forming theta integrates pfilt, so the electrical P is 0, qfilt = Q
+    # and E = -k_q Q; the branch through X_C to the 1 pu terminal, with
+    # t = tan(theta0) = p0 X_C, then gives Y(0) = j S/S_base (t^2 - 1) /
+    # (X_C + k_q sqrt(1 + t^2)).
+    scale = s_rated / 100.0
+    t = p_mw / s_rated * smallsignal.X_C
+    assert smallsignal.V_T0 == 1.0
+    for kind, prm in ((KIND_GFOL, GfolParams()), (KIND_GFOL, GfolParams(k_v=2.0, pll_kp=20.0)),
+                      (KIND_GFOR, GforParams()), (KIND_GFOR, GforParams(k_q=0.2, k_p=3.0))):
+        model = terminal_model(DynUnit(kind, 2, prm, s_rated, p_mw))
+        y0 = model.d - model.c @ np.linalg.solve(model.a, model.b)
+        if kind == KIND_GFOL:
+            want = -1j * prm.k_v * scale
+        else:
+            want = 1j * scale * (t * t - 1.0) / (smallsignal.X_C + prm.k_q * math.hypot(1.0, t))
+        assert abs(y0 - want) < 1e-12 * abs(want)
+
+
 def test_scan_marks_singular_frequencies():
     prm = GfolParams()
-    model = terminal_model(ConverterUnit("GFOL", prm, 100.0, 60.0))
+    model = terminal_model(DynUnit("GFOL", 2, prm, 100.0, 60.0))
     eigs = np.linalg.eigvals(model.a)
     osc = eigs[np.abs(eigs.imag) > 1e-9]
     if osc.size:
