@@ -70,7 +70,8 @@ def run_generate(config_path: str) -> int:
                               cfg.exploration.forest_trees,
                               cfg.exploration.forest_depth,
                               cfg.exploration.seed,
-                              importances_by_depth=importances_by_depth(root))
+                              importances_by_depth=importances_by_depth(root),
+                              accuracy_by_depth=root.accuracy_by_depth)
     write_metrics(out / "metrics.csv", metrics, dim_names)
     write_tree(out / "tree.json", root)
     manifest = {"engine_version": __version__, "config": config_as_dict(cfg)}

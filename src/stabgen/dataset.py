@@ -32,6 +32,9 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 DISCARDED = "Discarded"
 
+# The folds of every cross-validated accuracy in the metrics.
+KFOLD = 5
+
 FIXED_COLUMNS = ["cell_path", "depth", "sample_index", "case_index"]
 TAIL_COLUMNS = ["verdict", "stable", "max_real", "dominant_freq_hz",
                 "dominant_damping", "adjustment_distance", "violations",
@@ -190,33 +193,57 @@ class MetricsRow:
     importances: dict[str, float]
 
 
+class CumulativeLabels:
+    """The k-fold input of the metrics: the labeled records of every depth
+    so far, in the order added, as features in ``dim_names`` order."""
+
+    def __init__(self, dim_names: list[str], kfold: int = KFOLD):
+        self.dim_names, self.kfold = dim_names, kfold
+        self.x: list[list[float]] = []
+        self.y: list[int] = []
+
+    def add(self, records) -> LabeledDataset | None:
+        """Append the labeled ones of ``records``; the data so far if each
+        class has a record per fold, else None."""
+        labeled = [r for r in records if r.labeled]
+        self.x.extend([r.dims[n] for n in self.dim_names] for r in labeled)
+        self.y.extend(int(r.stable) for r in labeled)
+        y = np.array(self.y, dtype=int)
+        counts = np.bincount(y, minlength=2)  # labels are 0 or 1
+        if len(self.y) >= 2 * self.kfold and counts.min() >= self.kfold:
+            return LabeledDataset(np.array(self.x), y, self.dim_names)
+        return None
+
+
 def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
                     forest_trees: int = 100, forest_depth: int = 8,
-                    seed: int = 0, kfold: int = 5,
+                    seed: int = 0, kfold: int = KFOLD,
                     importances_by_depth: dict[int, dict[str, float]] | None = None,
+                    accuracy_by_depth: dict[int, tuple[float, float]] | None = None,
                     ) -> list[MetricsRow]:
-    """Per-depth metrics from raw records grouped by their origin cell."""
+    """Per-depth metrics from raw records grouped by their origin cell.
+
+    Each depth's accuracy is the k-fold accuracy of the labeled records of
+    every depth up to it, in the order of ``records``.  A caller that has
+    computed them passes them as ``accuracy_by_depth``, without the depths
+    whose labels are too few to fold.
+    """
     cells: dict[str, list[LabeledRecord]] = {}
     for r in records:
         cells.setdefault(r.cell_path, []).append(r)
     out: list[MetricsRow] = []
-    cum_x: list[list[float]] = []
-    cum_y: list[int] = []
+    cumulative = CumulativeLabels(dim_names, kfold)
     for depth in sorted({r.depth for r in records}):
         groups = [g for g in cells.values() if g[0].depth == depth]
         rates = {v: [sum(r.verdict == v for r in g) / len(g) for g in groups]
                  for v in (FEASIBLE, INFEASIBLE, DISCARDED)}
         entropies = [entropy([int(r.stable) for r in g if r.labeled]) for g in groups]
-        labeled = [r for r in records if r.depth == depth and r.labeled]
-        cum_x.extend([r.dims[n] for n in dim_names] for r in labeled)
-        cum_y.extend(int(r.stable) for r in labeled)
-        acc_mean = acc_std = None
-        y = np.array(cum_y, dtype=int)
-        counts = np.bincount(y, minlength=2)  # labels are 0 or 1
-        if len(cum_y) >= 2 * kfold and counts.min() >= kfold:
-            data = LabeledDataset(np.array(cum_x), y, dim_names)
-            acc_mean, acc_std = kfold_accuracy(data, kfold, forest_trees,
-                                               forest_depth, seed)
+        if accuracy_by_depth is None:
+            data = cumulative.add(r for r in records if r.depth == depth)
+            acc_mean, acc_std = (None, None) if data is None else kfold_accuracy(
+                data, kfold, forest_trees, forest_depth, seed)
+        else:
+            acc_mean, acc_std = accuracy_by_depth.get(depth, (None, None))
         imps = (importances_by_depth or {}).get(depth, {})
         out.append(MetricsRow(
             depth=depth, n_cells=len(groups),

@@ -1,30 +1,36 @@
 """Breadth-first operating-space exploration, one depth at a time.
 
-All frontier cells are sampled, and the depth's points, in frontier order,
-are cut into one contiguous chunk per worker, which one ordered map hands
-to a pool of ``workers`` forked processes.  A worker repairs its chunk's
-points in lock step (``assess_many``), then labels each one.  Then each
-cell in turn gets entropy, cutoffs, split dimensions (fixed list or
-forest-importance ranking) and children for the next frontier.
-Determinism comes from seed keying on (seed, cell path, sample index, case
-index), never from execution order or chunking: a point's record does not
-depend on the points it is repaired with.  The pool lives only inside one
-``explore`` call.
+A depth's (cell, sample index) pairs, in frontier order, are cut into one
+contiguous chunk per worker, and each chunk is one task for a pool of
+``workers`` forked processes.  A worker samples its chunk's points, repairs
+them in lock step (``assess_many``), then labels each one.  Then each cell
+in turn gets entropy, cutoffs, split dimensions (fixed list or
+forest-importance ranking) and children for the next frontier.  Once a
+depth is labeled, the folds of the k-fold accuracy of the labeled records
+of every depth so far go to the same pool as tasks, behind the next
+depth's chunks, and the root keeps the accuracies.  Determinism comes from
+seed keying on (seed, cell path, sample index, case index), never from
+execution order or chunking: a point's record does not depend on the
+points it is sampled or repaired with.  The pool lives only inside one
+``explore`` call, and the calling process only splits cells.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
-from .dataset import DISCARDED, FEASIBLE, INFEASIBLE, LabeledRecord, entropy
+from .dataset import (DISCARDED, FEASIBLE, INFEASIBLE, KFOLD, CumulativeLabels,
+                      LabeledRecord, entropy)
 from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
                           adjust_many, adjust_to_feasible)
 from .forest import (LabeledDataset, SensitivityUnavailableError,
-                     feature_importance, train_forest)
+                     feature_importance, fold_accuracy, fold_summary, kfold_folds,
+                     train_forest)
 from .grid import GridModel
 from .sampling import hierarchical_sample
 from .smallsignal import (EPS_MARGIN, GfolParams, GforParams, LinearizationError,
@@ -78,6 +84,9 @@ class ExplorationNode:
     importances: dict[str, float] = field(default_factory=dict)
     stop_reason: str | None = None
     children: list["ExplorationNode"] = field(default_factory=list)
+    # The root's only: per depth, the k-fold accuracy (mean, std) of the
+    # labeled records of every depth up to it, where there are enough.
+    accuracy_by_depth: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -206,10 +215,24 @@ def _label(grid: GridModel, cell: Subregion, config: ExplorationConfig, depth: i
 
 
 def _assess_task(args) -> list[LabeledRecord]:
-    """Pool entry point, one chunk of points.  ``assess_many`` is looked up
-    in the worker, which was forked after any rebinding of it (test
-    doubles, tracing wrappers)."""
-    return assess_many(*args)
+    """Pool entry point, one chunk: the points of each ``(cell, samples)``
+    piece, sampled and then assessed together.  ``hierarchical_sample`` and
+    ``assess_many`` are looked up in the worker, which was forked after any
+    rebinding of them (test doubles, tracing wrappers)."""
+    grid, config, pieces = args
+    points = [(op, cell, cell.depth) for cell, samples in pieces
+              for op in hierarchical_sample(
+                  cell, config.n_samples, config.n_cases, grid, config.seed,
+                  config.loss_factor, config.dev_bound, config.randomize_loads,
+                  samples)]
+    return assess_many(grid, config, points)
+
+
+def _fold_task(args) -> float:
+    """Pool entry point, one fold of a depth's k-fold accuracy;
+    ``fold_accuracy`` is looked up in the worker, as ``_assess_task``'s
+    functions are."""
+    return fold_accuracy(*args)
 
 
 def _chunks(items: list, k: int) -> list[list]:
@@ -217,6 +240,25 @@ def _chunks(items: list, k: int) -> list[list]:
     sizes differ by at most one."""
     cuts = [len(items) * i // k for i in range(k + 1)]
     return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _sample_chunks(cells: list[Subregion], n_samples: int,
+                   k: int) -> list[list[tuple[Subregion, range]]]:
+    """The ``(cell, sample index)`` pairs of ``cells`` cut by ``_chunks``,
+    each chunk as one ``(cell, range of sample indices)`` piece per cell."""
+    pairs = [(i, s) for i in range(len(cells)) for s in range(n_samples)]
+    out = []
+    for chunk in _chunks(pairs, k):
+        pieces = []
+        for i, run in groupby(chunk, key=itemgetter(0)):
+            samples = [s for _, s in run]
+            pieces.append((cells[i], range(samples[0], samples[-1] + 1)))
+        out.append(pieces)
+    return out
+
+
+def _record_key(r: LabeledRecord) -> tuple[str, int, int]:
+    return r.cell_path, r.sample_index, r.case_index
 
 
 def _bisect(cell: Subregion, dims: list[str],
@@ -249,36 +291,47 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
 
     Every assessed sample appears exactly once in the output (keyed by its
     origin cell path and sample/case indices); inherited samples are reused,
-    never re-assessed.  Any exception raised while sampling, assessing or
-    splitting a cell propagates to the caller, after the pool's worker
-    processes have been joined.
+    never re-assessed.  The records are in ``(cell_path, sample_index,
+    case_index)`` order, and the root's ``accuracy_by_depth`` holds the
+    k-fold accuracies that ``compute_metrics`` computes from them.  Any
+    exception raised while sampling, assessing, splitting a cell or fitting
+    a fold propagates to the caller, after the pool's worker processes have
+    been joined.
     """
     # Imported here, so that commands which never explore do not load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    # Loaded before the pool forks, so that no worker loads it again: every
+    # sample and every forest draws from it.
+    import numpy.random  # noqa: F401
 
     stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []
+    cumulative = CumulativeLabels([d.name for d in space.independent])
+    folds: dict[int, list] = {}  # per depth, its fold fits' futures
+    per_cell = config.n_samples * config.n_cases
     cells_done = 0
     frontier: list[tuple[ExplorationNode, float | None]] = [(root, None)]
     grid.network  # compiled once here; the pickled tasks carry it to the workers
     with ProcessPoolExecutor(config.workers,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        while frontier:
-            points = [hierarchical_sample(
-                node.cell, config.n_samples, config.n_cases, grid,
-                config.seed, config.loss_factor, config.dev_bound,
-                config.randomize_loads) for node, _ in frontier]
-            tasks = [(op, node.cell, node.depth)
-                     for (node, _), pts in zip(frontier, points) for op in pts]
+
+        def submit_depth(nodes):
             # one contiguous chunk per worker, whose repairs run in lock step
-            assessed = chain.from_iterable(pool.map(_assess_task, [
-                (grid, config, chunk) for chunk in _chunks(tasks, config.workers)]))
+            return [pool.submit(_assess_task, (grid, config, pieces))
+                    for pieces in _sample_chunks([node.cell for node, _ in nodes],
+                                                 config.n_samples, config.workers)]
+
+        chunks = submit_depth(frontier)
+        while frontier:
+            depth = frontier[0][0].depth
+            assessed = chain.from_iterable(c.result() for c in chunks)
+            depth_records = []
             next_frontier = []
-            for (node, parent_entropy), pts in zip(frontier, points):
-                new_records = list(islice(assessed, len(pts)))
-                all_records.extend(new_records)
+            for node, parent_entropy in frontier:
+                new_records = list(islice(assessed, per_cell))
+                depth_records += new_records
                 node.records += new_records
                 _update_stats(node)
                 cells_done += 1
@@ -299,6 +352,17 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
                         r for r in node.records if contains_values(c, r.dims)])
                     node.children.append(child)
                     next_frontier.append((child, node.entropy))
+            all_records += depth_records
             frontier = next_frontier
-    all_records.sort(key=lambda r: (r.cell_path, r.sample_index, r.case_index))
+            chunks = submit_depth(frontier)
+            # This depth's folds queue behind the next depth's chunks.
+            data = cumulative.add(sorted(depth_records, key=_record_key))
+            if data is not None:
+                fold = kfold_folds(data.labels, KFOLD, config.seed)
+                folds[depth] = [pool.submit(_fold_task, (
+                    data, fold, i, config.forest_trees, config.forest_depth,
+                    config.seed)) for i in range(KFOLD)]
+        root.accuracy_by_depth = {depth: fold_summary([f.result() for f in fits])
+                                  for depth, fits in folds.items()}
+    all_records.sort(key=_record_key)
     return root, all_records

@@ -293,13 +293,12 @@ def feature_importance(forest: ForestModel) -> np.ndarray:
     return forest.importances.copy()
 
 
-def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
-                   max_depth: int = 8, seed: int = 0) -> tuple[float, float]:
-    """Stratified k-fold cross-validated accuracy (mean, std)."""
+def kfold_folds(labels: np.ndarray, k: int = 5, seed: int = 0) -> np.ndarray:
+    """Each row's fold in stratified ``k``-fold cross validation: every
+    class's rows, shuffled by ``seed``'s stream, dealt round-robin."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    y = data.labels
-    counts = np.bincount(y)
+    counts = np.bincount(labels)
     classes = counts.nonzero()[0]
     if len(classes) < 2:
         raise SensitivityUnavailableError("sensitivity unavailable: single-class data")
@@ -307,16 +306,34 @@ def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
     if smallest < k:
         raise ValueError(f"smallest class has {smallest} samples, cannot stratify into {k} folds")
     rng = np.random.default_rng(seed)
-    fold = np.empty(len(y), dtype=int)
+    fold = np.empty(len(labels), dtype=int)
     for c in classes:
-        idx = np.flatnonzero(y == c)
+        idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         fold[idx] = np.arange(len(idx)) % k
-    accs = []
-    for i in range(k):
-        test = np.flatnonzero(fold == i)
-        train = np.flatnonzero(fold != i)
-        sub = LabeledDataset(data.features[train], y[train], data.feature_names)
-        model = train_forest(sub, n_trees, max_depth, seed + 1 + i)
-        accs.append(float(np.mean(model.predict(data.features[test]) == y[test])))
+    return fold
+
+
+def fold_accuracy(data: LabeledDataset, fold: np.ndarray, i: int, n_trees: int = 100,
+                  max_depth: int = 8, seed: int = 0) -> float:
+    """Accuracy on fold ``i`` of a forest trained on the other folds, with
+    seed ``seed + 1 + i``."""
+    test = np.flatnonzero(fold == i)
+    train = np.flatnonzero(fold != i)
+    sub = LabeledDataset(data.features[train], data.labels[train], data.feature_names)
+    model = train_forest(sub, n_trees, max_depth, seed + 1 + i)
+    return float(np.mean(model.predict(data.features[test]) == data.labels[test]))
+
+
+def fold_summary(accs: list[float]) -> tuple[float, float]:
+    """The (mean, std) of the fold accuracies, in fold order."""
     return float(np.mean(accs)), float(np.std(accs))
+
+
+def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
+                   max_depth: int = 8, seed: int = 0) -> tuple[float, float]:
+    """Stratified k-fold cross-validated accuracy (mean, std): the
+    ``fold_accuracy`` of each of ``kfold_folds``' folds, in turn."""
+    fold = kfold_folds(data.labels, k, seed)
+    return fold_summary([fold_accuracy(data, fold, i, n_trees, max_depth, seed)
+                         for i in range(k)])

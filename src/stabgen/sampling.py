@@ -106,7 +106,8 @@ def disaggregate(target: float, lo: np.ndarray, hi: np.ndarray,
 def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
                         grid: GridModel, seed: int,
                         loss_factor: float = 0.97, dev_bound: float = 0.02,
-                        randomize_loads: bool = False) -> list[OperatingPoint]:
+                        randomize_loads: bool = False,
+                        samples: range | None = None) -> list[OperatingPoint]:
     """Draw n_samples dimension tuples and n_cases variable realizations each.
 
     Dimension tuples come from the Latin hypercube draw plus the voltage
@@ -115,7 +116,10 @@ def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
     grid-forming and demand totals onto individual elements; every
     grid-following allocation is its IBR group's remainder after the
     grid-forming share, which is bounded by that group's allocation.
-    Output length is exactly n_samples * n_cases.
+    The points come sample by sample, n_cases each, for all n_samples
+    samples or only those in ``samples``, a range of sample indices.  A
+    point is the same either way, since the cell's whole Latin hypercube is
+    drawn either way.
     """
     if n_samples < 1 or n_cases < 1:
         raise ValueError("n_samples and n_cases must be >= 1")
@@ -131,7 +135,8 @@ def hierarchical_sample(cell: Subregion, n_samples: int, n_cases: int,
     load_keys = [f"P_L_{ld.bus}" for ld in grid.loads]
     dim_tuples = lhs(n_samples, cell, rng_stream(seed, cell.path, 0))
     points: list[OperatingPoint] = []
-    for i, dims in enumerate(dim_tuples):
+    for i in range(n_samples) if samples is None else samples:
+        dims = dim_tuples[i]
         p_d = loss_factor * (dims.get(P_SG, 0.0) + dims.get(P_IBR, 0.0))
         dims[P_D] = p_d
         profile = sample_voltage_profile(

@@ -293,9 +293,14 @@ seed=0
 """
 
 
-def test_report_accuracy_equals_generate_metrics(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_report_accuracy_equals_generate_metrics(workers, tmp_path, monkeypatch):
+    # generate fits each depth's folds as tasks of the exploration's pool;
+    # report fits them one after another
+    monkeypatch.delenv("STABGEN_WORKERS", raising=False)
     out_dir = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, PARITY_CFG, out_dir=str(out_dir))
+    cfg = _write_cfg(tmp_path, PARITY_CFG.replace("workers=1\n", f"workers={workers}\n"),
+                     out_dir=str(out_dir))
     assert main(["generate", "--config", str(cfg)]) == 0
     rep_dir = tmp_path / "report"
     assert main(["report", "--dataset", str(out_dir / "dataset.csv"),

@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import math
 import multiprocessing
+import os
 import re
 
 import pytest
@@ -228,23 +230,29 @@ def test_explore_deterministic_across_workers():
 
 
 def test_nine_bus_dataset_is_identical_at_any_worker_count(monkeypatch, tmp_path):
-    # 9-bus points fall on many PV masks, and the 25 or 50 points of a depth
-    # cut into 2 or 3 chunks give chunks of unequal sizes.
+    # 9-bus points fall on many PV masks, and the 25 or 50 samples of a depth
+    # cut into 2 or 3 chunks give chunks of unequal sizes; each depth has
+    # enough labels of both classes for its k-fold folds to run on the pool
+    # behind the chunks.
     monkeypatch.delenv("STABGEN_WORKERS", raising=False)
-    datasets = []
+    outs = []
     for workers in (1, 2, 3):
         out_dir = tmp_path / f"w{workers}"
         cfg = tmp_path / f"w{workers}.ini"
-        cfg.write_text("fixture=9bus\nn_samples=25\nn_cases=1\nmax_depth=1\n"
+        cfg.write_text("fixture=9bus\nn_samples=25\nn_cases=3\nmax_depth=1\n"
                        "entropy_decrease_threshold=-1\nmin_feasible_rate=0.0\n"
                        "use_sensitivity=false\nsplit_dims_per_node=1\n"
                        f"workers={workers}\nseed=3\nout_dir={out_dir}\n",
                        encoding="utf-8")
         assert main(["generate", "--config", str(cfg)]) == 0
-        datasets.append(out_dir / "dataset.csv")
-    records, _ = read_dataset(datasets[0])
-    assert len(records) == 75 and {r.depth for r in records} == {0, 1}
-    assert datasets[0].read_bytes() == datasets[1].read_bytes() == datasets[2].read_bytes()
+        outs.append(out_dir)
+    records, _ = read_dataset(outs[0] / "dataset.csv")
+    assert len(records) == 225 and {r.depth for r in records} == {0, 1}
+    with open(outs[0] / "metrics.csv", newline="") as fh:
+        assert all(r["accuracy_mean"] for r in csv.DictReader(fh))
+    for name in ("dataset.csv", "metrics.csv", "tree.json"):
+        digests = {(out / name).read_bytes() for out in outs}
+        assert len(digests) == 1, name
 
 
 def test_explore_inherits_parent_samples():
@@ -269,6 +277,12 @@ def test_explore_inherits_parent_samples():
 # -- failures surface ---------------------------------------------------------
 
 FAILING_CELL = "R.P_SG_L"  # a depth-1 child under split_dims_per_node=1
+# Enough samples that both depths have labels of both classes to fold.
+FAILING_SAMPLES = 50
+
+
+def _failing_config():
+    return _fast_config(n_samples=FAILING_SAMPLES, split_dims_per_node=1)
 
 
 class _InjectedFailure(RuntimeError):
@@ -300,18 +314,31 @@ def _fail_one_assessment(monkeypatch):
     monkeypatch.setattr(explorer, "assess_many", assess_chunk)
 
 
-@pytest.mark.parametrize("inject", [_fail_sampling, _fail_one_assessment])
+def _fail_one_fold(monkeypatch):
+    # explore hands each fold of a depth's k-fold accuracy to a worker; fail
+    # one fold of every depth, in the worker
+    real = explorer.fold_accuracy
+
+    def fit(data, fold, i, *args):
+        if i == 2 and multiprocessing.parent_process() is not None:
+            raise _InjectedFailure(f"fold {i}")
+        return real(data, fold, i, *args)
+
+    monkeypatch.setattr(explorer, "fold_accuracy", fit)
+
+
+@pytest.mark.parametrize("inject", [_fail_sampling, _fail_one_assessment,
+                                    _fail_one_fold])
 def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
     inject(monkeypatch)
     grid = fixture_3bus()
     space = build_space(grid, CONTROL)
     with pytest.raises(_InjectedFailure):
-        explore(space, grid, _fast_config(split_dims_per_node=1),
-                progress_stream=io.StringIO())
+        explore(space, grid, _failing_config(), progress_stream=io.StringIO())
 
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.ini"
-    cfg.write_text("fixture=3bus\nn_samples=24\nn_cases=1\nmax_depth=1\n"
+    cfg.write_text(f"fixture=3bus\nn_samples={FAILING_SAMPLES}\nn_cases=1\nmax_depth=1\n"
                    "entropy_decrease_threshold=0.0\nmin_feasible_rate=0.0\n"
                    "use_sensitivity=false\nsplit_dims_per_node=1\nworkers=2\n"
                    f"seed=0\nout_dir={out_dir}\n", encoding="utf-8")
@@ -319,7 +346,8 @@ def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
     assert not (out_dir / "dataset.csv").exists()
 
 
-@pytest.mark.parametrize("inject", [None, _fail_sampling, _fail_one_assessment])
+@pytest.mark.parametrize("inject", [None, _fail_sampling, _fail_one_assessment,
+                                    _fail_one_fold])
 def test_explore_reaps_its_workers(inject, monkeypatch):
     if inject is not None:
         inject(monkeypatch)
@@ -327,6 +355,25 @@ def test_explore_reaps_its_workers(inject, monkeypatch):
     space = build_space(grid, CONTROL)
     raises = pytest.raises(_InjectedFailure) if inject else contextlib.nullcontext()
     with raises:
-        explore(space, grid, _fast_config(split_dims_per_node=1),
-                progress_stream=io.StringIO())
+        explore(space, grid, _failing_config(), progress_stream=io.StringIO())
     assert not multiprocessing.active_children()
+
+
+def test_explore_forks_one_pool(monkeypatch):
+    # The workers of one pool are the only processes an explore forks; the
+    # k-fold folds of both depths run as its tasks, not on a second pool.
+    real = os.fork
+    children = []
+
+    def fork():
+        pid = real()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    grid = fixture_3bus()
+    root, _ = explore(build_space(grid, CONTROL), grid, _failing_config(),
+                      progress_stream=io.StringIO())
+    assert sorted(root.accuracy_by_depth) == [0, 1]
+    assert len(children) == 2

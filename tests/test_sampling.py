@@ -186,6 +186,21 @@ def test_hierarchical_sample_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("n_cases", [1, 3])
+def test_hierarchical_sample_subset_is_the_full_draw(n_cases):
+    # explore's workers each build a range of a cell's samples, one that
+    # may start mid-cell; every point is the one the full draw gives
+    g = fixture_9bus()
+    space = build_space(g, CONTROL)
+    cell = space.root_cell()
+    full = hierarchical_sample(cell, 11, n_cases, g, seed=7, randomize_loads=True)
+    part = hierarchical_sample(cell, 11, n_cases, g, seed=7, randomize_loads=True,
+                               samples=range(4, 9))
+    assert [(p.sample_index, p.case_index) for p in part] == [
+        (i, j) for i in range(4, 9) for j in range(n_cases)]
+    assert repr(part) == repr(full[4 * n_cases:9 * n_cases])
+
+
 def test_hierarchical_sample_child_cell_containment():
     from stabgen.space import split
     g = fixture_3bus()

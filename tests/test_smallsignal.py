@@ -108,6 +108,28 @@ def test_linearize_follows_the_solved_load_model():
     assert not np.allclose(linearize(grid, swapped, units).a_matrix, lagging)
 
 
+def test_gfol_voltage_droop_column_is_pinned():
+    # A recorded pin until an independent oracle of the model equations
+    # exists: the column of the grid-following unit's Q/V-droop filter state
+    # in A, on the mixed 3-bus point with all IBR grid-following.  Its
+    # Q = -k_v wfilt injection reaches the SG's speed and the PLL through
+    # the network closure, and the filter through the terminal voltage; a
+    # flipped droop sign flips each entry.  The relative tolerance leaves
+    # room for a power flow that lands elsewhere within its own tolerance.
+    grid, op = _mixed_op(0.0)
+    sol = solve_pf(grid, pf_case(grid, op))
+    assert sol.converged
+    ssm = linearize(grid, sol, build_units(grid, op))
+    column = ssm.a_matrix[:, ssm.labels.index(("GFOL_2", "wfilt"))]
+    got = {label: value for label, value in zip(ssm.labels, column.tolist()) if value}
+    assert got == pytest.approx({
+        ("SG_1", "domega"): 7.5050713746726977e-02,
+        ("GFOL_2", "pll_phase"): 8.3085137171246721,
+        ("GFOL_2", "pll_int"): 149.55324690824409,
+        ("GFOL_2", "wfilt"): -16.768421416663116,
+    }, rel=1e-6)
+
+
 def test_load_admittance_matches_a_per_load_loop():
     # Reference: each load's conj(S) / |V|^2 added to its diagonal entry in
     # turn, with S = P + jP tan(acos(load_pf)) in pu.  No bus is eliminated,
