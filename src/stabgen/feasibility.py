@@ -9,14 +9,15 @@ Discarded (constraint-clean but the adjusted totals left the cell).
 
 The repair (``_adjust``) runs many points in lock step on one state of
 per-row arrays.  Each step solves every unfinished row's set points or
-pending line-search trial in one ``solve_many`` call and answers the 1 MW
-trials of its descent directions in one ``_trial_totals`` call; one
-constraint kernel, ``_violations``, checks both, and only the power flows'
-checks go on to build reports (``check_constraints_many``).  Each row's
-numbers are those of the row computed alone, bit for bit.  The same
-trials' bus voltages certify hopeless rows (``_out_of_reach``): a row
-whose voltage violation no dispatch in its box can reach, by a linear
-bound with a safety factor of ``REPAIR_V_SAFETY``, is given up at once.
+pending line-search trial in one ``solve_many`` call, which returns one
+stacked ``PowerFlowSolution``, and answers the 1 MW trials of its descent
+directions, grouped by PV mask, in one ``_trial_totals`` call; one kernel,
+``_violations``, checks both.  A point's own solution and report are built
+when it finishes.  Each row's numbers are those of the row computed alone,
+bit for bit, whatever its stack (see ``_power``).  The same trials' bus
+voltages certify hopeless rows (``_out_of_reach``): a row whose voltage
+violation no dispatch in its box can reach, by a linear bound with a safety
+factor of ``REPAIR_V_SAFETY``, is given up at once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ class PowerFlowSolution:
     max_mismatch: float
     case: PfCase        # the inputs that were solved, loads included
     pv: np.ndarray | None = None  # PV mask of the Newton round that gave vm/va
+
+    def __getitem__(self, k):
+        """Row ``k`` of stacked solutions (``solve_many``: a leading row axis
+        on every field, a list of cases) as a solution with Python scalars and
+        arrays of its own; a slice or an array of rows, stacked."""
+        rows = np.arange(len(self.case))[k]
+        fields = {f: np.asarray(getattr(self, f))[rows] for f in _ROW_FIELDS}
+        if rows.ndim:
+            return PowerFlowSolution(case=[self.case[r] for r in rows.tolist()], **fields)
+        return PowerFlowSolution(case=self.case[rows], **{
+            f: a.copy() if a.ndim else a.item() for f, a in fields.items()})
+
+
+# the fields of stacked solutions that hold one entry per row
+_ROW_FIELDS = ("vm", "va", "gen_p", "gen_q", "converged", "iterations", "max_mismatch", "pv")
 
 
 @dataclass(frozen=True)
@@ -124,27 +140,41 @@ def _unknowns(net: Network, is_pv: np.ndarray) -> tuple:
             np.concatenate([2 * pvpq, 2 * pq + 1]))
 
 
+def _by_mask(masks: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """``rows`` grouped by their row of boolean ``masks``, each group in the
+    order of ``rows``, the groups in order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for r in rows.tolist():
+        groups.setdefault(masks[r].tobytes(), []).append(r)
+    return [np.array(g) for g in groups.values()]
+
+
+def _power(net: Network, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``S = v conj(Y v)`` and ``Y v`` per row of bus voltages ``v``."""
+    ibus = (net.ybus @ v[..., None])[..., 0]
+    # Not ``v * np.conj(ibus)``: numpy computes that product in the buffer of
+    # the conjugate once it reaches 256 KiB, and that in-place complex product
+    # can round differently, so a row's bits would depend on its stack's size.
+    return np.multiply(v, np.conj(ibus)), ibus
+
+
 def _solutions(net: Network, cases: list[PfCase], gen_p: np.ndarray, vm: np.ndarray,
-               va: np.ndarray, converged: list[bool], iterations: list[int],
-               max_mismatch: list[float], pv: np.ndarray) -> list[PowerFlowSolution]:
-    """Per row, the solution at bus voltages ``vm``, ``va`` of dispatch
-    ``gen_p``, with the group injections of ``_group_injections``; each
-    solution owns its arrays.
+               va: np.ndarray, converged, iterations, max_mismatch,
+               pv: np.ndarray) -> PowerFlowSolution:
+    """The stacked solutions at bus voltages ``vm``, ``va`` of dispatches
+    ``gen_p``, one row per case, with the group injections of
+    ``_group_injections``.
 
     A solution's ``vm`` is ``|v|``, which can differ from ``vm`` in the last
     bit, so a solution is not a fixed point of its own recomputation.  The
     constraint checks read this ``|v|`` on purpose: the repair's totals and
     the 1 MW trials (``_trial_totals``) are defined on it."""
     v = vm * np.exp(1j * va)
-    s_calc = v * np.conj((net.ybus @ v[..., None])[..., 0])
     gen_p_out, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
                                          np.array([c.q_load for c in cases]),
-                                         gen_p, s_calc)
-    rows = zip(np.abs(v), va, gen_p_out, gen_q, converged, iterations, max_mismatch,
-               cases, pv)
-    return [PowerFlowSolution(r_vm.copy(), r_va.copy(), r_p.copy(), r_q.copy(), conv,
-                              its, peak, case, r_pv.copy())
-            for r_vm, r_va, r_p, r_q, conv, its, peak, case, r_pv in rows]
+                                         gen_p, _power(net, v)[0])
+    return PowerFlowSolution(np.abs(v), va, gen_p_out, gen_q, converged, iterations,
+                             max_mismatch, cases, pv)
 
 
 def _group_injections(net: Network, p_load: np.ndarray, q_load: np.ndarray,
@@ -164,7 +194,7 @@ def _group_injections(net: Network, p_load: np.ndarray, q_load: np.ndarray,
 def solve_pf(grid: GridModel, case: PfCase,
              gen_p: np.ndarray | None = None) -> PowerFlowSolution:
     """Polar Newton-Raphson power flow of one dispatch (MW per group,
-    default: the sampled set points): ``solve_many`` of one row.
+    default: the sampled set points): row 0 of ``solve_many`` of one row.
 
     Non-slack buses with generation groups are held at the sampled voltage
     magnitude (PV); their reactive output is limited to the summed group
@@ -176,12 +206,12 @@ def solve_pf(grid: GridModel, case: PfCase,
 
 
 def solve_many(grid: GridModel, cases: list[PfCase],
-               gen_ps: list[np.ndarray]) -> list[PowerFlowSolution]:
-    """The power flows of dispatches ``gen_ps`` of ``cases``, row by row, in
-    lock step: every Newton iteration of every row that shares a PV mask is
-    one stacked array operation, with converged and broken-off rows left
-    out.  Each row's solution is bit-equal to that row solved alone, and
-    owns its arrays.
+               gen_ps: np.ndarray | list[np.ndarray]) -> PowerFlowSolution:
+    """The power flows of dispatches ``gen_ps`` of ``cases``, one row each,
+    in lock step, as stacked solutions: every Newton iteration of every row
+    that shares a PV mask is one stacked array operation, with converged and
+    broken-off rows left out.  Each row is bit-equal to that row solved
+    alone.
 
     Up to five PV->PQ rounds: a row whose converged voltages put a PV bus
     outside its summed reactive limits holds that bus's Q at the limit and
@@ -189,56 +219,57 @@ def solve_many(grid: GridModel, cases: list[PfCase],
     """
     net = grid.network
     n = len(net.bus_ids)
-    p_spec = [np.bincount(net.gen_bus, gen_p / net.base_mva, n) - case.p_load
-              for gen_p, case in zip(gen_ps, cases)]
-    q_spec = [-case.q_load for case in cases]  # PQ buses without generation
-    is_pv = [net.is_pv.copy() for _ in cases]
-    rounds: list = [None] * len(cases)  # each row's last Newton round
-    pending = list(range(len(cases)))
-    for _round in range(5):  # PV->PQ switching rounds
-        by_pv: dict[bytes, list[int]] = {}
-        for r in pending:
-            by_pv.setdefault(is_pv[r].tobytes(), []).append(r)
-        pending = []
-        for rows in by_pv.values():
-            round_pv = is_pv[rows[0]].copy()  # the switch below changes is_pv
-            pv = round_pv.nonzero()[0]
-            converged, iterations, max_mismatch, x, s_calc = _newton_round(
-                net, round_pv, [cases[r] for r in rows],
-                np.array([p_spec[r] for r in rows]), np.array([q_spec[r] for r in rows]))
-            for k, r in enumerate(rows):
-                rounds[r] = round_pv, converged[k], iterations[k], max_mismatch[k], x[k]
-            # reactive limit check at PV buses, on the converged rows' S
-            q_gen = s_calc.imag[:, pv] + np.array([cases[r].q_load[pv] for r in rows])
+    rows = len(cases)
+    gen_p = np.array(gen_ps)
+    q_load = np.array([case.q_load for case in cases])
+    vm = np.array([case.vm for case in cases])
+    p_spec = np.array([np.bincount(net.gen_bus, g / net.base_mva, n) - case.p_load
+                       for g, case in zip(gen_p, cases)])
+    q_spec = -q_load  # PQ buses without generation
+    is_pv = np.repeat(net.is_pv[None], rows, axis=0)
+    # each row's last Newton round: its outcome and x = [theta; |V|]
+    converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    max_mismatch = np.zeros(rows)
+    x = np.zeros((rows, 2 * n))
+    pending = np.arange(rows)
+    for rnd in range(5):  # PV->PQ switching rounds
+        switched = []
+        for g in _by_mask(is_pv, pending):
+            pv = is_pv[g[0]].nonzero()[0]
+            converged[g], iterations[g], max_mismatch[g], x[g], s_calc = _newton_round(
+                net, is_pv[g[0]], vm[g], p_spec[g], q_spec[g])
+            # reactive limit check at PV buses, on the converged rows' S; the
+            # last round switches none, so is_pv stays the mask solved on
+            q_gen = s_calc.imag[:, pv] + q_load[g[:, None], pv]
             high = q_gen > net.bus_q_max[pv] + 1e-9
             low = ~high & (q_gen < net.bus_q_min[pv] - 1e-9)
-            for k in np.flatnonzero(converged & (high | low).any(axis=1)).tolist():
-                r, hi, lo = rows[k], pv[high[k]], pv[low[k]]
-                q_load = cases[r].q_load
-                q_spec[r][hi] = net.bus_q_max[hi] - q_load[hi]
-                q_spec[r][lo] = net.bus_q_min[lo] - q_load[lo]
-                is_pv[r][hi] = is_pv[r][lo] = False
-                pending.append(r)
-        if not pending:
+            out = (high | low) & converged[g, None] & (rnd < 4)
+            limit = np.where(high, net.bus_q_max[pv], net.bus_q_min[pv])
+            q_spec[g[:, None], pv] = np.where(out, limit - q_load[g[:, None], pv],
+                                              q_spec[g[:, None], pv])
+            is_pv[g[:, None], pv] &= ~out
+            switched.append(g[out.any(axis=1)])
+        pending = np.concatenate(switched)
+        if not pending.size:
             break
-    round_pv, converged, iterations, max_mismatch, x = (np.array(a) for a in zip(*rounds))
-    return _solutions(net, cases, np.array(gen_ps), x[:, n:], x[:, :n],
-                      converged.tolist(), iterations.tolist(), max_mismatch.tolist(),
-                      round_pv)
+    return _solutions(net, cases, gen_p, x[:, n:], x[:, :n], converged, iterations,
+                      max_mismatch, is_pv)
 
 
-def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
+def _newton_round(net: Network, is_pv: np.ndarray, vm: np.ndarray,
                   p_spec: np.ndarray, q_spec: np.ndarray) -> tuple:
     """One flat-started Newton round of each row on PV mask ``is_pv``, in lock
-    step.  Per row: ``(converged, iterations, max_mismatch, x, s_calc)`` with
-    ``x = [theta; |V|]`` of its last iterate; ``s_calc`` is that iterate's
-    ``S = v conj(Y v)`` where it converged.  Every iteration builds ``v``,
-    ``S`` and one batched Jacobian of its rows from ``x``."""
+    step, from voltage magnitudes ``vm``.  Per row: ``(converged,
+    iterations, max_mismatch, x, s_calc)`` with ``x = [theta; |V|]`` of its
+    last iterate; ``s_calc`` is that iterate's ``S`` where it converged.
+    Every iteration builds ``v``, ``S`` and one batched Jacobian of its rows
+    from ``x``."""
     n = len(is_pv)
     _pv, pq, pvpq, rc, s_rows = _unknowns(net, is_pv)
-    rows = len(cases)
+    rows = len(vm)
     spec = np.concatenate([p_spec[:, pvpq], q_spec[:, pq]], axis=1)
-    x = np.concatenate([np.zeros((rows, n)), [c.vm for c in cases]], axis=1)
+    x = np.concatenate([np.zeros((rows, n)), vm], axis=1)
     converged = np.zeros(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
     max_mismatch = np.full(rows, math.inf)
@@ -247,8 +278,7 @@ def _newton_round(net: Network, is_pv: np.ndarray, cases: list[PfCase],
     for it in range(1, PF_MAX_ITER + 1):
         xa = x[active]
         v = xa[:, n:] * np.exp(1j * xa[:, :n])
-        ibus = (net.ybus @ v[..., None])[..., 0]
-        s_calc = v * np.conj(ibus)
+        s_calc, ibus = _power(net, v)
         mism = spec[active] - s_calc.view(float)[:, s_rows]
         peak = np.abs(mism).max(axis=1, initial=0.0)
         iterations[active] = it
@@ -287,72 +317,49 @@ def _solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _trial_totals(grid: GridModel, points: list[tuple],
-                  ) -> tuple[list[list[float] | None], np.ndarray]:
-    """The violation totals of each point's 1 MW trials, ``None`` for a
-    point whose Jacobian is singular or gives a non-finite step; and the
-    bus voltage-band magnitudes of ``_violations`` of the answered trials,
-    one row per trial, in point and then trial order.
+def _trial_totals(grid: GridModel, sols: PowerFlowSolution, p: np.ndarray,
+                  groups: np.ndarray, steps: np.ndarray) -> tuple:
+    """The 1 MW trials of stacked converged solutions ``sols`` of
+    dispatches ``p``: ``(ok, totals, bands)``, where ``ok`` masks the rows
+    whose Jacobian is regular and gives a finite step, and, for those rows
+    only, ``totals[:, c]`` is the violation total of trial ``c`` and
+    ``bands[:, c]`` the bus voltage-band magnitudes of ``_violations``.
 
-    A point ``(sol, p, groups, steps)`` has one trial per ``c``: dispatch
-    ``p`` with ``p[groups[c]]`` moved to ``steps[c]``.  Each trial is one
-    Newton step from ``sol``, the converged solution of ``p``, on its PV/PQ
-    split: the Jacobian at its voltages, with one right-hand side per trial
-    that holds the step in the P row of the group's bus.  Points that share
-    a PV mask and a number of trials are one batched Jacobian and one
-    stacked solve, and all trials are one ``_violations`` call; each
-    point's numbers are those of answering it alone, bit for bit.
+    Trial ``c`` of a row moves ``p[groups[c]]`` to ``steps[:, c]``.  It is
+    one Newton step from the row's solution on its PV/PQ split: the
+    Jacobian at its voltages, with one right-hand side per trial that holds
+    the step in the P row of the group's bus.  Rows that share a PV mask
+    are one batched Jacobian and one stacked solve, and all trials are one
+    ``_violations`` call; each row's numbers are those of answering it
+    alone, bit for bit.
     """
     net = grid.network
     n = len(net.bus_ids)
-    by_key: dict[tuple, list[int]] = {}
-    for r, (sol, _p, groups, _steps) in enumerate(points):
-        by_key.setdefault((sol.pv.tobytes(), len(groups)), []).append(r)
-    answered, owners, xs, dispatches, cases = [], [], [], [], []
-    for rows in by_key.values():
-        sols = [points[r][0] for r in rows]
-        _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sols[0].pv)
-        x = np.array([np.concatenate([s.va, s.vm]) for s in sols])
-        jac = power_jacobian(net.ybus, x[:, n:] * np.exp(1j * x[:, :n]))
-        p = np.array([points[r][1] for r in rows])
-        groups = np.array([points[r][2] for r in rows], int).reshape(len(rows), -1)
-        steps = np.array([points[r][3] for r in rows], float).reshape(len(rows), -1)
-        k = groups.shape[1]
-        eq = np.empty(n, dtype=int)  # each bus's P row among the unknowns
+    rows, k = steps.shape
+    x = np.concatenate([sols.va, sols.vm], axis=1)
+    trial_x = np.repeat(x[:, None], k, axis=1)
+    ok = np.ones(rows, dtype=bool)
+    eq = np.empty(n, dtype=int)  # each bus's P row among the unknowns
+    for g in _by_mask(sols.pv, np.arange(rows)):
+        _pv, _pq, pvpq, rc, _s_rows = _unknowns(net, sols.pv[g[0]])
+        jac = power_jacobian(net.ybus, x[g, n:] * np.exp(1j * x[g, :n]))
         eq[pvpq] = np.arange(len(pvpq))
-        rhs = np.zeros((len(rows), len(rc), k))
-        rhs[np.arange(len(rows))[:, None], eq[net.gen_bus[groups]], np.arange(k)] = (
-            (steps - np.take_along_axis(p, groups, 1)) / net.base_mva)
+        rhs = np.zeros((len(g), len(rc), k))
+        rhs[:, eq[net.gen_bus[groups]], np.arange(k)] = (
+            (steps[g] - p[g][:, groups]) / net.base_mva)
         dx = _solve_stacked(jac[:, rc[:, None], rc], rhs)
-        ok = np.isfinite(dx).all(axis=(1, 2))
-        kept = ok.nonzero()[0].tolist()
-        answered += [rows[j] for j in kept]
-        owners.append(np.repeat(np.array(rows)[ok], k))
-        trial_x = np.repeat(x[ok, None], k, axis=1)
-        trial_x[..., rc] += dx[ok].transpose(0, 2, 1)
-        trial_p = np.repeat(p[ok, None], k, axis=1)
-        np.put_along_axis(trial_p, groups[ok, :, None], steps[ok, :, None], axis=2)
-        xs.append(trial_x.reshape(-1, 2 * n))
-        dispatches.append(trial_p.reshape(-1, p.shape[1]))
-        cases += [sols[j].case for j in kept for _ in range(k)]
-    totals: list = [None] * len(points)
-    if not answered:
-        return totals, np.zeros((0, n))
-    x = np.concatenate(xs)
+        ok[g] = np.isfinite(dx).all(axis=(1, 2))
+        trial_x[g[:, None, None], np.arange(k)[:, None], rc] += dx.transpose(0, 2, 1)
+    trial_p = np.repeat(p[ok, None], k, axis=1)
+    trial_p[:, np.arange(k), groups] = steps[ok]
+    x = trial_x[ok].reshape(-1, 2 * n)
     v = x[:, n:] * np.exp(1j * x[:, :n])
-    s_calc = v * np.conj((net.ybus @ v[..., None])[..., 0])
-    gen_p, gen_q = _group_injections(net, np.array([c.p_load for c in cases]),
-                                     np.array([c.q_load for c in cases]),
-                                     np.concatenate(dispatches), s_calc)
-    mags, flat = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)
-    order = np.argsort(np.concatenate(owners), kind="stable")  # into point order
-    flat = flat[order].tolist()
-    start = 0
-    for r in sorted(answered):
-        k = len(points[r][2])
-        totals[r] = flat[start:start + k]
-        start += k
-    return totals, mags[order, :n]
+    loads = [np.repeat(np.array([getattr(c, f) for c in sols.case])[ok], k, axis=0)
+             for f in ("p_load", "q_load")]
+    gen_p, gen_q = _group_injections(net, *loads, trial_p.reshape(-1, p.shape[1]),
+                                     _power(net, v)[0])
+    mags, totals = _violations(grid, np.abs(v), x[:, :n], gen_p, gen_q)
+    return ok, totals.reshape(-1, k), mags[:, :n].reshape(-1, k, n)
 
 
 def _out_of_reach(v_mag: np.ndarray, trial_v: np.ndarray, dp: np.ndarray,
@@ -362,13 +369,12 @@ def _out_of_reach(v_mag: np.ndarray, trial_v: np.ndarray, dp: np.ndarray,
 
     Per row, ``v_mag`` holds each bus's voltage-band magnitude at the
     iterate and ``pa`` the adjustable groups' set points; ``trial_v[:, g]``
-    holds the magnitudes at group ``g``'s 1 MW trial, ``dp[:, g]`` MW away
-    (a group that did not move holds the iterate's).  A trial gives the
-    slope ``s`` of each bus magnitude in its group's set point, and the
-    bus's reach is the sum over the groups of ``max(-s (p_max - p),
-    -s (p_min - p), 0)``: every group at its best box edge at once, in the
-    linear model.  A row is out of reach when some violated bus has
-    ``REPAIR_V_SAFETY * reach < v_mag``.
+    holds the magnitudes at group ``g``'s 1 MW trial, ``dp[:, g]`` MW
+    away.  A trial gives the slope ``s`` of each bus magnitude in its
+    group's set point, and the bus's reach is the sum over the groups of
+    ``max(-s (p_max - p), -s (p_min - p), 0)``: every group at its best box
+    edge at once, in the linear model.  A row is out of reach when some
+    violated bus has ``REPAIR_V_SAFETY * reach < v_mag``.
     """
     slope = (trial_v - v_mag[:, None]) / dp[..., None]
     gain = np.maximum(np.maximum(-slope * (p_max - pa)[..., None],
@@ -388,14 +394,6 @@ def _line_flow(ar, ai, br, bi, y_series: np.ndarray, y_shunt: np.ndarray) -> np.
     ir = (dr * sr - di * si) + (ar * hr - ai * hi)
     ii = -((dr * si + di * sr) + (ar * hi + ai * hr))  # the conjugate current
     return np.hypot(ar * ir - ai * ii, ar * ii + ai * ir)
-
-
-def _band(net: Network, vm: np.ndarray) -> np.ndarray:
-    """Each bus's voltage-band violation magnitude, pu, per row of bus
-    voltages ``vm``: 0 within 1e-6 of the band."""
-    v_min, v_max = net.bus_v_min, net.bus_v_max
-    return np.where(vm < v_min - 1e-6, v_min - vm,
-                    np.where(vm > v_max + 1e-6, vm - v_max, 0.0))
 
 
 def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
@@ -419,7 +417,8 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     base = net.base_mva
     s_max = net.line_s_max
     tol = 1e-6
-    v_mag = _band(net, vm)
+    v_min, v_max = net.bus_v_min, net.bus_v_max
+    v_mag = np.where(vm < v_min - tol, v_min - vm, np.where(vm > v_max + tol, vm - v_max, 0.0))
     v = vm * np.exp(1j * va)
     fr, fi = v.real[:, net.line_from], v.imag[:, net.line_from]
     tr, ti = v.real[:, net.line_to], v.imag[:, net.line_to]
@@ -441,9 +440,16 @@ def _violations(grid: GridModel, vm: np.ndarray, va: np.ndarray,
     pf = gen_p / np.array(list(hypot)).reshape(gen_p.shape)
     group_mag[..., 4] = np.where(pf < cos_phi - 1e-9, cos_phi - pf, 0.0)
     # one column per check id; a check that holds reads 0, a violation > 0
-    mags = np.concatenate([v_mag, line_mag, group_mag.reshape(len(vm), -1)], axis=1)
+    group_mag = group_mag.reshape(len(vm), 5 * gen_p.shape[1])  # also of no rows
+    mags = np.concatenate([v_mag, line_mag, group_mag], axis=1)
     totals = np.cumsum(np.where(net.check_scaled, mags / base, mags), axis=1)[:, -1]
     return mags, totals
+
+
+def _report(ids: tuple[str, ...], mags: np.ndarray) -> ConstraintReport:
+    """The report of one row of ``_violations``' magnitudes: its nonzero checks."""
+    cols = mags.nonzero()[0].tolist()
+    return ConstraintReport(list(zip([ids[c] for c in cols], mags[cols].tolist())))
 
 
 def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
@@ -451,11 +457,7 @@ def check_constraints_many(grid: GridModel, vm: np.ndarray, va: np.ndarray,
                            ) -> tuple[list[ConstraintReport], np.ndarray]:
     """Per row, the report of ``_violations``' nonzero magnitudes, and the total."""
     mags, totals = _violations(grid, vm, va, gen_p, gen_q)
-    ids = grid.network.check_ids
-    rows, cols = mags.nonzero()
-    viols = list(zip([ids[c] for c in cols.tolist()], mags[rows, cols].tolist()))
-    ends = np.cumsum(np.bincount(rows, minlength=len(vm))).tolist()
-    return [ConstraintReport(viols[a:b]) for a, b in zip([0] + ends, ends)], totals
+    return [_report(grid.network.check_ids, row) for row in mags], totals
 
 
 def check_constraints(solution: PowerFlowSolution, grid: GridModel) -> ConstraintReport:
@@ -502,8 +504,12 @@ def adjust_to_feasible(grid: GridModel, op: OperatingPoint, cell: Subregion,
                        ) -> tuple[OperatingPoint, PowerFlowSolution, FeasibilityVerdict]:
     """Repair an operating point toward constraint-clean feasibility (see
     ``_adjust``), each of its power flows solved alone by ``solve_pf``."""
-    return _adjust(grid, [op], [cell], load_pf,
-                   lambda cases, gen_ps: [solve_pf(grid, cases[0], gen_ps[0])])[0]
+    def solve(cases: list[PfCase], gen_ps: np.ndarray) -> PowerFlowSolution:
+        one = solve_pf(grid, cases[0], gen_ps[0])  # as a stack of one row
+        return PowerFlowSolution(case=cases, **{f: np.array([getattr(one, f)])
+                                                for f in _ROW_FIELDS})
+
+    return _adjust(grid, [op], [cell], load_pf, solve)[0]
 
 
 def adjust_many(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
@@ -537,19 +543,22 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     given-up row included, is Infeasible, with the last iterate's solution,
     report, dispatch and distance.
 
-    The state is one array row per point: the iterate ``p``, its total
-    ``tot`` and its voltage-band magnitudes ``v_mag``, the total before
-    ``prev``, the number ``it`` of iterates, the
-    three line ``trials`` and the ``stage`` (0-2) of the one pending.  The
-    first step solves the clipped set points; each later one solves every
-    unfinished row's pending trial.  Each step is one ``solve(cases,
-    gen_ps)`` call; masks then take or reject the trials, finish rows, and
-    build the others' 1 MW trials for one ``_trial_totals`` call, whose
-    totals and bus voltages finish the flat and the hopeless rows.
+    The state is one array row per point: the iterate ``p``, its stacked
+    solution ``sol``, its check magnitudes ``mags`` (``_violations``) and
+    total ``tot``, the total before ``prev``, the number ``it`` of
+    iterates, the three line ``trials`` and the ``stage`` (0-2) of the one
+    pending.  The first step solves the clipped set points; each later one
+    solves every unfinished row's pending trial.  Each step is one
+    ``solve(cases, gen_ps)`` call, which returns stacked solutions; masks
+    then take or reject the trials, finish rows (building each one's own
+    solution and report), and build the others' 1 MW trials for one
+    ``_trial_totals`` call, whose totals and bus voltages finish the flat
+    and the hopeless rows.
     """
     if not ops:
         return []
     net = grid.network
+    n = len(net.bus_ids)
     cases = [pf_case(grid, op, load_pf) for op in ops]
     setpoints = np.array([case.gen_p for case in cases])
     non_slack = net.gen_bus != net.slack
@@ -561,9 +570,8 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     p[:, adj] = np.clip(p[:, adj], p_min, p_max)  # onto the capability box up front
     trials = np.empty((rows, 3, p.shape[1]))  # each row's line-search dispatches
     tot, prev = np.full(rows, math.inf), np.full(rows, math.inf)
-    v_mag = np.zeros((rows, len(net.bus_ids)))  # the iterate's voltage-band magnitudes
     it, stage = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int)
-    sols, reps = [None] * rows, [None] * rows  # the iterate's solution and report
+    sol = mags = None  # set by the first step, which takes every row
     # Each row's dispatches solved so far.  Totals fall strictly along the
     # iterates, and a trial is taken only below its iterate's total, so a
     # dispatch that was solved before is rejected without solving it again.
@@ -571,16 +579,13 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
     results: list = [None] * rows
 
     def finish(r: int) -> None:
-        sol, rep = sols[r], reps[r]
+        one = sol[r]
         distance = sum((a - b) ** 2 for a, b in zip(p[r, non_slack].tolist(),
                                                      setpoints[r, non_slack].tolist()))
-        if rep.clean and sol.converged:
-            adjusted = _apply_dispatch(grid, ops[r], sol.gen_p)
-            verdict = classify(adjusted, sol, rep, cells[r], distance)
-        else:
-            adjusted = _apply_dispatch(grid, ops[r], sol.gen_p if sol.converged else p[r])
-            verdict = FeasibilityVerdict(INFEASIBLE, rep.violations, distance)
-        results[r] = adjusted, sol, verdict
+        report = (_report(net.check_ids, mags[r]) if one.converged
+                  else ConstraintReport([("pf_diverged", 1.0)]))
+        adjusted = _apply_dispatch(grid, ops[r], one.gen_p if one.converged else p[r])
+        results[r] = adjusted, one, classify(adjusted, one, report, cells[r], distance)
 
     def search(r: int) -> None:
         """Pend row ``r``'s first line-search trial from ``stage[r]`` on
@@ -593,66 +598,23 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
                 return
         finish(r)
 
-    live = np.arange(rows)
-    first = True
-    while live.size:
-        gen_ps = p[live] if first else trials[live, stage[live]]
-        step_sols = solve([cases[r] for r in live], list(gen_ps))
-        converged = np.array([sol.converged for sol in step_sols])
-        step_tot = np.full(live.size, math.inf)
-        step_v = np.zeros((live.size, v_mag.shape[1]))
-        step_reps = [None if c else ConstraintReport([("pf_diverged", 1.0)])
-                     for c in converged.tolist()]
-        checked = converged.nonzero()[0].tolist()
-        if checked:
-            vm, va, gen_p, gen_q = (np.array([getattr(step_sols[k], f) for k in checked])
-                                    for f in ("vm", "va", "gen_p", "gen_q"))
-            reports, step_tot[checked] = check_constraints_many(grid, vm, va, gen_p, gen_q)
-            step_v[checked] = _band(net, vm)
-            for k, rep in zip(checked, reports):
-                step_reps[k] = rep
-        taken = (step_tot < tot[live]) | first  # rows with a new iterate
-        first = False
-        rejected = live[~taken]  # a rejected trial pends the row's next one
-        stage[rejected] += 1
-        for r in rejected.tolist():
-            search(r)
-        new = live[taken]
-        p[new], tot[new], v_mag[new] = gen_ps[taken], step_tot[taken], step_v[taken]
-        it[new] += 1
-        for k, r in zip(taken.nonzero()[0].tolist(), new.tolist()):
-            sols[r], reps[r] = step_sols[k], step_reps[k]
-        clean = np.array([reps[r].clean for r in new], dtype=bool)
-        go = converged[taken] & ~clean & (adj.size > 0) & (it[new] < REPAIR_MAX_OUTER)
-        g = new[go]  # converged rows only: no inf - inf
-        go[go] = ~(prev[g] - tot[g] < REPAIR_REL_STOP * np.maximum(prev[g], 1.0))
-        for r in new[~go].tolist():
-            finish(r)
-        rows_t = new[go]
-        prev[rows_t] = tot[rows_t]
+    def descend(rows_t: np.ndarray) -> None:
+        """Pend the line searches of rows ``rows_t``, or finish a row whose
+        trials fail, whose gradient is flat or whose violation is out of reach."""
         # finite-difference descent on adjustable group set points, a
         # forward 1 MW step unless the capability box forces a backward one
         pa = p[rows_t][:, adj]
-        steps = np.minimum(np.maximum(pa + 1.0, p_min), p_max)
+        steps = np.minimum(pa + 1.0, p_max)  # the iterates are inside the box
         back = steps == pa
         steps[back] = np.maximum(pa - 1.0, p_min)[back]
-        moved = steps != pa
-        totals, trial_v = _trial_totals(grid, [(sols[r], p[r], adj[m], st[m]) for r, m, st
-                                               in zip(rows_t.tolist(), moved, steps)])
-        ok = np.array([t is not None for t in totals], dtype=bool)
+        ok, trial_tot, bands = _trial_totals(grid, sol[rows_t], p[rows_t], adj, steps)
         for r in rows_t[~ok].tolist():
             finish(r)
-        rows_t, pa, steps, moved = rows_t[ok], pa[ok], steps[ok], moved[ok]
-        trial_tot = np.zeros(moved.shape)
-        trial_tot[moved] = [t for row in totals if row is not None for t in row]
-        v_it = v_mag[rows_t]
-        band = np.repeat(v_it[:, None], moved.shape[1], axis=1)  # a group not moved: v_it
-        band[moved] = trial_v
-        dp = np.where(moved, steps - pa, 1.0)
-        grad = np.where(moved, (trial_tot - tot[rows_t, None]) / dp, 0.0)
+        rows_t, pa, dp = rows_t[ok], pa[ok], steps[ok] - pa[ok]
+        grad = (trial_tot - tot[rows_t, None]) / dp
         gmax = np.abs(grad).max(axis=1, initial=0.0)
         # a flat gradient, or a voltage violation out of the box's reach
-        stop = (gmax <= 0) | _out_of_reach(v_it, band, dp, pa, p_min, p_max)
+        stop = (gmax <= 0) | _out_of_reach(mags[rows_t, :n], bands, dp, pa, p_min, p_max)
         for r in rows_t[stop].tolist():
             finish(r)
         rows_t, pa, grad, gmax = rows_t[~stop], pa[~stop], grad[~stop], gmax[~stop]
@@ -663,5 +625,40 @@ def _adjust(grid: GridModel, ops: list[OperatingPoint], cells: list[Subregion],
         stage[rows_t] = 0
         for r in rows_t.tolist():
             search(r)
+
+    live = np.arange(rows)
+    while live.size:
+        first = sol is None
+        gen_ps = p[live] if first else trials[live, stage[live]]
+        step = solve([cases[r] for r in live], gen_ps)
+        conv = step.converged
+        step_tot = np.full(live.size, math.inf)
+        step_mags = np.zeros((live.size, len(net.check_ids)))
+        step_mags[conv], step_tot[conv] = _violations(grid, step.vm[conv], step.va[conv],
+                                                      step.gen_p[conv], step.gen_q[conv])
+        taken = (step_tot < tot[live]) | first  # rows with a new iterate
+        rejected = live[~taken]  # a rejected trial pends the row's next one
+        stage[rejected] += 1
+        for r in rejected.tolist():
+            search(r)
+        new = live[taken]
+        p[new], tot[new] = gen_ps[taken], step_tot[taken]
+        it[new] += 1
+        if first:
+            sol, mags = step, step_mags
+        else:
+            mags[new] = step_mags[taken]
+            for f in _ROW_FIELDS:
+                getattr(sol, f)[new] = getattr(step, f)[taken]
+        clean = ~step_mags[taken].any(axis=1)
+        go = conv[taken] & ~clean & (adj.size > 0) & (it[new] < REPAIR_MAX_OUTER)
+        g = new[go]  # converged rows only: no inf - inf
+        go[go] = ~(prev[g] - tot[g] < REPAIR_REL_STOP * np.maximum(prev[g], 1.0))
+        for r in new[~go].tolist():
+            finish(r)
+        rows_t = new[go]
+        prev[rows_t] = tot[rows_t]
+        if rows_t.size:
+            descend(rows_t)
         live = live[[results[r] is None for r in live.tolist()]]
     return results

@@ -496,7 +496,8 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
         p = case.gen_p.copy()
         p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
                                 net.gen_p_max[adjustable])
-        sol = solve_pf(grid, case, p)
+        sols = solve_many(grid, [case], [p])  # a stack of one row
+        sol = sols[0]
         if not sol.converged:
             continue
         assert _mask_mismatch(grid, case, p, sol) < PF_TOL
@@ -507,7 +508,8 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
         # forward unless p_max is already reached, as in adjust_to_feasible
         steps = [min(p[i] + 1.0, net.gen_p_max[i]) if p[i] < net.gen_p_max[i]
                  else p[i] - 1.0 for i in adjustable]
-        (predicted,), _v_mags = _trial_totals(grid, [(sol, p, adjustable, steps)])
+        ok, (predicted,), _bands = _trial_totals(grid, sols, p[None], np.array(adjustable),
+                                                 np.array([steps]))
         for i, step, guess in zip(adjustable, steps, predicted):
             trial = p.copy()
             trial[i] = step
@@ -520,45 +522,35 @@ def test_secant_total_matches_solved_total(fixture, n_samples, n_cases):
     assert switched  # some solution's mask is not its starting one
 
 
-def _trial_pool(grid, seed):
-    """Converged solutions of clipped root set points, their PV masks mixed
-    by PV->PQ switching, as ``(sol, p, adjustable)``."""
+def _trial_pool(grid, seed, n_samples=24):
+    """Stacked converged solutions of clipped root set points, their PV
+    masks mixed by PV->PQ switching, as ``(sols, p, adjustable)``."""
     net = grid.network
     root = build_space(grid, CONTROL).root_cell()
     adjustable = (net.gen_bus != net.slack).nonzero()[0].tolist()
-    pool = []
-    for op in hierarchical_sample(root, 24, 1, grid, seed=seed):
-        case = pf_case(grid, op)
-        p = case.gen_p.copy()
-        p[adjustable] = np.clip(p[adjustable], net.gen_p_min[adjustable],
-                                net.gen_p_max[adjustable])
-        sol = solve_pf(grid, case, p)
-        if sol.converged:
-            pool.append((sol, p, adjustable))
-    return pool
+    cases = [pf_case(grid, op)
+             for op in hierarchical_sample(root, n_samples, 1, grid, seed=seed)]
+    p = np.array([case.gen_p for case in cases])
+    p[:, adjustable] = np.clip(p[:, adjustable], net.gen_p_min[adjustable],
+                               net.gen_p_max[adjustable])
+    sols = solve_many(grid, cases, p)
+    return sols[sols.converged], p[sols.converged], adjustable
 
 
 @pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
 def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
-    # A stack of trial requests with mixed PV masks and trial counts, and one
-    # request whose Jacobian is singular: only that request breaks off, and
-    # every other total equals the one-point oracle bit for bit.
+    # Stacks of trial rows with mixed PV masks, and one row whose Jacobian is
+    # singular: only that row breaks off, and every other total equals the
+    # one-point oracle bit for bit.
     grid = fixture()
     net = grid.network
     rng = np.random.default_rng(3)
-    requests = []
-    for sol, p, adjustable in _trial_pool(grid, seed=5):
-        for _ in range(2):
-            k = int(rng.integers(1, len(adjustable) + 1))
-            groups = sorted(rng.choice(adjustable, k, replace=False).tolist())
-            steps = [min(p[i] + 1.0, net.gen_p_max[i]) for i in groups]
-            requests.append((sol, p, groups, steps))
-    # a copy of a request marked by a slack angle, whose Jacobian gets zeroed
-    sol, p, groups, steps = requests[0]
-    marked = replace(sol, va=sol.va.copy())
-    marked.va[net.slack] = 0.5
-    singular = len(requests) // 2
-    requests.insert(singular, (marked, p, groups, steps))
+    sols, p, adjustable = _trial_pool(grid, seed=5)
+    # a copy of row 0 marked by a slack angle, whose Jacobian gets zeroed
+    singular = len(p) // 2
+    order = np.insert(np.arange(len(p)), singular, 0)
+    sols, p = sols[order], p[order]
+    sols.va[singular, net.slack] = 0.5
     real = feasibility.power_jacobian
 
     def zeroing(ybus, v, ibus=None):
@@ -567,18 +559,19 @@ def test_trial_totals_match_the_one_point_oracle(fixture, monkeypatch):
         return jac
 
     monkeypatch.setattr(feasibility, "power_jacobian", zeroing)
-    totals, _v_mags = _trial_totals(grid, requests)
-    assert totals[singular] is None
-    for r, (sol, p, groups, steps) in enumerate(requests):
-        if r == singular:
-            continue
-        trials = newton_step_trials(grid, sol, p, groups, steps)
-        expected = [violation_total(check_constraints_loop(t, grid), grid.base_mva)
-                    for t in trials]
-        assert [float.hex(t) for t in totals[r]] == [float.hex(t) for t in expected]
-    assert len({sol.pv.tobytes() for sol, *_ in requests}) > 1
-    if fixture is fixture_9bus:
-        assert len({len(groups) for _, _, groups, _ in requests}) > 1
+    for _ in range(2):
+        k = int(rng.integers(1, len(adjustable) + 1))
+        groups = np.array(sorted(rng.choice(adjustable, k, replace=False).tolist()))
+        steps = np.minimum(p[:, groups] + 1.0, net.gen_p_max[groups])
+        ok, totals, _bands = _trial_totals(grid, sols, p, groups, steps)
+        assert ok.tolist() == [r != singular for r in range(len(p))]
+        for r, row in zip(np.flatnonzero(ok).tolist(), totals):
+            trials = newton_step_trials(grid, sols[r], p[r], groups.tolist(),
+                                        steps[r].tolist())
+            expected = [violation_total(check_constraints_loop(t, grid), grid.base_mva)
+                        for t in trials]
+            assert [float.hex(t) for t in row.tolist()] == [float.hex(t) for t in expected]
+    assert len({mask.tobytes() for mask in sols.pv}) > 1
 
 
 def test_trial_totals_build_no_constraint_report(monkeypatch):
@@ -587,8 +580,8 @@ def test_trial_totals_build_no_constraint_report(monkeypatch):
     # (check_constraints_many).
     grid = fixture_3bus()
     net = grid.network
-    requests = [(sol, p, adjustable, [min(p[i] + 1.0, net.gen_p_max[i]) for i in adjustable])
-                for sol, p, adjustable in _trial_pool(grid, seed=5) if adjustable]
+    sols, p, adjustable = _trial_pool(grid, seed=5)
+    steps = np.minimum(p[:, adjustable] + 1.0, net.gen_p_max[adjustable])
     real = feasibility.ConstraintReport
     built = []
 
@@ -597,11 +590,45 @@ def test_trial_totals_build_no_constraint_report(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(feasibility, "ConstraintReport", counting)
-    totals, _v_mags = _trial_totals(grid, requests)
-    assert len(requests) > 10 and None not in totals
+    ok, _totals, _bands = _trial_totals(grid, sols, p, np.array(adjustable), steps)
+    assert len(p) > 10 and ok.all()
     assert not built
-    check_constraints(requests[0][0], grid)  # the count sees the report step
+    check_constraints(sols[0], grid)  # the count sees the report step
     assert len(built) == 1
+
+
+def test_trial_totals_bits_do_not_depend_on_the_stack_size():
+    # 2,000+ 9-bus trials answered in one stack and in 50-point slices.  In a
+    # stack of 256 KiB or more numpy would compute ``v * np.conj(...)`` in the
+    # conjugate's buffer, which rounds differently; the S kernel avoids it.
+    grid = fixture_9bus()
+    net = grid.network
+    sols, p, adjustable = _trial_pool(grid, seed=5, n_samples=600)
+    groups = np.array(adjustable)
+    steps = np.minimum(p[:, groups] + 1.0, net.gen_p_max[groups])
+    assert steps.size >= 2000
+    whole = _trial_totals(grid, sols, p, groups, steps)
+    parts = [_trial_totals(grid, sols[a:a + 50], p[a:a + 50], groups, steps[a:a + 50])
+             for a in range(0, len(p), 50)]
+    for got, sliced in zip(whole, zip(*parts)):
+        assert got.tobytes() == np.concatenate(sliced).tobytes()
+
+
+def test_adjust_many_builds_one_report_per_point(monkeypatch):
+    # A point's report is built once, when its repair finishes, not at every
+    # power flow of its repair.
+    grid = fixture_3bus()
+    root = build_space(grid, CONTROL).root_cell()
+    ops = list(hierarchical_sample(root, 80, 1, grid, seed=5))
+    real = feasibility.ConstraintReport
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, "ConstraintReport", counting)
+    assert len(adjust_many(grid, ops, [root] * len(ops))) == len(built) == 80
 
 
 # -- lock-step solves and repairs ---------------------------------------------
