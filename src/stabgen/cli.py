@@ -3,13 +3,14 @@
 Each command imports the layers it runs when it starts: ``report`` loads
 only the record format (``dataset``), the forests and ``space``'s names,
 ``scan`` adds the grid and the converter models, and only ``generate``
-loads the config parser, the sampler and the power flow.
+loads the config parser, the sampler and the power flow.  Every file a
+command writes goes through ``dataset``'s writers: ``report``'s series are
+column lists of ``generate``'s metrics table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -19,8 +20,16 @@ import numpy as np
 
 from . import __version__
 from .dataset import (_fmt, compute_metrics, importances_by_depth, read_dataset,
-                      write_dataset, write_metrics, write_tree)
+                      write_csv, write_dataset, write_json, write_metrics, write_tree)
 from .space import P_D
+
+# report's files, each a column list of generate's metrics.csv
+REPORT_SERIES = {
+    "rates_vs_depth.csv": ["depth", "feasible_mean", "feasible_std", "infeasible_mean",
+                           "infeasible_std", "discarded_mean", "discarded_std"],
+    "entropy_vs_depth.csv": ["depth", "entropy_mean"],
+    "accuracy_vs_depth.csv": ["depth", "accuracy_mean", "accuracy_std"],
+}
 
 
 # parse_config and explore stay attributes of this module, which run_generate
@@ -74,10 +83,8 @@ def run_generate(config_path: str) -> int:
                               accuracy_by_depth=root.accuracy_by_depth)
     write_metrics(out / "metrics.csv", metrics, dim_names)
     write_tree(out / "tree.json", root)
-    manifest = {"engine_version": __version__, "config": config_as_dict(cfg)}
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json",
+               {"engine_version": __version__, "config": config_as_dict(cfg)})
     print(f"wrote {len(records)} records to {out / 'dataset.csv'}")
     return 0
 
@@ -109,24 +116,8 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
     # The independent dimensions in file order, as generate's features.
     dim_names = [d for d in records[0].dims if d != P_D]
     metrics = compute_metrics(records, dim_names, *forest)
-    with open(out / "rates_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "feasible_mean", "feasible_std", "infeasible_mean",
-                    "infeasible_std", "discarded_mean", "discarded_std"])
-        for m in metrics:
-            w.writerow([m.depth, _fmt(m.feasible_mean), _fmt(m.feasible_std),
-                        _fmt(m.infeasible_mean), _fmt(m.infeasible_std),
-                        _fmt(m.discarded_mean), _fmt(m.discarded_std)])
-    with open(out / "entropy_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "entropy_mean"])
-        for m in metrics:
-            w.writerow([m.depth, _fmt(m.entropy_mean)])
-    with open(out / "accuracy_vs_depth.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "accuracy_mean", "accuracy_std"])
-        for m in metrics:
-            w.writerow([m.depth, _fmt(m.accuracy_mean), _fmt(m.accuracy_std)])
+    for name, columns in REPORT_SERIES.items():
+        write_metrics(out / name, metrics, [], columns)
     print(f"wrote report series to {out}")
     return 0
 
@@ -174,22 +165,14 @@ def run_scan(grid_name: str, component: str, fmin: float, fmax: float,
     total = np.sum(scans, axis=0)
     dev = np.nanmax(np.abs(agg_scan - total))
     out = Path(out_path or f"scan_{component}.csv")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = ["freq_hz"]
-        for i in range(n_units):
-            header += [f"re_y_unit{i + 1}", f"im_y_unit{i + 1}"]
-        header += ["re_y_sum", "im_y_sum", "re_y_agg", "im_y_agg"]
-        w.writerow(header)
-        for k, f in enumerate(freqs):
-            if np.isnan(agg_scan[k]):
-                continue
-            row = [_fmt(f)]
-            for s in scans:
-                row += [_fmt(s[k].real), _fmt(s[k].imag)]
-            row += [_fmt(total[k].real), _fmt(total[k].imag),
-                    _fmt(agg_scan[k].real), _fmt(agg_scan[k].imag)]
-            w.writerow(row)
+    header = ["freq_hz"]
+    for i in range(n_units):
+        header += [f"re_y_unit{i + 1}", f"im_y_unit{i + 1}"]
+    header += ["re_y_sum", "im_y_sum", "re_y_agg", "im_y_agg"]
+    write_csv(out, header, (
+        [_fmt(f)] + [_fmt(part) for s in (*scans, total, agg_scan)
+                     for part in (s[k].real, s[k].imag)]
+        for k, f in enumerate(freqs) if not np.isnan(agg_scan[k])))
     print(f"max |Y_agg - sum Y_i| = {dev:.3e}; wrote {out}")
     return 0
 

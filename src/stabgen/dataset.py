@@ -1,13 +1,17 @@
-"""The record format, and dataset and metrics serialization.
+"""The record format, and every table made from records.
 
 ``LabeledRecord``, the three verdict names and the label ``entropy`` are
 defined here, and the engine modules take them from this module, so that
-reading a dataset loads no power flow, model or sampler.  dataset.csv
-holds one labeled record per row, its columns the fields of
-``LabeledRecord``; metrics.csv aggregates per-depth rates, entropy, cross
-validated accuracy and dimension importances; tree.json dumps the
-exploration tree.  All CSV output is UTF-8 with a header row and
-shortest-roundtrip float formatting, so reruns are byte-identical.
+reading a dataset loads no power flow, model or sampler.  Records become
+tables here only: ``labeled_data`` turns them into forest input and
+``foldable`` gates its k-fold accuracy, for the split forests and the
+metrics alike.  dataset.csv holds one labeled record per row, its columns
+the fields of ``LabeledRecord``; metrics.csv aggregates per-depth rates,
+entropy, cross validated accuracy and dimension importances, and each of
+``report``'s series is a column list of that table; tree.json dumps the
+exploration tree.  Every file goes through ``write_csv`` (UTF-8, a header
+row, shortest-roundtrip float formatting) or ``write_json`` (indented,
+sorted keys), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -76,10 +80,40 @@ def entropy(labels: list[bool] | list[int] | np.ndarray) -> float:
     return float(-p * math.log(p) - (1 - p) * math.log(1 - p))
 
 
+def labeled_data(records: list[LabeledRecord], dim_names: list[str]) -> LabeledDataset:
+    """The labeled ones of ``records``, in order, as forest input whose
+    features are the dimensions ``dim_names``."""
+    labeled = [r for r in records if r.labeled]
+    x = np.array([[r.dims[n] for n in dim_names] for r in labeled])
+    return LabeledDataset(x.reshape(len(labeled), len(dim_names)),
+                          np.array([int(r.stable) for r in labeled], dtype=int),
+                          dim_names)
+
+
+def foldable(data: LabeledDataset, kfold: int = KFOLD) -> bool:
+    """True if each class of ``data`` has a record per fold."""
+    return bool(np.bincount(data.labels, minlength=2).min() >= kfold)  # labels are 0 or 1
+
+
 def _fmt(x: float | None) -> str:
     if x is None:
         return ""
     return repr(float(x))
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """``header``, then each of ``rows``, as a UTF-8 CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def dataset_columns(space: OperatingSpaceSpec) -> list[str]:
@@ -89,19 +123,15 @@ def dataset_columns(space: OperatingSpaceSpec) -> list[str]:
 
 def write_dataset(path: str | Path, records: list[LabeledRecord],
                   space: OperatingSpaceSpec) -> None:
-    cols = dataset_columns(space)
     dims = [d.name for d in space.dimensions]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in records:
-            w.writerow([r.cell_path, r.depth, r.sample_index, r.case_index,
-                        *(_fmt(r.dims.get(d)) for d in dims),
-                        *(_fmt(r.vars.get(v)) for v in space.variables),
-                        r.verdict, "" if r.stable is None else str(int(r.stable)),
-                        _fmt(r.max_real), _fmt(r.dominant_freq_hz),
-                        _fmt(r.dominant_damping), _fmt(r.adjustment_distance),
-                        r.violations, str(r.pf_iterations)])
+    write_csv(path, dataset_columns(space), (
+        [r.cell_path, r.depth, r.sample_index, r.case_index,
+         *(_fmt(r.dims.get(d)) for d in dims),
+         *(_fmt(r.vars.get(v)) for v in space.variables),
+         r.verdict, "" if r.stable is None else str(int(r.stable)),
+         _fmt(r.max_real), _fmt(r.dominant_freq_hz),
+         _fmt(r.dominant_damping), _fmt(r.adjustment_distance),
+         r.violations, str(r.pf_iterations)] for r in records))
 
 
 def _opt_float(s: str) -> float | None:
@@ -193,26 +223,11 @@ class MetricsRow:
     importances: dict[str, float]
 
 
-class CumulativeLabels:
-    """The k-fold input of the metrics: the labeled records of every depth
-    so far, in the order added, as features in ``dim_names`` order."""
-
-    def __init__(self, dim_names: list[str], kfold: int = KFOLD):
-        self.dim_names, self.kfold = dim_names, kfold
-        self.x: list[list[float]] = []
-        self.y: list[int] = []
-
-    def add(self, records) -> LabeledDataset | None:
-        """Append the labeled ones of ``records``; the data so far if each
-        class has a record per fold, else None."""
-        labeled = [r for r in records if r.labeled]
-        self.x.extend([r.dims[n] for n in self.dim_names] for r in labeled)
-        self.y.extend(int(r.stable) for r in labeled)
-        y = np.array(self.y, dtype=int)
-        counts = np.bincount(y, minlength=2)  # labels are 0 or 1
-        if len(self.y) >= 2 * self.kfold and counts.min() >= self.kfold:
-            return LabeledDataset(np.array(self.x), y, self.dim_names)
-        return None
+# metrics.csv's columns before the importances: every field but the last.
+# A field annotated ``int`` (a string here, under the future import) is
+# written as an integer, any other as a float.
+METRICS_COLUMNS = [f.name for f in fields(MetricsRow)][:-1]
+_INT_COLUMNS = {f.name for f in fields(MetricsRow) if f.type == "int"}
 
 
 def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
@@ -232,16 +247,17 @@ def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
     for r in records:
         cells.setdefault(r.cell_path, []).append(r)
     out: list[MetricsRow] = []
-    cumulative = CumulativeLabels(dim_names, kfold)
+    labeled: list[LabeledRecord] = []
     for depth in sorted({r.depth for r in records}):
         groups = [g for g in cells.values() if g[0].depth == depth]
         rates = {v: [sum(r.verdict == v for r in g) / len(g) for g in groups]
                  for v in (FEASIBLE, INFEASIBLE, DISCARDED)}
         entropies = [entropy([int(r.stable) for r in g if r.labeled]) for g in groups]
         if accuracy_by_depth is None:
-            data = cumulative.add(r for r in records if r.depth == depth)
-            acc_mean, acc_std = (None, None) if data is None else kfold_accuracy(
-                data, kfold, forest_trees, forest_depth, seed)
+            labeled += [r for r in records if r.depth == depth and r.labeled]
+            data = labeled_data(labeled, dim_names)
+            acc_mean, acc_std = (kfold_accuracy(data, kfold, forest_trees, forest_depth, seed)
+                                 if foldable(data, kfold) else (None, None))
         else:
             acc_mean, acc_std = accuracy_by_depth.get(depth, (None, None))
         imps = (importances_by_depth or {}).get(depth, {})
@@ -261,23 +277,12 @@ def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
 
 
 def write_metrics(path: str | Path, metrics: list[MetricsRow],
-                  dim_names: list[str]) -> None:
-    cols = ["depth", "n_cells", "n_records",
-            "feasible_mean", "feasible_std", "infeasible_mean", "infeasible_std",
-            "discarded_mean", "discarded_std", "entropy_mean",
-            "accuracy_mean", "accuracy_std"] + [f"imp_{n}" for n in dim_names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for m in metrics:
-            row = [m.depth, m.n_cells, m.n_records,
-                   _fmt(m.feasible_mean), _fmt(m.feasible_std),
-                   _fmt(m.infeasible_mean), _fmt(m.infeasible_std),
-                   _fmt(m.discarded_mean), _fmt(m.discarded_std),
-                   _fmt(m.entropy_mean), _fmt(m.accuracy_mean), _fmt(m.accuracy_std)]
-            row += [_fmt(m.importances.get(n)) if n in m.importances else ""
-                    for n in dim_names]
-            w.writerow(row)
+                  dim_names: list[str], columns: list[str] = METRICS_COLUMNS) -> None:
+    """The ``columns`` of ``metrics``, then an ``imp_<name>`` column per
+    name of ``dim_names``, one row per depth."""
+    write_csv(path, [*columns, *(f"imp_{n}" for n in dim_names)], (
+        [getattr(m, c) if c in _INT_COLUMNS else _fmt(getattr(m, c)) for c in columns]
+        + [_fmt(m.importances.get(n)) for n in dim_names] for m in metrics))
 
 
 def node_to_dict(node: ExplorationNode) -> dict:
@@ -297,9 +302,7 @@ def node_to_dict(node: ExplorationNode) -> dict:
 
 
 def write_tree(path: str | Path, root: ExplorationNode) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(node_to_dict(root), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, node_to_dict(root))
 
 
 def importances_by_depth(root: ExplorationNode) -> dict[int, dict[str, float]]:

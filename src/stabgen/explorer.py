@@ -22,21 +22,17 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-import numpy as np
-
-from .dataset import (DISCARDED, FEASIBLE, INFEASIBLE, KFOLD, CumulativeLabels,
-                      LabeledRecord, entropy)
+from .dataset import (DISCARDED, FEASIBLE, INFEASIBLE, KFOLD, LabeledRecord, entropy,
+                      foldable, labeled_data)
 from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
                           adjust_many, adjust_to_feasible)
-from .forest import (LabeledDataset, SensitivityUnavailableError,
-                     feature_importance, fold_accuracy, fold_summary, kfold_folds,
-                     train_forest)
+from .forest import (SensitivityUnavailableError, feature_importance, fold_accuracy,
+                     fold_summary, kfold_folds, train_forest)
 from .grid import GridModel
 from .sampling import hierarchical_sample
 from .smallsignal import (EPS_MARGIN, GfolParams, GforParams, LinearizationError,
                           build_units, eig_stability, linearize)
-from .space import (OperatingSpaceSpec, Subregion, P_IBR, P_SG, contains_values,
-                    split, ToleranceFloorError)
+from .space import OperatingSpaceSpec, Subregion, P_IBR, P_SG, contains_values, split
 
 STOP_ZERO_ENTROPY = "zero_entropy"
 STOP_ENTROPY_DECREASE = "entropy_decrease"
@@ -126,17 +122,6 @@ def should_stop(node: ExplorationNode, parent_entropy: float | None,
     return None
 
 
-def node_dataset(node: ExplorationNode, space: OperatingSpaceSpec) -> LabeledDataset:
-    names = [d.name for d in space.independent]
-    rows, labels = [], []
-    for r in node.records:
-        if r.labeled:
-            rows.append([r.dims[n] for n in names])
-            labels.append(int(r.stable))
-    return LabeledDataset(np.array(rows).reshape(len(rows), len(names)),
-                          np.array(labels, dtype=int), names)
-
-
 def choose_split_dims(node: ExplorationNode, config: ExplorationConfig,
                       space: OperatingSpaceSpec) -> list[str]:
     """Dimensions to bisect at this node.
@@ -151,9 +136,8 @@ def choose_split_dims(node: ExplorationNode, config: ExplorationConfig,
     names = [d.name for d in space.independent]
     if config.use_sensitivity:
         try:
-            data = node_dataset(node, space)
-            model = train_forest(data, config.forest_trees, config.forest_depth,
-                                 seed=config.seed)
+            model = train_forest(labeled_data(node.records, names), config.forest_trees,
+                                 config.forest_depth, seed=config.seed)
             imp = feature_importance(model)
             node.importances = dict(zip(names, imp.tolist()))
             ranked = sorted(candidates,
@@ -263,18 +247,13 @@ def _record_key(r: LabeledRecord) -> tuple[str, int, int]:
 
 def _bisect(cell: Subregion, dims: list[str],
             min_tolerance_frac: float) -> list[Subregion]:
-    """Midpoint-split ``cell`` along each of ``dims`` in turn; a piece whose
-    halves would fall below the tolerance floor stays whole on that dim.
-    Every piece is one tree level below ``cell``, however many dims split."""
+    """Midpoint-split ``cell`` along each of ``dims`` in turn.  Each of
+    ``dims`` is above its floor on ``cell``, and a split leaves the other
+    dims' widths as they are, so every split succeeds.  Every piece is one
+    tree level below ``cell``, however many dims split."""
     cells = [cell]
     for d in dims:
-        nxt = []
-        for c in cells:
-            try:
-                nxt.extend(split(c, d, min_tolerance_frac))
-            except ToleranceFloorError:
-                nxt.append(c)
-        cells = nxt
+        cells = [half for c in cells for half in split(c, d, min_tolerance_frac)]
     return [replace(c, depth=cell.depth + 1) for c in cells]
 
 
@@ -308,7 +287,8 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
     stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []
-    cumulative = CumulativeLabels([d.name for d in space.independent])
+    dim_names = [d.name for d in space.independent]
+    labeled: list[LabeledRecord] = []  # of every depth so far, each depth in key order
     folds: dict[int, list] = {}  # per depth, its fold fits' futures
     per_cell = config.n_samples * config.n_cases
     cells_done = 0
@@ -341,12 +321,8 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
                 node.stop_reason = should_stop(node, parent_entropy, config, space)
                 if node.stop_reason is not None:
                     continue
-                cells = _bisect(node.cell, choose_split_dims(node, config, space),
-                                config.min_tolerance_frac)
-                if len(cells) == 1:
-                    node.stop_reason = STOP_TOLERANCE_FLOOR
-                    continue
-                for c in cells:
+                for c in _bisect(node.cell, choose_split_dims(node, config, space),
+                                 config.min_tolerance_frac):
                     # The child inherits the parent's samples that fall inside it.
                     child = ExplorationNode(cell=c, records=[
                         r for r in node.records if contains_values(c, r.dims)])
@@ -356,8 +332,9 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
             frontier = next_frontier
             chunks = submit_depth(frontier)
             # This depth's folds queue behind the next depth's chunks.
-            data = cumulative.add(sorted(depth_records, key=_record_key))
-            if data is not None:
+            labeled += [r for r in sorted(depth_records, key=_record_key) if r.labeled]
+            data = labeled_data(labeled, dim_names)
+            if foldable(data):
                 fold = kfold_folds(data.labels, KFOLD, config.seed)
                 folds[depth] = [pool.submit(_fold_task, (
                     data, fold, i, config.forest_trees, config.forest_depth,

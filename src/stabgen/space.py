@@ -87,12 +87,6 @@ class Subregion:
         init_lo, init_hi = self.initial[dim]
         return self.width(dim) <= min_tolerance_frac * (init_hi - init_lo)
 
-    def volume(self) -> float:
-        v = 1.0
-        for d in self.bounds:
-            v *= self.width(d)
-        return v
-
 
 def split(cell: Subregion, dim: str, min_tolerance_frac: float) -> tuple[Subregion, Subregion]:
     """Bisect a cell at the midpoint of one independent dimension.

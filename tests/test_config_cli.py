@@ -293,6 +293,14 @@ seed=0
 """
 
 
+REPORT_COLUMNS = {
+    "rates_vs_depth.csv": ["depth", "feasible_mean", "feasible_std", "infeasible_mean",
+                           "infeasible_std", "discarded_mean", "discarded_std"],
+    "entropy_vs_depth.csv": ["depth", "entropy_mean"],
+    "accuracy_vs_depth.csv": ["depth", "accuracy_mean", "accuracy_std"],
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_report_accuracy_equals_generate_metrics(workers, tmp_path, monkeypatch):
     # generate fits each depth's folds as tasks of the exploration's pool;
@@ -306,13 +314,15 @@ def test_report_accuracy_equals_generate_metrics(workers, tmp_path, monkeypatch)
     assert main(["report", "--dataset", str(out_dir / "dataset.csv"),
                  "--out", str(rep_dir)]) == 0
     with open(out_dir / "metrics.csv", newline="") as fh:
-        want = [(r["depth"], r["accuracy_mean"], r["accuracy_std"])
-                for r in csv.DictReader(fh)]
-    with open(rep_dir / "accuracy_vs_depth.csv", newline="") as fh:
-        got = [(r["depth"], r["accuracy_mean"], r["accuracy_std"])
-               for r in csv.DictReader(fh)]
-    assert any(acc for _, acc, _ in want)
-    assert got == want
+        metrics = list(csv.DictReader(fh))
+    assert any(r["accuracy_mean"] for r in metrics)
+    # every cell that report writes, as the string generate wrote
+    for name, columns in REPORT_COLUMNS.items():
+        with open(rep_dir / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            got = list(reader)
+        assert reader.fieldnames == columns
+        assert got == [{c: r[c] for c in columns} for r in metrics]
 
 
 def test_report_without_manifest_exit_code(tmp_path, capsys):

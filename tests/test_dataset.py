@@ -159,6 +159,16 @@ def test_write_metrics_csv(small_run, tmp_path):
         assert f"imp_{n}" in header
 
 
+def test_metric_counts_are_written_as_integers(tmp_path):
+    # A count stays an integer cell even when numpy computed it.
+    row = dataset.MetricsRow(np.int64(3), np.int64(2), 7, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0,
+                             0.25, None, None, {"x": np.float64(1.0)})
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, [row], ["x", "y"])
+    assert path.read_text(encoding="utf-8").splitlines()[1] == \
+        "3,2,7,0.5,0.0,0.5,0.0,0.0,0.0,0.25,,,1.0,"
+
+
 def test_tree_json(small_run, tmp_path):
     _, _, root, _ = small_run
     path = tmp_path / "tree.json"

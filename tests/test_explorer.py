@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from stabgen import explorer
 from stabgen.cli import main
-from stabgen.dataset import read_dataset
+from stabgen.dataset import read_dataset, write_dataset
 from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               STOP_ENTROPY_DECREASE, STOP_MAX_DEPTH,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
@@ -151,6 +151,37 @@ def test_assess_record_shape():
     if rec.verdict == "Feasible":
         assert rec.stable is not None
         assert (rec.max_real < -1e-6) == rec.stable
+
+
+def test_failed_linearization_makes_an_unlabeled_infeasible_record(monkeypatch, tmp_path):
+    # A point whose repair ends Feasible but whose model cannot be
+    # assembled is Infeasible for "analysis_failed", with no label, and
+    # keeps the distance its repair moved it.
+    from stabgen.feasibility import adjust_many
+    from stabgen.smallsignal import LinearizationError
+
+    def no_model(*args, **kwargs):
+        raise LinearizationError("no model")
+
+    grid = fixture_3bus()
+    space = build_space(grid, CONTROL)
+    cell = space.root_cell()
+    ops = list(hierarchical_sample(cell, 20, 1, grid, seed=5))  # 3 repairs end Feasible
+    repaired = adjust_many(grid, ops, [cell] * len(ops))
+    monkeypatch.setattr(explorer, "linearize", no_model)
+    records = explorer.assess_many(grid, _fast_config(), [(op, cell, 0) for op in ops])
+    failed = [(rec, verdict) for rec, (_, _, verdict) in zip(records, repaired)
+              if verdict.status == "Feasible"]
+    assert failed
+    for rec, verdict in failed:
+        assert rec.verdict == "Infeasible"
+        assert rec.violations == "analysis_failed:1"
+        assert (rec.stable, rec.max_real, rec.dominant_freq_hz,
+                rec.dominant_damping) == (None, None, None, None)
+        assert rec.adjustment_distance == verdict.adjustment_distance
+    path = tmp_path / "dataset.csv"
+    write_dataset(path, records, space)
+    assert read_dataset(path)[0] == records
 
 
 def test_admittance_built_once_per_grid(monkeypatch):

@@ -808,6 +808,33 @@ def test_repair_of_a_grid_with_only_the_slack_group_matches_the_reference():
     assert [_repair_bits(adjust_to_feasible(grid, op, root)) for op in ops] == want
 
 
+@pytest.mark.parametrize("fixture", [fixture_3bus, fixture_9bus])
+def test_a_row_whose_trials_are_singular_ends_at_its_iterate(fixture, monkeypatch):
+    # Only _trial_totals calls power_jacobian without ibus.  With those
+    # Jacobians zero, every row that reaches its 1 MW trials ends there:
+    # Infeasible, with the last iterate's solution, report, dispatch and
+    # distance, as a repair capped at one iterate ends it.
+    grid = fixture()
+    root = build_space(grid, CONTROL).root_cell()
+    ops = list(hierarchical_sample(root, 20, 1, grid, seed=5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "REPAIR_MAX_OUTER", 1)
+        capped = adjust_many(grid, ops, [root] * len(ops))
+    real = feasibility.power_jacobian
+    trials = []
+
+    def singular(ybus, v, ibus=None):
+        if ibus is not None:
+            return real(ybus, v, ibus)
+        trials.append(len(v))
+        return np.zeros_like(real(ybus, v))
+
+    monkeypatch.setattr(feasibility, "power_jacobian", singular)
+    got = adjust_many(grid, ops, [root] * len(ops))
+    assert sum(trials) > 0
+    assert [_repair_bits(r) for r in got] == [_repair_bits(r) for r in capped]
+
+
 def test_voltage_certificate_ends_no_repair_that_a_box_scan_rescues(monkeypatch):
     # Every 3-bus repair that the voltage certificate ends is out of reach in
     # its whole box: no converged dispatch of a scan of the one adjustable

@@ -64,7 +64,13 @@ def test_split_volume_partition():
     space = build_space(fixture_3bus(), CONTROL)
     cell = space.root_cell()
     l, h = split(cell, P_IBR, 0.01)
-    assert l.volume() + h.volume() == pytest.approx(cell.volume(), rel=1e-12)
+    # The halves meet at one edge and their widths add up to the cell's;
+    # every other dimension keeps the cell's bounds, so the volumes add up.
+    assert l.bounds[P_IBR][1] == h.bounds[P_IBR][0]
+    assert l.width(P_IBR) + h.width(P_IBR) == pytest.approx(cell.width(P_IBR), rel=1e-12)
+    for d in cell.bounds:
+        if d != P_IBR:
+            assert l.bounds[d] == h.bounds[d] == cell.bounds[d]
 
 
 def test_path_grammar():
