@@ -5,7 +5,9 @@ only the record format (``dataset``), the forests and ``space``'s names,
 ``scan`` adds the grid and the converter models, and only ``generate``
 loads the config parser, the sampler and the power flow.  Every file a
 command writes goes through ``dataset``'s writers: ``report``'s series are
-column lists of ``generate``'s metrics table.
+column lists of ``generate``'s metrics table.  Both commands fit their
+k-fold forests in ``compute_metrics``: ``generate`` in ``workers``
+processes, ``report`` in one per CPU it may run on.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -74,13 +77,14 @@ def run_generate(config_path: str) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     root, records = explore(space, grid, cfg.exploration)
-    write_dataset(out / "dataset.csv", records, space)
+    # Before any file, so that a failing fold leaves no dataset.csv.
     metrics = compute_metrics(records, dim_names,
                               cfg.exploration.forest_trees,
                               cfg.exploration.forest_depth,
                               cfg.exploration.seed,
                               importances_by_depth=importances_by_depth(root),
-                              accuracy_by_depth=root.accuracy_by_depth)
+                              processes=cfg.exploration.workers)
+    write_dataset(out / "dataset.csv", records, space)
     write_metrics(out / "metrics.csv", metrics, dim_names)
     write_tree(out / "tree.json", root)
     write_json(out / "manifest.json",
@@ -89,8 +93,17 @@ def run_generate(config_path: str) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``taskset`` narrows them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_report(dataset_path: str, out_dir: str | None = None) -> int:
-    """Per-depth series of a dataset, with the forest settings of its manifest."""
+    """Per-depth series of a dataset, with the forest settings of its
+    manifest, fitting its k-fold forests on every CPU it may run on."""
     manifest = Path(dataset_path).parent / "manifest.json"
     try:
         records, _cols = read_dataset(dataset_path)
@@ -115,7 +128,7 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # The independent dimensions in file order, as generate's features.
     dim_names = [d for d in records[0].dims if d != P_D]
-    metrics = compute_metrics(records, dim_names, *forest)
+    metrics = compute_metrics(records, dim_names, *forest, processes=_usable_cpus())
     for name, columns in REPORT_SERIES.items():
         write_metrics(out / name, metrics, [], columns)
     print(f"wrote report series to {out}")

@@ -9,10 +9,11 @@ Example::
     use_sensitivity=true
     control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
 
-``workers``, the number of forked processes that sample and assess each
-depth's points and fit the k-fold forests of ``generate``'s metrics, can
-be overridden with the STABGEN_WORKERS environment variable.  Each ``control_params``
-name must be a field of ``GforParams`` and/or ``GfolParams``, given once;
+``workers``, the number of processes (the calling one and ``workers - 1``
+forked children) that sample and assess each depth's points and fit
+``generate``'s k-fold forests, can be overridden with the STABGEN_WORKERS
+environment variable.  Each ``control_params`` name must be a field of
+``GforParams`` and/or ``GfolParams``, given once;
 ``fixed_split_dims`` must list at least one name, each once, and each one
 of ``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
 that dimension is checked by ``generate`` once the space is built).

@@ -8,10 +8,11 @@ tables here only: ``labeled_data`` turns them into forest input and
 metrics alike.  dataset.csv holds one labeled record per row, its columns
 the fields of ``LabeledRecord``; metrics.csv aggregates per-depth rates,
 entropy, cross validated accuracy and dimension importances, and each of
-``report``'s series is a column list of that table; tree.json dumps the
-exploration tree.  Every file goes through ``write_csv`` (UTF-8, a header
-row, shortest-roundtrip float formatting) or ``write_json`` (indented,
-sorted keys), so reruns are byte-identical.
+``report``'s series is a column list of that table (``compute_metrics``
+fits the accuracies of both commands, each depth one ``fork_map`` job);
+tree.json dumps the exploration tree.  Every file goes through
+``write_csv`` (UTF-8, a header row, shortest-roundtrip float formatting)
+or ``write_json`` (indented, sorted keys), so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .forest import LabeledDataset, kfold_accuracy
+from .parallel import fork_map
 
 if TYPE_CHECKING:
     from .explorer import ExplorationNode
@@ -234,32 +236,38 @@ def compute_metrics(records: list[LabeledRecord], dim_names: list[str],
                     forest_trees: int = 100, forest_depth: int = 8,
                     seed: int = 0, kfold: int = KFOLD,
                     importances_by_depth: dict[int, dict[str, float]] | None = None,
-                    accuracy_by_depth: dict[int, tuple[float, float]] | None = None,
-                    ) -> list[MetricsRow]:
+                    processes: int = 1) -> list[MetricsRow]:
     """Per-depth metrics from raw records grouped by their origin cell.
 
     Each depth's accuracy is the k-fold accuracy of the labeled records of
-    every depth up to it, in the order of ``records``.  A caller that has
-    computed them passes them as ``accuracy_by_depth``, without the depths
-    whose labels are too few to fold.
+    every depth up to it, in the order of ``records``, where each class has
+    a record per fold.  Each such depth's ``kfold_accuracy`` is one job of a
+    ``fork_map`` over ``processes`` processes, dealt by its labeled rows;
+    the accuracies do not depend on ``processes``.
     """
     cells: dict[str, list[LabeledRecord]] = {}
     for r in records:
         cells.setdefault(r.cell_path, []).append(r)
-    out: list[MetricsRow] = []
+    depths = sorted({r.depth for r in records})
     labeled: list[LabeledRecord] = []
-    for depth in sorted({r.depth for r in records}):
+    jobs: dict[int, LabeledDataset] = {}
+    for depth in depths:
+        labeled += [r for r in records if r.depth == depth and r.labeled]
+        data = labeled_data(labeled, dim_names)
+        if foldable(data, kfold):
+            jobs[depth] = data
+    # Looked up as this module's attribute when a job runs, so that a
+    # rebinding of it (test doubles, tracing wrappers) reaches every process.
+    accuracy = dict(zip(jobs, fork_map(
+        lambda data: kfold_accuracy(data, kfold, forest_trees, forest_depth, seed),
+        list(jobs.values()), processes, [len(data.labels) for data in jobs.values()])))
+    out: list[MetricsRow] = []
+    for depth in depths:
         groups = [g for g in cells.values() if g[0].depth == depth]
         rates = {v: [sum(r.verdict == v for r in g) / len(g) for g in groups]
                  for v in (FEASIBLE, INFEASIBLE, DISCARDED)}
         entropies = [entropy([int(r.stable) for r in g if r.labeled]) for g in groups]
-        if accuracy_by_depth is None:
-            labeled += [r for r in records if r.depth == depth and r.labeled]
-            data = labeled_data(labeled, dim_names)
-            acc_mean, acc_std = (kfold_accuracy(data, kfold, forest_trees, forest_depth, seed)
-                                 if foldable(data, kfold) else (None, None))
-        else:
-            acc_mean, acc_std = accuracy_by_depth.get(depth, (None, None))
+        acc_mean, acc_std = accuracy.get(depth, (None, None))
         imps = (importances_by_depth or {}).get(depth, {})
         out.append(MetricsRow(
             depth=depth, n_cells=len(groups),

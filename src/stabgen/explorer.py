@@ -1,18 +1,17 @@
 """Breadth-first operating-space exploration, one depth at a time.
 
 A depth's (cell, sample index) pairs, in frontier order, are cut into one
-contiguous chunk per worker, and each chunk is one task for a pool of
-``workers`` forked processes.  A worker samples its chunk's points, repairs
-them in lock step (``assess_many``), then labels each one.  Then each cell
-in turn gets entropy, cutoffs, split dimensions (fixed list or
-forest-importance ranking) and children for the next frontier.  Once a
-depth is labeled, the folds of the k-fold accuracy of the labeled records
-of every depth so far go to the same pool as tasks, behind the next
-depth's chunks, and the root keeps the accuracies.  Determinism comes from
-seed keying on (seed, cell path, sample index, case index), never from
+contiguous chunk per worker, and ``fork_map`` runs the chunks in
+``workers`` processes: the calling process works the first chunk and one
+forked child each other.  A chunk's points are sampled, repaired in lock
+step (``assess_many``), then labeled.  Then each cell in turn gets
+entropy, cutoffs, split dimensions (fixed list or forest-importance
+ranking) and children for the next frontier.  Determinism comes from seed
+keying on (seed, cell path, sample index, case index), never from
 execution order or chunking: a point's record does not depend on the
-points it is sampled or repaired with.  The pool lives only inside one
-``explore`` call, and the calling process only splits cells.
+points it is sampled or repaired with.  Every child of a depth is reaped
+before its cells split.  ``explore`` fits no k-fold forests; the metrics
+do (``compute_metrics``).
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-from .dataset import (DISCARDED, FEASIBLE, INFEASIBLE, KFOLD, LabeledRecord, entropy,
-                      foldable, labeled_data)
+from .dataset import DISCARDED, FEASIBLE, INFEASIBLE, LabeledRecord, entropy, labeled_data
 from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
                           adjust_many, adjust_to_feasible)
-from .forest import (SensitivityUnavailableError, feature_importance, fold_accuracy,
-                     fold_summary, kfold_folds, train_forest)
+from .forest import SensitivityUnavailableError, feature_importance, train_forest
 from .grid import GridModel
+from .parallel import fork_map
 from .sampling import hierarchical_sample
 from .smallsignal import (EPS_MARGIN, GfolParams, GforParams, LinearizationError,
                           build_units, eig_stability, linearize)
@@ -80,9 +78,6 @@ class ExplorationNode:
     importances: dict[str, float] = field(default_factory=dict)
     stop_reason: str | None = None
     children: list["ExplorationNode"] = field(default_factory=list)
-    # The root's only: per depth, the k-fold accuracy (mean, std) of the
-    # labeled records of every depth up to it, where there are enough.
-    accuracy_by_depth: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -198,25 +193,18 @@ def _label(grid: GridModel, cell: Subregion, config: ExplorationConfig, depth: i
                          sol.iterations)
 
 
-def _assess_task(args) -> list[LabeledRecord]:
-    """Pool entry point, one chunk: the points of each ``(cell, samples)``
-    piece, sampled and then assessed together.  ``hierarchical_sample`` and
-    ``assess_many`` are looked up in the worker, which was forked after any
-    rebinding of them (test doubles, tracing wrappers)."""
-    grid, config, pieces = args
+def _assess_chunk(grid: GridModel, config: ExplorationConfig,
+                  pieces: list[tuple[Subregion, range]]) -> list[LabeledRecord]:
+    """One chunk: the points of each ``(cell, samples)`` piece, sampled and
+    then assessed together.  ``hierarchical_sample`` and ``assess_many``
+    are looked up when it runs, so that a rebinding of them made before
+    ``explore`` (test doubles, tracing wrappers) reaches every worker."""
     points = [(op, cell, cell.depth) for cell, samples in pieces
               for op in hierarchical_sample(
                   cell, config.n_samples, config.n_cases, grid, config.seed,
                   config.loss_factor, config.dev_bound, config.randomize_loads,
                   samples)]
     return assess_many(grid, config, points)
-
-
-def _fold_task(args) -> float:
-    """Pool entry point, one fold of a depth's k-fold accuracy;
-    ``fold_accuracy`` is looked up in the worker, as ``_assess_task``'s
-    functions are."""
-    return fold_accuracy(*args)
 
 
 def _chunks(items: list, k: int) -> list[list]:
@@ -271,75 +259,47 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
     Every assessed sample appears exactly once in the output (keyed by its
     origin cell path and sample/case indices); inherited samples are reused,
     never re-assessed.  The records are in ``(cell_path, sample_index,
-    case_index)`` order, and the root's ``accuracy_by_depth`` holds the
-    k-fold accuracies that ``compute_metrics`` computes from them.  Any
-    exception raised while sampling, assessing, splitting a cell or fitting
-    a fold propagates to the caller, after the pool's worker processes have
-    been joined.
+    case_index)`` order.  Any exception raised while sampling, assessing or
+    splitting a cell propagates to the caller, after every forked worker
+    has been reaped.
     """
-    # Imported here, so that commands which never explore do not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # Loaded before the pool forks, so that no worker loads it again: every
+    # Loaded before the first fork, so that no worker loads it again: every
     # sample and every forest draws from it.
     import numpy.random  # noqa: F401
 
     stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []
-    dim_names = [d.name for d in space.independent]
-    labeled: list[LabeledRecord] = []  # of every depth so far, each depth in key order
-    folds: dict[int, list] = {}  # per depth, its fold fits' futures
     per_cell = config.n_samples * config.n_cases
     cells_done = 0
     frontier: list[tuple[ExplorationNode, float | None]] = [(root, None)]
-    grid.network  # compiled once here; the pickled tasks carry it to the workers
-    with ProcessPoolExecutor(config.workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-
-        def submit_depth(nodes):
-            # one contiguous chunk per worker, whose repairs run in lock step
-            return [pool.submit(_assess_task, (grid, config, pieces))
-                    for pieces in _sample_chunks([node.cell for node, _ in nodes],
-                                                 config.n_samples, config.workers)]
-
-        chunks = submit_depth(frontier)
-        while frontier:
-            depth = frontier[0][0].depth
-            assessed = chain.from_iterable(c.result() for c in chunks)
-            depth_records = []
-            next_frontier = []
-            for node, parent_entropy in frontier:
-                new_records = list(islice(assessed, per_cell))
-                depth_records += new_records
-                node.records += new_records
-                _update_stats(node)
-                cells_done += 1
-                print(f"depth={node.depth} cells={cells_done} "
-                      f"feasible={100 * node.feasible_rate:.1f} "
-                      f"entropy={node.entropy:.4f}", file=stream)
-                node.stop_reason = should_stop(node, parent_entropy, config, space)
-                if node.stop_reason is not None:
-                    continue
-                for c in _bisect(node.cell, choose_split_dims(node, config, space),
-                                 config.min_tolerance_frac):
-                    # The child inherits the parent's samples that fall inside it.
-                    child = ExplorationNode(cell=c, records=[
-                        r for r in node.records if contains_values(c, r.dims)])
-                    node.children.append(child)
-                    next_frontier.append((child, node.entropy))
-            all_records += depth_records
-            frontier = next_frontier
-            chunks = submit_depth(frontier)
-            # This depth's folds queue behind the next depth's chunks.
-            labeled += [r for r in sorted(depth_records, key=_record_key) if r.labeled]
-            data = labeled_data(labeled, dim_names)
-            if foldable(data):
-                fold = kfold_folds(data.labels, KFOLD, config.seed)
-                folds[depth] = [pool.submit(_fold_task, (
-                    data, fold, i, config.forest_trees, config.forest_depth,
-                    config.seed)) for i in range(KFOLD)]
-        root.accuracy_by_depth = {depth: fold_summary([f.result() for f in fits])
-                                  for depth, fits in folds.items()}
+    grid.network  # compiled once here, before any worker forks
+    while frontier:
+        # one contiguous chunk per worker, whose repairs run in lock step
+        pieces = _sample_chunks([node.cell for node, _ in frontier], config.n_samples,
+                                config.workers)
+        assessed = chain.from_iterable(fork_map(
+            lambda chunk: _assess_chunk(grid, config, chunk), pieces, config.workers))
+        next_frontier = []
+        for node, parent_entropy in frontier:
+            new_records = list(islice(assessed, per_cell))
+            all_records += new_records
+            node.records += new_records
+            _update_stats(node)
+            cells_done += 1
+            print(f"depth={node.depth} cells={cells_done} "
+                  f"feasible={100 * node.feasible_rate:.1f} "
+                  f"entropy={node.entropy:.4f}", file=stream)
+            node.stop_reason = should_stop(node, parent_entropy, config, space)
+            if node.stop_reason is not None:
+                continue
+            for c in _bisect(node.cell, choose_split_dims(node, config, space),
+                             config.min_tolerance_frac):
+                # The child inherits the parent's samples that fall inside it.
+                child = ExplorationNode(cell=c, records=[
+                    r for r in node.records if contains_values(c, r.dims)])
+                node.children.append(child)
+                next_frontier.append((child, node.entropy))
+        frontier = next_frontier
     all_records.sort(key=_record_key)
     return root, all_records

@@ -325,15 +325,12 @@ def fold_accuracy(data: LabeledDataset, fold: np.ndarray, i: int, n_trees: int =
     return float(np.mean(model.predict(data.features[test]) == data.labels[test]))
 
 
-def fold_summary(accs: list[float]) -> tuple[float, float]:
-    """The (mean, std) of the fold accuracies, in fold order."""
-    return float(np.mean(accs)), float(np.std(accs))
-
-
 def kfold_accuracy(data: LabeledDataset, k: int = 5, n_trees: int = 100,
                    max_depth: int = 8, seed: int = 0) -> tuple[float, float]:
     """Stratified k-fold cross-validated accuracy (mean, std): the
-    ``fold_accuracy`` of each of ``kfold_folds``' folds, in turn."""
+    ``fold_accuracy`` of each of ``kfold_folds``' folds, in turn, in the
+    calling process.  ``compute_metrics`` spreads whole calls, one per
+    depth, over its processes."""
     fold = kfold_folds(data.labels, k, seed)
-    return fold_summary([fold_accuracy(data, fold, i, n_trees, max_depth, seed)
-                         for i in range(k)])
+    accs = [fold_accuracy(data, fold, i, n_trees, max_depth, seed) for i in range(k)]
+    return float(np.mean(accs)), float(np.std(accs))

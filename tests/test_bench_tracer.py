@@ -3,8 +3,9 @@
 Renaming or removing one of those names breaks ``bench/run.py --trace 1``
 without failing any package test, so install the tracer here.  It runs in
 a subprocess because ``install`` rebinds module attributes for the whole
-interpreter.  The wrappers are closures, which cannot be pickled, so the
-explorer's process pool must keep working while ``explorer.assess`` is one.
+interpreter.  The wrappers are closures, which cannot be pickled; the
+explorer's forked workers inherit them, and must keep working while
+``explorer.assess`` is one.
 """
 
 import json

@@ -12,7 +12,7 @@ import stabgen
 from stabgen.cli import main, run_report, run_scan
 from stabgen.config import (_EXPLORATION_KEYS, ConfigError, config_as_dict,
                             parse_config)
-from stabgen.dataset import read_dataset
+from stabgen.dataset import METRICS_COLUMNS, compute_metrics, read_dataset, write_metrics
 from stabgen.explorer import ExplorationConfig
 from stabgen.grid import (IBR, Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
                           SLACK, export_tables)
@@ -303,8 +303,8 @@ REPORT_COLUMNS = {
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_report_accuracy_equals_generate_metrics(workers, tmp_path, monkeypatch):
-    # generate fits each depth's folds as tasks of the exploration's pool;
-    # report fits them one after another
+    # both commands fit their folds in compute_metrics: generate in
+    # ``workers`` processes, report in one per CPU it may run on
     monkeypatch.delenv("STABGEN_WORKERS", raising=False)
     out_dir = tmp_path / "out"
     cfg = _write_cfg(tmp_path, PARITY_CFG.replace("workers=1\n", f"workers={workers}\n"),
@@ -323,6 +323,94 @@ def test_report_accuracy_equals_generate_metrics(workers, tmp_path, monkeypatch)
             got = list(reader)
         assert reader.fieldnames == columns
         assert got == [{c: r[c] for c in columns} for r in metrics]
+
+
+# Three depths with enough labels of both classes to fold: a fold job for
+# each of up to three processes.
+FOLDS_CFG = """\
+fixture=3bus
+n_samples=100
+n_cases=1
+max_depth=2
+entropy_decrease_threshold=-1
+min_feasible_rate=0.0
+use_sensitivity=false
+split_dims_per_node=1
+forest_trees=5
+forest_depth=3
+workers=2
+seed=0
+"""
+
+
+def _folds_run(tmp_path):
+    """A FOLDS_CFG generate's output directory, its records, forest
+    settings and metrics.csv rows."""
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, FOLDS_CFG, out_dir=str(out_dir))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    records, _ = read_dataset(out_dir / "dataset.csv")
+    run = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["config"]
+    with open(out_dir / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return out_dir, records, (run["forest_trees"], run["forest_depth"], run["seed"]), rows
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_compute_metrics_equals_generate_metrics_at_any_process_count(
+        processes, tmp_path, monkeypatch):
+    monkeypatch.delenv("STABGEN_WORKERS", raising=False)
+    _, records, forest, rows = _folds_run(tmp_path)
+    dim_names = [d for d in records[0].dims if d != "P_D"]
+    metrics = compute_metrics(records, dim_names, *forest, processes=processes)
+    assert sum(m.accuracy_mean is not None for m in metrics) == 3
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, metrics, [])
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    # every cell but the split forests' importances, as the string generate wrote
+    assert got == [row[:len(METRICS_COLUMNS)] for row in rows]
+
+
+# A report in a fresh interpreter that counts its forks; {pin} may narrow
+# its CPUs to one, for its own process only.
+COUNTED_REPORT = """
+import os
+from stabgen.cli import main
+{pin}
+forks = []
+real = os.fork
+def fork():
+    pid = real()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+assert main({argv!r}) == 0
+try:  # no child left, running or zombie
+    os.waitpid(-1, os.WNOHANG)
+    raise SystemExit("a child outlived report")
+except ChildProcessError:
+    pass
+print(len(forks), len(os.sched_getaffinity(0)))
+"""
+PIN = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+
+
+def test_report_on_one_cpu_forks_nothing_and_writes_the_same_files(tmp_path, monkeypatch):
+    # report fits its folds in one process per CPU that it may run on, so a
+    # report pinned to one CPU forks nothing; the files do not depend on it
+    monkeypatch.delenv("STABGEN_WORKERS", raising=False)
+    out_dir, *_ = _folds_run(tmp_path)
+    files = {}
+    for pin in (PIN, ""):
+        rep_dir = tmp_path / ("pinned" if pin else "free")
+        argv = ["report", "--dataset", str(out_dir / "dataset.csv"), "--out", str(rep_dir)]
+        forks, cpus = map(int, _probe(COUNTED_REPORT.format(pin=pin, argv=argv))[-2:])
+        assert forks == min(cpus, 3) - 1  # three depths to fold
+        assert cpus == 1 or not pin
+        files[pin] = {name: (rep_dir / name).read_bytes() for name in REPORT_COLUMNS}
+    assert files[PIN] == files[""]
 
 
 def test_report_without_manifest_exit_code(tmp_path, capsys):
@@ -411,12 +499,23 @@ def _probe(code):
     return proc.stdout.split()
 
 
-def test_cli_import_starts_no_pool_machinery():
-    # generate stamps its set-up time when explore starts; the process pool's
-    # modules load inside explore, so importing the CLI must not pull them in
-    probe = ("import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
-             "('multiprocessing', 'concurrent.futures')))")
+def test_cli_import_starts_no_pool_machinery(tmp_path):
+    # generate stamps its set-up time when explore starts, so importing the
+    # CLI must load no parallel machinery; and the fork-join map of a
+    # workers=2 generate and of a report loads none either
+    machinery = "('multiprocessing', 'concurrent.futures')"
+    probe = (f"import sys, stabgen.cli; print(sorted(m for m in sys.modules if m in "
+             f"{machinery}))")
     assert _probe(probe) == ["[]"]
+    out_dir = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, out_dir=str(out_dir))  # workers=2
+    for argv in (["generate", "--config", str(cfg)],
+                 ["report", "--dataset", str(out_dir / "dataset.csv"),
+                  "--out", str(tmp_path / "report")]):
+        probe = ("import sys\nfrom stabgen.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 f"print(sorted(m for m in sys.modules if m in {machinery}))\n")
+        assert _probe(probe)[-1] == "[]"
 
 
 def test_report_and_scan_load_only_their_layers(tmp_path):

@@ -2,16 +2,15 @@ import contextlib
 import csv
 import io
 import math
-import multiprocessing
 import os
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stabgen import explorer
+from stabgen import explorer, forest
 from stabgen.cli import main
-from stabgen.dataset import read_dataset, write_dataset
+from stabgen.dataset import compute_metrics, read_dataset, write_dataset
 from stabgen.explorer import (ExplorationConfig, ExplorationNode,
                               STOP_ENTROPY_DECREASE, STOP_MAX_DEPTH,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
@@ -263,8 +262,8 @@ def test_explore_deterministic_across_workers():
 def test_nine_bus_dataset_is_identical_at_any_worker_count(monkeypatch, tmp_path):
     # 9-bus points fall on many PV masks, and the 25 or 50 samples of a depth
     # cut into 2 or 3 chunks give chunks of unequal sizes; each depth has
-    # enough labels of both classes for its k-fold folds to run on the pool
-    # behind the chunks.
+    # enough labels of both classes for its k-fold accuracy to be one job of
+    # the metrics' fold map.
     monkeypatch.delenv("STABGEN_WORKERS", raising=False)
     outs = []
     for workers in (1, 2, 3):
@@ -312,8 +311,8 @@ FAILING_CELL = "R.P_SG_L"  # a depth-1 child under split_dims_per_node=1
 FAILING_SAMPLES = 50
 
 
-def _failing_config():
-    return _fast_config(n_samples=FAILING_SAMPLES, split_dims_per_node=1)
+def _failing_config(**kw):
+    return _fast_config(n_samples=FAILING_SAMPLES, split_dims_per_node=1, **kw)
 
 
 class _InjectedFailure(RuntimeError):
@@ -345,27 +344,55 @@ def _fail_one_assessment(monkeypatch):
     monkeypatch.setattr(explorer, "assess_many", assess_chunk)
 
 
-def _fail_one_fold(monkeypatch):
-    # explore hands each fold of a depth's k-fold accuracy to a worker; fail
-    # one fold of every depth, in the worker
-    real = explorer.fold_accuracy
+def _fail_fold_2(monkeypatch, in_parent):
+    # compute_metrics makes each foldable depth's k-fold accuracy one job;
+    # fail fold 2 of each job that this process runs, or of each job that a
+    # forked child runs
+    real = forest.fold_accuracy
+    parent = os.getpid()
 
     def fit(data, fold, i, *args):
-        if i == 2 and multiprocessing.parent_process() is not None:
+        if i == 2 and (os.getpid() == parent) == in_parent:
             raise _InjectedFailure(f"fold {i}")
         return real(data, fold, i, *args)
 
-    monkeypatch.setattr(explorer, "fold_accuracy", fit)
+    monkeypatch.setattr(forest, "fold_accuracy", fit)
 
 
-@pytest.mark.parametrize("inject", [_fail_sampling, _fail_one_assessment,
-                                    _fail_one_fold])
-def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
-    inject(monkeypatch)
+def _fail_one_fold(monkeypatch):
+    _fail_fold_2(monkeypatch, in_parent=True)
+
+
+def _fail_one_fold_in_a_child(monkeypatch):
+    _fail_fold_2(monkeypatch, in_parent=False)
+
+
+def _explore_and_fit(config):
+    """What generate computes: the exploration, then its metrics, whose
+    folds run in ``config.workers`` processes."""
     grid = fixture_3bus()
     space = build_space(grid, CONTROL)
+    _, records = explore(space, grid, config, progress_stream=io.StringIO())
+    return compute_metrics(records, [d.name for d in space.independent],
+                           config.forest_trees, config.forest_depth, config.seed,
+                           processes=config.workers)
+
+
+def _no_child_left():
+    # not running, and not a zombie either
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FAILURES = [_fail_sampling, _fail_one_assessment, _fail_one_fold,
+            _fail_one_fold_in_a_child]
+
+
+@pytest.mark.parametrize("inject", FAILURES)
+def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
+    inject(monkeypatch)
     with pytest.raises(_InjectedFailure):
-        explore(space, grid, _failing_config(), progress_stream=io.StringIO())
+        _explore_and_fit(_failing_config())
 
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.ini"
@@ -375,24 +402,24 @@ def test_failure_in_child_cell_propagates(inject, monkeypatch, tmp_path):
                    f"seed=0\nout_dir={out_dir}\n", encoding="utf-8")
     assert main(["generate", "--config", str(cfg)]) == 1
     assert not (out_dir / "dataset.csv").exists()
+    _no_child_left()
 
 
-@pytest.mark.parametrize("inject", [None, _fail_sampling, _fail_one_assessment,
-                                    _fail_one_fold])
+@pytest.mark.parametrize("inject", [None, *FAILURES])
 def test_explore_reaps_its_workers(inject, monkeypatch):
     if inject is not None:
         inject(monkeypatch)
-    grid = fixture_3bus()
-    space = build_space(grid, CONTROL)
     raises = pytest.raises(_InjectedFailure) if inject else contextlib.nullcontext()
     with raises:
-        explore(space, grid, _failing_config(), progress_stream=io.StringIO())
-    assert not multiprocessing.active_children()
+        _explore_and_fit(_failing_config())
+    _no_child_left()
 
 
 def test_explore_forks_one_pool(monkeypatch):
-    # The workers of one pool are the only processes an explore forks; the
-    # k-fold folds of both depths run as its tasks, not on a second pool.
+    # explore forks min(workers, chunks) - 1 workers per depth, and the
+    # metrics' fold map min(processes, foldable depths) - 1 more; these are
+    # the only processes either forks.  Each depth here has a chunk per
+    # worker, and both depths have enough labels to fold.
     real = os.fork
     children = []
 
@@ -403,8 +430,8 @@ def test_explore_forks_one_pool(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    grid = fixture_3bus()
-    root, _ = explore(build_space(grid, CONTROL), grid, _failing_config(),
-                      progress_stream=io.StringIO())
-    assert sorted(root.accuracy_by_depth) == [0, 1]
-    assert len(children) == 2
+    for workers in (1, 2, 3):
+        children.clear()
+        metrics = _explore_and_fit(_failing_config(workers=workers))
+        assert [m.depth for m in metrics if m.accuracy_mean is not None] == [0, 1]
+        assert len(children) == 2 * (workers - 1) + min(workers, 2) - 1
