@@ -124,6 +124,9 @@ def choose_split_dims(node: ExplorationNode, config: ExplorationConfig,
     Sensitivity mode ranks the candidates by forest feature importance
     (falling back to the fixed list when no forest is trainable); fixed
     mode uses the configured list.  Ties break by declaration order.
+    ``explore`` never takes the fallback: ``should_stop`` ends every
+    zero-entropy cell before it splits, so each cell it splits has labels of
+    both classes and its forest trains.  The fallback serves direct callers.
     """
     candidates = _candidate_dims(node.cell, space, config)
     if not candidates:
@@ -263,10 +266,6 @@ def explore(space: OperatingSpaceSpec, grid: GridModel, config: ExplorationConfi
     splitting a cell propagates to the caller, after every forked worker
     has been reaped.
     """
-    # Loaded before the first fork, so that no worker loads it again: every
-    # sample and every forest draws from it.
-    import numpy.random  # noqa: F401
-
     stream = progress_stream if progress_stream is not None else sys.stderr
     root = ExplorationNode(cell=space.root_cell())
     all_records: list[LabeledRecord] = []

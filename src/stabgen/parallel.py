@@ -5,9 +5,10 @@
 forked from it computes each other share and sends its results back, pickled,
 through a pipe.  A child sees the caller's state as it was at the fork, so
 ``fn`` may be any function, closures and test doubles among them; only the
-results and exceptions cross a process boundary.  No process outlives the
-call: every child is reaped, on success and on failure, before it returns
-or raises.
+results and exceptions cross a process boundary.  ``numpy.random``, which
+every sample and forest draws from, is loaded before the first fork, so
+that no child loads it again.  No process outlives the call: every child
+is reaped, on success and on failure, before it returns or raises.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ def fork_map(fn: Callable, items: Sequence, processes: int = 1,
     shares = _deal([1] * len(items) if weights is None else weights, processes)
     if len(shares) <= 1:
         return [fn(item) for item in items]
+    # Loaded once here, so that no child loads it again: every sample and
+    # every forest draws from it.
+    import numpy.random  # noqa: F401
     for stream in (sys.stdout, sys.stderr):  # no buffered text is written twice
         stream.flush()
     children = []

@@ -12,7 +12,9 @@ voltage sources (angle and magnitude set by states); buses hosting only
 grid-following converters act as power sources whose terminal angle and
 voltage are solved algebraically.  Each kind's control law is written once
 (``_LAWS``) and closed two ways: through the Kron-reduced network by
-``linearize``, and at one terminal, for the admittance scan, by
+``linearize``, on two maps from the states to the retained buses (each
+bus's angle and magnitude, each follower's injection) whose follower rows
+are solved in place, and at one terminal, for the admittance scan, by
 ``terminal_model``.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -192,8 +195,8 @@ class StabilityVerdict:
 def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
                       retained: list[int]) -> np.ndarray:
     """Kron-reduce the network, with each solved load as a constant
-    admittance at its solved voltage, to the retained buses and return the
-    power-flow Jacobian J = d[P;Q]/d[theta;V] there."""
+    admittance at its solved voltage, to the retained buses (in the order
+    given) and return the power-flow Jacobian J = d[P;Q]/d[theta;V] there."""
     net = grid.network
     case = solution.case
     lb = net.load_bus
@@ -202,17 +205,11 @@ def _reduced_jacobian(grid: GridModel, solution: PowerFlowSolution,
     y[lb, lb] += (case.p_load[lb] - 1j * case.q_load[lb]) / solution.vm[lb] ** 2
     keep = [net.bus_ids.index(b) for b in retained]
     elim = [i for i in range(len(net.bus_ids)) if i not in keep]
-    if elim:
-        ykk = y[np.ix_(keep, keep)]
-        yke = y[np.ix_(keep, elim)]
-        yek = y[np.ix_(elim, keep)]
-        yee = y[np.ix_(elim, elim)]
-        try:
-            y_red = ykk - yke @ np.linalg.solve(yee, yek)
-        except np.linalg.LinAlgError as exc:
-            raise LinearizationError("singular Kron reduction") from exc
-    else:
-        y_red = y
+    k, e = np.ix_(keep, elim)  # keep as a column, elim as a row
+    try:
+        y_red = y[k, k.T] - y[k, e] @ np.linalg.solve(y[e.T, e], y[e.T, k.T])
+    except np.linalg.LinAlgError as exc:
+        raise LinearizationError("singular Kron reduction") from exc
     v = np.array([vm[i] * cmath.exp(1j * va[i]) for i in keep])
     return power_jacobian(y_red, v)
 
@@ -222,89 +219,72 @@ def linearize(grid: GridModel, solution: PowerFlowSolution,
     """Assemble the system A matrix around a converged power-flow solution,
     with the loads that the solution balanced.
 
-    Buses that host a voltage-forming unit (machine or grid-forming
-    converter), or generation without a dynamic model (treated as an
-    infinite bus), keep their angle and magnitude as state-driven or fixed
-    quantities; buses hosting only grid-following converters have terminal
-    angle and voltage eliminated algebraically against the converters'
-    injections.
+    Two ``(2 n_r, n_x)`` maps over the ``n_r`` retained buses close the
+    laws: ``t`` holds each bus's [theta; |V|] per state, and ``inj`` each
+    grid-following converter's [P; Q] injection (system pu).  Buses that
+    host a voltage-forming unit (machine or grid-forming converter) get its
+    outputs in ``t``; generation without a dynamic model (an infinite bus)
+    keeps fixed, zero rows.  The rows of buses hosting only grid-following
+    converters, their terminal angle and voltage, are then eliminated
+    algebraically against the injections, in place:
+    ``t[free] = J[free, free]^-1 (inj[free] - J[free, known] t[known])``.
     """
     if not units:
         raise LinearizationError("no dynamic sources")
     units = sorted(units, key=lambda u: (u.bus, u.kind))
-    forming_buses = sorted({u.bus for u in units if u.kind in (KIND_SG, KIND_GFOR)})
-    for b in forming_buses:
-        formers = [u for u in units if u.bus == b and u.kind in (KIND_SG, KIND_GFOR)]
-        if len(formers) > 1:
+    formers = [u.bus for u in units if u.kind in (KIND_SG, KIND_GFOR)]
+    for b, b_next in zip(formers, formers[1:]):  # sorted: a repeat is adjacent
+        if b == b_next:
             raise LinearizationError(
                 f"bus {b}: more than one voltage-forming unit is not supported")
     # dispatched generation without a dynamic unit pins the angle (infinite bus)
     modeled = {u.bus for u in units}
-    static_buses = sorted({g.bus for g, p in zip(grid.gen_groups, solution.gen_p)
-                           if p > UNIT_MIN_MW and g.bus not in modeled})
-    follow_only = sorted({u.bus for u in units if u.kind == KIND_GFOL}
-                         - set(forming_buses) - set(static_buses))
-    a_buses = sorted(set(forming_buses) | set(static_buses))
-    retained = sorted(set(a_buses) | set(follow_only))
+    static = {g.bus for g, p in zip(grid.gen_groups, solution.gen_p)
+              if p > UNIT_MIN_MW and g.bus not in modeled}
+    sources = set(formers) | static
+    retained = sorted(modeled | static)
     jac = _reduced_jacobian(grid, solution, retained)
 
     n_r = len(retained)
     pos = {b: i for i, b in enumerate(retained)}
-    i_a = [pos[b] for b in a_buses]
-    i_b = [pos[b] for b in follow_only]
+    is_source = [b in sources for b in retained] * 2  # theta rows, then |V| rows
+    known = [i for i, src in enumerate(is_source) if src]
+    free = [i for i, src in enumerate(is_source) if not src]
 
     laws = [_LAWS[u.kind](u.params) for u in units]
     labels = [(u.uid, nm) for u, law in zip(units, laws) for nm in law.states]
-    offsets = np.cumsum([0] + [len(law.states) for law in laws]).tolist()
+    offsets = list(accumulate((len(law.states) for law in laws), initial=0))
     n_x = len(labels)
 
-    # state -> retained-bus angle/magnitude maps of voltage-source buses, and
-    # state -> bus injection maps of grid-following converters (system pu)
-    t_theta, t_vmag, inj_p, inj_q = np.zeros((4, n_r, n_x))
+    t, inj = np.zeros((2, 2 * n_r, n_x))
     for u, law, o in zip(units, laws, offsets):
         r, cols = pos[u.bus], slice(o, o + len(law.states))
         if u.kind == KIND_GFOL:
-            inj_p[r, cols], inj_q[r, cols] = u.s_rated / grid.base_mva * law.outputs
+            inj[r, cols], inj[n_r + r, cols] = u.s_rated / grid.base_mva * law.outputs
         else:
-            t_theta[r, cols], t_vmag[r, cols] = law.outputs
-
-    cols_known = i_a + [n_r + i for i in i_a]
-    cols_unknown = i_b + [n_r + i for i in i_b]
-    t_known = np.vstack([t_theta[i_a, :], t_vmag[i_a, :]]) if i_a else np.zeros((0, n_x))
-
-    # full [theta; V] over retained buses as a linear map of the states
-    t_full = np.zeros((2 * n_r, n_x))
-    t_full[cols_known, :] = t_known
-    if i_b:
-        rows_b = i_b + [n_r + i for i in i_b]
-        inj_b = np.vstack([inj_p[i_b, :], inj_q[i_b, :]])
-        j_bu = jac[np.ix_(rows_b, cols_unknown)]
-        j_bk = jac[np.ix_(rows_b, cols_known)] if i_a else np.zeros((len(rows_b), 0))
-        rhs = inj_b - (j_bk @ t_known if i_a else 0.0)
-        try:
-            t_unknown = np.linalg.solve(j_bu, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearizationError("singular terminal solve at follower buses") from exc
-        t_full[cols_unknown, :] = t_unknown
-
-    # net bus power P,Q (system pu) as linear maps of the states
-    p_bus = jac[:n_r, :] @ t_full
-    q_bus = jac[n_r:, :] @ t_full
+            t[r, cols], t[n_r + r, cols] = law.outputs
+    f, k = np.ix_(free, known)  # free as a column, known as a row
+    try:
+        t[free] = np.linalg.solve(jac[f, f.T], inj[free] - jac[f, k] @ t[known])
+    except np.linalg.LinAlgError as exc:
+        raise LinearizationError("singular terminal solve at follower buses") from exc
+    p_bus = jac[:n_r] @ t
+    q_bus = jac[n_r:] @ t
 
     a = np.zeros((n_x, n_x))
     for u, law, o in zip(units, laws, offsets):
         r = pos[u.bus]
         if u.kind == KIND_GFOL:
-            law.equations(a, o, t_full[r, :], t_full[n_r + r, :])
+            law.equations(a, o, t[r], t[n_r + r])
         else:
             # electrical power of the forming source: bus power minus any
             # co-located follower injections, in the unit's own base
             bconv = u.s_rated / grid.base_mva
-            law.equations(a, o, (p_bus[r, :] - inj_p[r, :]) / bconv,
-                          (q_bus[r, :] - inj_q[r, :]) / bconv)
-    if not np.all(np.isfinite(a)):
+            law.equations(a, o, (p_bus[r] - inj[r]) / bconv,
+                          (q_bus[r] - inj[n_r + r]) / bconv)
+    if not np.isfinite(a).all():
         raise LinearizationError("non-finite entries in the state matrix")
-    return StateSpaceModel(a, labels, has_reference=bool(static_buses))
+    return StateSpaceModel(a, labels, has_reference=bool(static))
 
 
 def eig_stability(ssm: StateSpaceModel, eps_margin: float = EPS_MARGIN) -> StabilityVerdict:

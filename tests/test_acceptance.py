@@ -346,3 +346,8 @@ def test_criterion_10_stop_reasons(sens_runs, fixed_run):
                 assert node.stop_reason in STOP_REASONS
             if node.stop_reason is not None:
                 assert not node.children
+    # should_stop ends every zero-entropy cell before it splits, so each cell
+    # the sensitivity run splits has both classes and its split forest trains:
+    # explore never takes choose_split_dims' fixed-list fallback
+    split = [node for node in _walk(sens_runs[8][0]) if node.children]
+    assert split and all(node.importances for node in split)

@@ -1,10 +1,14 @@
 """The contract of ``parallel.fork_map``, at 1, 2 and 3 processes."""
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import stabgen
 from stabgen.parallel import fork_map
 
 PROCESSES = [1, 2, 3]
@@ -136,3 +140,17 @@ def test_an_exception_that_cannot_be_pickled_arrives_as_its_repr(processes, make
         fork_map(job, range(2), processes)
     assert type(info.value) is RuntimeError
     assert info.value.args == (expected,)
+
+
+def test_numpy_random_is_loaded_before_the_first_fork():
+    # In a fresh interpreter nothing has loaded numpy.random yet; a child
+    # that finds it loaded did not import it again.
+    src = str(Path(stabgen.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\nfrom stabgen.parallel import fork_map\n"
+            "print(fork_map(lambda _: 'numpy.random' in sys.modules, [0, 1], 2))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True]"

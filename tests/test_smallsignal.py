@@ -224,6 +224,17 @@ def test_linearize_rejects_empty_and_conflicting_units():
            DynUnit(KIND_GFOR, 2, GforParams(), 100.0, 50.0)]
     with pytest.raises(LinearizationError):
         linearize(grid, sol, two)
+    # the first forming bus is fine, and the conflict is at a later one
+    grid = fixture_9bus()
+    cell = build_space(grid, [("tau_u", 0.01, 1.0)]).root_cell()
+    sol = next(s for s in (solve_pf(grid, pf_case(grid, op))
+                           for op in hierarchical_sample(cell, 10, 1, grid, seed=7))
+               if s.converged)
+    later = [DynUnit(KIND_SG, 1, SgParams(4.0, 1.5), 100.0, 50.0),
+             DynUnit(KIND_SG, 6, SgParams(4.0, 1.5), 100.0, 50.0),
+             DynUnit(KIND_GFOR, 6, GforParams(), 100.0, 50.0)]
+    with pytest.raises(LinearizationError, match="^bus 6: more than one voltage-forming"):
+        linearize(grid, sol, later)
 
 
 def test_param_validation():
