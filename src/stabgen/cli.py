@@ -118,11 +118,11 @@ def run_report(dataset_path: str, out_dir: str | None = None) -> int:
               file=sys.stderr)
         return 2
     # parse_config's rules; a JSON true is a Python int, but not an integer here
-    for key, value in zip(("forest_trees", "forest_depth", "seed"), forest):
-        if type(value) is not int or (key != "seed" and value < 1):
-            need = "an integer" if key == "seed" else "an integer >= 1"
-            print(f"error: {manifest}: {key} must be {need}, got {value!r}",
-                  file=sys.stderr)
+    for key, value, least in zip(("forest_trees", "forest_depth", "seed"), forest,
+                                 (1, 1, 0)):
+        if type(value) is not int or value < least:
+            print(f"error: {manifest}: {key} must be an integer >= {least}, "
+                  f"got {value!r}", file=sys.stderr)
             return 2
     out = Path(out_dir or Path(dataset_path).parent)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,16 +9,19 @@ Example::
     use_sensitivity=true
     control_params=tau_u:0.01:1.0;tau_w:0.01:1.0
 
-``workers``, the number of processes (the calling one and ``workers - 1``
-forked children) that sample and assess each depth's points and fit
-``generate``'s k-fold forests, can be overridden with the STABGEN_WORKERS
-environment variable.  Each ``control_params`` name must be a field of
-``GforParams`` and/or ``GfolParams``, given once;
-``fixed_split_dims`` must list at least one name, each once, and each one
-of ``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
+Every key but ``fixture``, ``out_dir`` and ``control_params`` is a field
+of ``ExplorationConfig``.  ``workers``, the number of processes (the
+calling one and ``workers - 1`` forked children) that sample and assess
+each depth's points and fit ``generate``'s k-fold forests, can be
+overridden with the STABGEN_WORKERS environment variable.  Each
+``control_params`` name must be a field of ``GforParams`` and/or
+``GfolParams``, given once; ``fixed_split_dims``, read in fixed mode only,
+must list at least one name, each once, and each one of
+``SPLIT_DIM_NAMES`` or a ``control_params`` name (whether the grid has
 that dimension is checked by ``generate`` once the space is built).
 Unknown keys, keys given twice (``fixture`` and ``grid`` are one key),
-bad values (a real number that is not finite among them) and out-of-range
+``fixed_split_dims`` with ``use_sensitivity=true`` (the default), bad
+values (a real number that is not finite among them) and out-of-range
 settings raise ConfigError at parse time.
 """
 
@@ -61,16 +64,13 @@ def _finite(text: str) -> float:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
-
-_EXPLORATION_KEYS = {
-    "n_samples": int, "n_cases": int, "max_depth": int,
-    "min_feasible_rate": _finite, "entropy_decrease_threshold": _finite,
-    "min_tolerance_frac": _finite, "use_sensitivity": "bool",
-    "fixed_split_dims": "strlist", "split_dims_per_node": int,
-    "loss_factor": _finite, "eps_margin": _finite, "seed": int, "workers": int,
-    "dev_bound": _finite, "randomize_loads": "bool", "load_pf": _finite,
-    "forest_trees": int, "forest_depth": int,
-}
+# A key's value is read by its field's (string) annotation; a field of any
+# other type fails at import.
+_PARSE_BY_TYPE = {"int": int, "int | None": int, "float": _finite,
+                  "bool": lambda text: _BOOL[text.lower()],
+                  "tuple[str, ...]": lambda text: tuple(
+                      v.strip() for v in text.split(",") if v.strip())}
+_KEY_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExplorationConfig)}
 
 
 def _parse_control(value: str) -> tuple[tuple[str, float, float], ...]:
@@ -108,8 +108,7 @@ def parse_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{p}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         name = "grid" if key == "fixture" else key  # two names of one key
         if name in first_line:
             raise ConfigError(f"{p}:{lineno}: {key!r} is given twice, first on line "
@@ -122,14 +121,8 @@ def parse_config(path: str | Path) -> RunConfig:
                 cfg.out_dir = value
             elif key == "control_params":
                 cfg.control_params = _parse_control(value)
-            elif key in _EXPLORATION_KEYS:
-                kind = _EXPLORATION_KEYS[key]
-                if kind == "bool":
-                    expl_kwargs[key] = _BOOL[value.lower()]
-                elif kind == "strlist":
-                    expl_kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-                else:
-                    expl_kwargs[key] = kind(value)
+            elif key in _KEY_PARSERS:
+                expl_kwargs[key] = _KEY_PARSERS[key](value)
             else:
                 raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
         except (ValueError, KeyError) as exc:
@@ -148,6 +141,7 @@ def parse_config(path: str | Path) -> RunConfig:
                      (e.n_samples >= 1, "n_samples >= 1"),
                      (e.n_cases >= 1, "n_cases >= 1"),
                      (e.max_depth >= 0, "max_depth >= 0"),
+                     (e.seed >= 0, "seed >= 0"),
                      (0 < e.load_pf <= 1, "0 < load_pf <= 1"),
                      (0 < e.loss_factor <= 1, "0 < loss_factor <= 1"),
                      (e.eps_margin >= 0, "eps_margin >= 0"),
@@ -159,6 +153,8 @@ def parse_config(path: str | Path) -> RunConfig:
                      (e.dims_per_node >= 1, "split_dims_per_node >= 1")):
         if not ok:
             raise ConfigError(f"{p}: out of range, need {rule}")
+    if e.use_sensitivity and "fixed_split_dims" in expl_kwargs:
+        raise ConfigError(f"{p}: fixed_split_dims is read with use_sensitivity=false only")
     split_names = set(SPLIT_DIM_NAMES) | {name for name, _, _ in cfg.control_params}
     unknown = [d for d in e.fixed_split_dims if d not in split_names]
     if unknown:

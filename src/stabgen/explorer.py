@@ -24,7 +24,7 @@ from operator import itemgetter
 from .dataset import DISCARDED, FEASIBLE, INFEASIBLE, LabeledRecord, entropy, labeled_data
 from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
                           adjust_many, adjust_to_feasible)
-from .forest import SensitivityUnavailableError, feature_importance, train_forest
+from .forest import train_forest
 from .grid import GridModel
 from .parallel import fork_map
 from .sampling import hierarchical_sample
@@ -119,34 +119,23 @@ def should_stop(node: ExplorationNode, parent_entropy: float | None,
 
 def choose_split_dims(node: ExplorationNode, config: ExplorationConfig,
                       space: OperatingSpaceSpec) -> list[str]:
-    """Dimensions to bisect at this node.
+    """The first ``dims_per_node`` of the node's candidates, the dimensions
+    above their tolerance floor, to bisect.
 
-    Sensitivity mode ranks the candidates by forest feature importance
-    (falling back to the fixed list when no forest is trainable); fixed
-    mode uses the configured list.  Ties break by declaration order.
-    ``explore`` never takes the fallback: ``should_stop`` ends every
-    zero-entropy cell before it splits, so each cell it splits has labels of
-    both classes and its forest trains.  The fallback serves direct callers.
+    Fixed mode takes those of the configured list, in its order.  Sensitivity
+    mode ranks them by the importances of a forest trained on the node's
+    labels (kept in ``node.importances``), ties in declaration order; a node
+    without labels of both classes raises ``SensitivityUnavailableError``,
+    and ``should_stop`` ends every such cell before ``explore`` splits it.
     """
     candidates = _candidate_dims(node.cell, space, config)
-    if not candidates:
-        return []
-    names = [d.name for d in space.independent]
-    if config.use_sensitivity:
-        try:
-            model = train_forest(labeled_data(node.records, names), config.forest_trees,
-                                 config.forest_depth, seed=config.seed)
-            imp = feature_importance(model)
-            node.importances = dict(zip(names, imp.tolist()))
-            ranked = sorted(candidates,
-                            key=lambda d: (-imp[names.index(d)], names.index(d)))
-            return ranked[:config.dims_per_node]
-        except SensitivityUnavailableError:
-            pass
-    fixed = [d for d in config.fixed_split_dims if d in candidates]
-    if not fixed:
-        fixed = sorted(candidates, key=names.index)
-    return fixed[:config.dims_per_node]
+    if config.use_sensitivity and candidates:
+        names = [d.name for d in space.independent]
+        imp = train_forest(labeled_data(node.records, names), config.forest_trees,
+                           config.forest_depth, seed=config.seed).importances
+        node.importances = dict(zip(names, imp.tolist()))
+        candidates.sort(key=lambda d: -imp[names.index(d)])  # stable: ties keep order
+    return candidates[:config.dims_per_node]
 
 
 def _with_controls(params, dim_values: dict[str, float]):

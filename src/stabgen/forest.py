@@ -218,9 +218,7 @@ def _trees(levels):
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    importances: np.ndarray    # normalized, sums to 1
-    feature_names: list[str]
-    seed: int
+    importances: np.ndarray    # mean decrease in Gini impurity, sums to 1
 
     def votes(self, x: np.ndarray) -> np.ndarray:
         """How many trees predict 1 for each row of ``x``.
@@ -285,12 +283,7 @@ def train_forest(data: LabeledDataset, n_trees: int = 100, max_depth: int = 8,
     raw = np.divide(imp, tot, out=imp, where=tot > 0).sum(axis=0)
     total = raw.sum()
     importances = raw / total if total > 0 else np.full(d, 1.0 / d)
-    return ForestModel(trees, importances, list(data.feature_names), seed)
-
-
-def feature_importance(forest: ForestModel) -> np.ndarray:
-    """Mean decrease in Gini impurity per feature, normalized to sum 1."""
-    return forest.importances.copy()
+    return ForestModel(trees, importances)
 
 
 def kfold_folds(labels: np.ndarray, k: int = 5, seed: int = 0) -> np.ndarray:

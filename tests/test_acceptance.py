@@ -19,8 +19,7 @@ from stabgen.explorer import (ExplorationConfig, entropy, explore,
                               STOP_MIN_FEASIBLE_RATE, STOP_TOLERANCE_FLOOR,
                               STOP_ZERO_ENTROPY)
 from stabgen.feasibility import pf_case, solve_pf
-from stabgen.forest import (LabeledDataset, feature_importance, kfold_accuracy,
-                            train_forest)
+from stabgen.forest import LabeledDataset, kfold_accuracy, train_forest
 from stabgen.grid import (Bus, GenGroup, GridModel, Line, Load, PV, SG, SLACK,
                           fixture_3bus, fixture_9bus)
 from stabgen.sampling import disaggregate, lhs, rng_stream
@@ -269,7 +268,7 @@ def test_criterion_7_forest_sanity():
         y = (x[:, 0] > 0.5).astype(int)
         data = LabeledDataset(x, y, [f"x{i}" for i in range(4)])
         model = train_forest(data, n_trees=50, seed=seed)
-        importances.append(feature_importance(model)[0])
+        importances.append(model.importances[0])
     assert min(importances) >= 0.8
 
     rng = np.random.default_rng(100)

@@ -10,8 +10,7 @@ import pytest
 
 import stabgen
 from stabgen.cli import main, run_report, run_scan
-from stabgen.config import (_EXPLORATION_KEYS, ConfigError, config_as_dict,
-                            parse_config)
+from stabgen.config import ConfigError, config_as_dict, parse_config
 from stabgen.dataset import METRICS_COLUMNS, compute_metrics, read_dataset, write_metrics
 from stabgen.explorer import ExplorationConfig
 from stabgen.grid import (IBR, Bus, GenGroup, GridModel, Line, Load, PQ, PV, SG,
@@ -106,6 +105,7 @@ def test_workers_env_override(tmp_path, monkeypatch):
     ("n_samples=0\n", None),
     ("n_cases=0\n", None),
     ("max_depth=-1\n", None),
+    ("seed=-1\n", None),                          # np.random.default_rng refuses it
     ("load_pf=1.5\n", None),
     ("load_pf=0\n", None),
     ("control_params=tau_u:1.0:0.01\n", None),    # lo >= hi
@@ -180,7 +180,7 @@ def test_split_dim_absent_from_grid_rejected(tmp_path):
     export_tables(grid, tmp_path / "grid")  # no IBR groups, so no P_IBR dimension
     out_dir = tmp_path / "out"
     text = (f"grid={tmp_path / 'grid'}\nn_samples=8\nn_cases=1\nmax_depth=0\n"
-            "workers=2\n")
+            "workers=2\nuse_sensitivity=false\n")
     cfg = _write_cfg(tmp_path, text + "fixed_split_dims=P_IBR\n", out_dir=str(out_dir))
     parse_config(cfg)  # a valid name; only the grid lacks it
     assert main(["generate", "--config", str(cfg)]) == 2
@@ -235,11 +235,37 @@ def test_fixed_split_dims_accepts_control_names(tmp_path):
     assert cfg.exploration.fixed_split_dims == ("V_anchor", "k_p")
 
 
-def test_every_exploration_field_is_a_key():
-    # A field without a key cannot be set; a key without a field parses and
-    # does nothing.
-    names = {f.name for f in dataclasses.fields(ExplorationConfig)}
-    assert set(_EXPLORATION_KEYS) == names
+@pytest.mark.parametrize("mode", ["", "use_sensitivity=true\n"])
+def test_fixed_split_dims_in_sensitivity_mode_rejected(mode, tmp_path):
+    # sensitivity mode, by default or explicitly, would ignore the list
+    out_dir = tmp_path / "out"
+    text = _fast_with("fixed_split_dims=P_SG\n").replace("use_sensitivity=false\n", mode)
+    cfg = _write_cfg(tmp_path, text, out_dir=str(out_dir))
+    with pytest.raises(ConfigError, match="fixed_split_dims"):
+        parse_config(cfg)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+
+
+def test_every_exploration_field_is_a_key(tmp_path, monkeypatch):
+    # one value other than the default per field, each type's reader included
+    monkeypatch.delenv("STABGEN_WORKERS", raising=False)
+    values = dict(n_samples=7, n_cases=2, max_depth=3, min_feasible_rate=0.25,
+                  entropy_decrease_threshold=-0.5, min_tolerance_frac=0.125,
+                  use_sensitivity=False, fixed_split_dims=("V_anchor", "P_SG"),
+                  split_dims_per_node=1, loss_factor=0.5, eps_margin=0.001, seed=11,
+                  workers=3, dev_bound=0.125, randomize_loads=True, load_pf=0.875,
+                  forest_trees=9, forest_depth=3)
+    default = ExplorationConfig()
+    assert set(values) == {f.name for f in dataclasses.fields(ExplorationConfig)}
+    lines = []
+    for name, value in values.items():
+        assert value != getattr(default, name), name
+        text = (str(value).lower() if isinstance(value, bool)
+                else ",".join(value) if isinstance(value, tuple) else str(value))
+        lines.append(f"{name}={text}\n")
+    e = parse_config(_write_cfg(tmp_path, "".join(lines))).exploration
+    assert {name: getattr(e, name) for name in values} == values
 
 
 def test_config_as_dict_serializable(tmp_path):
@@ -421,7 +447,8 @@ def test_report_without_manifest_exit_code(tmp_path, capsys):
     good = json.loads(manifest.read_text(encoding="utf-8"))
     # forest settings that parse_config would have refused
     for key, value in (("forest_depth", 0), ("forest_trees", 0), ("forest_trees", 2.5),
-                       ("forest_trees", True), ("seed", "abc"), ("seed", None)):
+                       ("forest_trees", True), ("seed", "abc"), ("seed", None),
+                       ("seed", -1)):
         run = dict(good["config"], **{key: value})
         manifest.write_text(json.dumps({"config": run}), encoding="utf-8")
         assert main(["report", "--dataset", str(out_dir / "dataset.csv")]) == 2

@@ -116,12 +116,14 @@ def test_fixed_mode_split_dims():
     assert choose_split_dims(node, cfg, space) == ["P_SG", "P_IBR"]
 
 
-def test_sensitivity_falls_back_without_two_classes():
-    # no feasible records at all -> forest untrainable -> fixed dims
+def test_sensitivity_without_two_classes_raises():
+    # no labeled records at all: no forest to rank by, and no fallback
     cfg = ExplorationConfig(use_sensitivity=True)
     space = _space()
     node = ExplorationNode(cell=space.root_cell())
-    assert choose_split_dims(node, cfg, space) == ["P_SG"]
+    with pytest.raises(forest.SensitivityUnavailableError):
+        choose_split_dims(node, cfg, space)
+    assert node.importances == {}
 
 
 # -- assessment and full exploration ------------------------------------------

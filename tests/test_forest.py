@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from stabgen import forest
 from stabgen.forest import (LabeledDataset, SensitivityUnavailableError,
-                            feature_importance, kfold_accuracy, train_forest)
+                            kfold_accuracy, train_forest)
 
 from oracles import ReferenceForest, reference_kfold, tree_predict
 
@@ -24,7 +24,7 @@ def test_informative_feature_dominates():
     for seed in range(5):
         data = _threshold_data(seed=seed)
         model = train_forest(data, n_trees=50, seed=seed)
-        imp = feature_importance(model)
+        imp = model.importances
         assert imp[0] >= 0.8
         assert imp.sum() == pytest.approx(1.0)
         assert np.all(imp >= 0)
@@ -52,7 +52,7 @@ def test_permuting_informative_feature_destroys_importance():
     x = data.features.copy()
     x[:, 0] = rng.permutation(x[:, 0])
     broken = LabeledDataset(x, data.labels, data.feature_names)
-    imp = feature_importance(train_forest(broken, n_trees=50))
+    imp = train_forest(broken, n_trees=50).importances
     assert imp[0] < 0.5  # no longer dominant once decoupled from the labels
 
 
@@ -141,7 +141,7 @@ def test_validation_errors():
 def test_noise_tolerance():
     data = _threshold_data(n=500, seed=8, noise=0.1)
     model = train_forest(data, n_trees=50, seed=8)
-    assert feature_importance(model)[0] >= 0.5
+    assert model.importances[0] >= 0.5
     mean, _ = kfold_accuracy(data, k=5, n_trees=30, seed=8)
     assert mean > 0.8
 
