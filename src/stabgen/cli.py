@@ -69,8 +69,9 @@ def run_generate(config_path: str) -> int:
     dim_names = [d.name for d in space.independent]
     split_dims = cfg.exploration.fixed_split_dims
     absent = [d for d in split_dims if d not in dim_names]
-    # The default list stands for whichever of its dimensions the grid has.
-    if absent and split_dims != ExplorationConfig.fixed_split_dims:
+    # Left unset, the key is the default tuple itself (the parser builds a new
+    # one), which stands for whichever of its dimensions the grid has.
+    if absent and split_dims is not ExplorationConfig.fixed_split_dims:
         print(f"error: fixed_split_dims names no dimension of grid {cfg.grid!r}: "
               f"{', '.join(absent)}", file=sys.stderr)
         return 2

@@ -88,8 +88,7 @@ def labeled_data(records: list[LabeledRecord], dim_names: list[str]) -> LabeledD
     labeled = [r for r in records if r.labeled]
     x = np.array([[r.dims[n] for n in dim_names] for r in labeled])
     return LabeledDataset(x.reshape(len(labeled), len(dim_names)),
-                          np.array([int(r.stable) for r in labeled], dtype=int),
-                          dim_names)
+                          np.array([int(r.stable) for r in labeled], dtype=int))
 
 
 def foldable(data: LabeledDataset, kfold: int = KFOLD) -> bool:

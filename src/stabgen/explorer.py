@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, islice
 
 from .dataset import DISCARDED, FEASIBLE, INFEASIBLE, LabeledRecord, entropy, labeled_data
 from .feasibility import (DEFAULT_LOAD_PF, ConstraintReport, FeasibilityVerdict,
@@ -199,26 +198,16 @@ def _assess_chunk(grid: GridModel, config: ExplorationConfig,
     return assess_many(grid, config, points)
 
 
-def _chunks(items: list, k: int) -> list[list]:
-    """``items`` cut into at most ``k`` contiguous, non-empty pieces whose
-    sizes differ by at most one."""
-    cuts = [len(items) * i // k for i in range(k + 1)]
-    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-def _sample_chunks(cells: list[Subregion], n_samples: int,
+def _sample_chunks(cells: list[Subregion], n: int,
                    k: int) -> list[list[tuple[Subregion, range]]]:
-    """The ``(cell, sample index)`` pairs of ``cells`` cut by ``_chunks``,
-    each chunk as one ``(cell, range of sample indices)`` piece per cell."""
-    pairs = [(i, s) for i in range(len(cells)) for s in range(n_samples)]
-    out = []
-    for chunk in _chunks(pairs, k):
-        pieces = []
-        for i, run in groupby(chunk, key=itemgetter(0)):
-            samples = [s for _, s in run]
-            pieces.append((cells[i], range(samples[0], samples[-1] + 1)))
-        out.append(pieces)
-    return out
+    """The ``n`` sample indices of each of ``cells``, as ``(cell, sample)``
+    pairs in frontier order, cut into at most ``k`` contiguous, non-empty
+    chunks whose sizes differ by at most one; each chunk as one ``(cell,
+    range of sample indices)`` piece per cell."""
+    cuts = [len(cells) * n * j // k for j in range(k + 1)]
+    return [[(cells[i], range(max(a - i * n, 0), min(b - i * n, n)))
+             for i in range(a // n, (b - 1) // n + 1)]
+            for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _record_key(r: LabeledRecord) -> tuple[str, int, int]:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import DISCARDED, FEASIBLE, INFEASIBLE
-# build_admittance stays importable here for bench/tracer.py, which wraps it
-# by this module's name; the compiled network (GridModel.network) calls it.
+# build_admittance stays importable here only for bench/tracer.py, which
+# wraps it by this module's name; no engine code calls it.
 from .grid import (GridModel, IBR, SG, Network, build_admittance,  # noqa: F401
                    power_jacobian)
 from .space import (OperatingPoint, Subregion, P_IBR, P_SG, contains_values)

@@ -25,7 +25,7 @@ trees' stacked arrays at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class SensitivityUnavailableError(ValueError):
 class LabeledDataset:
     features: np.ndarray       # (n, d) dimension values of feasible samples
     labels: np.ndarray         # (n,) binary stable/unstable
-    feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -313,7 +312,7 @@ def fold_accuracy(data: LabeledDataset, fold: np.ndarray, i: int, n_trees: int =
     seed ``seed + 1 + i``."""
     test = np.flatnonzero(fold == i)
     train = np.flatnonzero(fold != i)
-    sub = LabeledDataset(data.features[train], data.labels[train], data.feature_names)
+    sub = LabeledDataset(data.features[train], data.labels[train])
     model = train_forest(sub, n_trees, max_depth, seed + 1 + i)
     return float(np.mean(model.predict(data.features[test]) == data.labels[test]))
 

@@ -267,28 +267,17 @@ def _shares(weight: np.ndarray, bus: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_admittance(grid: GridModel) -> np.ndarray:
-    """Complex bus-admittance matrix Y (pi model, per unit on base_mva).
+    """Complex bus-admittance matrix Y (pi model, per unit on base_mva), a
+    writable copy of the compiled network's.
 
     Rows/columns follow the order of ``grid.buses``; row sums equal the
     total shunt susceptance connected at each bus.
     """
-    n = len(grid.buses)
-    idx = grid.bus_index
-    y = np.zeros((n, n), dtype=complex)
-    for ln in grid.lines:
-        i, j = idx[ln.from_bus], idx[ln.to_bus]
-        y_series = 1.0 / complex(ln.r, ln.x)
-        y_shunt = 0.5j * ln.b
-        y[i, i] += y_series + y_shunt
-        y[j, j] += y_series + y_shunt
-        y[i, j] -= y_series
-        y[j, i] -= y_series
-    return y
+    return grid.network.ybus.copy()
 
 
 def compile_network(grid: GridModel) -> Network:
-    """The arrays of ``grid``; its admittance matrix comes from
-    ``build_admittance``."""
+    """The arrays of ``grid``; its admittance matrix sums the lines' pi models."""
     idx = grid.bus_index
     groups = grid.gen_groups
     n = len(grid.buses)
@@ -305,18 +294,28 @@ def compile_network(grid: GridModel) -> Network:
     is_pv = np.bincount(gen_bus, minlength=n) > 0
     is_pv[slack] = False
     at_slack = gen_bus == slack
+    line_from = col((idx[ln.from_bus] for ln in grid.lines), int)
+    line_to = col((idx[ln.to_bus] for ln in grid.lines), int)
+    y_series = col((1.0 / complex(ln.r, ln.x) for ln in grid.lines), complex)
+    y_shunt = col((0.5j * ln.b for ln in grid.lines), complex)
+    # each entry adds its lines' terms in line order (no line is a self loop)
+    near = np.stack([line_from, line_to], axis=1).ravel()
+    far = np.stack([line_to, line_from], axis=1).ravel()
+    ybus = np.zeros((n, n), dtype=complex)
+    np.add.at(ybus, (near, near), np.repeat(y_series + y_shunt, 2))
+    np.add.at(ybus, (near, far), np.repeat(-y_series, 2))
     check_ids = tuple([f"v_{b.id}" for b in grid.buses]
                       + [f"line_{ln.from_bus}_{ln.to_bus}" for ln in grid.lines]
                       + [f"{kind}_{g.name}" for g in groups
                          for kind in ("pmin", "pmax", "qmin", "qmax", "pf")])
     net = Network(
-        ybus=build_admittance(grid),
+        ybus=ybus,
         slack=slack,
         bus_ids=tuple(b.id for b in grid.buses),
-        line_from=col((idx[ln.from_bus] for ln in grid.lines), int),
-        line_to=col((idx[ln.to_bus] for ln in grid.lines), int),
-        line_y_series=col((1.0 / complex(ln.r, ln.x) for ln in grid.lines), complex),
-        line_y_shunt=col((0.5j * ln.b for ln in grid.lines), complex),
+        line_from=line_from,
+        line_to=line_to,
+        line_y_series=y_series,
+        line_y_shunt=y_shunt,
         gen_bus=gen_bus,
         gen_p_min=col(g.p_min for g in groups),
         gen_p_max=gen_p_max,

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-# build_admittance stays importable here for bench/tracer.py, which wraps it
-# by this module's name; the compiled network (GridModel.network) calls it.
+# build_admittance stays importable here only for bench/tracer.py, which
+# wraps it by this module's name; no engine code calls it.
 from .grid import SG as SG_TECH, build_admittance, power_jacobian  # noqa: F401
 
 if TYPE_CHECKING:

@@ -9,9 +9,10 @@ numerics, so agreement is meaningful evidence.  ``newton_pf_one``,
 one-point forms of the power flow, the repair's 1 MW trials, the
 constraint checks, the repair's objective, its voltage certificate and the
 repair itself, kept as the bit-for-bit references of their stacked forms.
-So are ``tree_predict``, one tree's share of the forest's stacked vote, and
+So are ``tree_predict``, one tree's share of the forest's stacked vote,
 ``voltage_walk``, the voltage walk with the grid's lookups rebuilt for
-every sample.  ``dispatch_scan`` scans a repair's capability box with
+every sample, and ``admittance_loop``, the admittance matrix built line by
+line.  ``dispatch_scan`` scans a repair's capability box with
 ``newton_pf_one`` and ``check_constraints_loop`` alone, a reference that
 does not depend on the repair's descent path.  ``disaggregate_gaussian`` is
 the allocation strategy that the sampler's variance-maximizing fill is
@@ -29,7 +30,7 @@ from stabgen.feasibility import (DEFAULT_LOAD_PF, INFEASIBLE, PF_MAX_ITER, PF_TO
                                  ConstraintReport, FeasibilityVerdict, PowerFlowSolution,
                                  _apply_dispatch, _solutions, _unknowns, classify, pf_case)
 from stabgen.forest import Tree
-from stabgen.grid import SLACK, GridModel, build_admittance, power_jacobian
+from stabgen.grid import SLACK, GridModel, power_jacobian
 from stabgen.space import OperatingPoint
 
 
@@ -37,6 +38,22 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log(p) - (1 - p) * math.log(1 - p)
+
+
+def admittance_loop(grid: GridModel) -> np.ndarray:
+    """The bus-admittance matrix Y, each line's pi model added in turn."""
+    n = len(grid.buses)
+    idx = grid.bus_index
+    y = np.zeros((n, n), dtype=complex)
+    for ln in grid.lines:
+        i, j = idx[ln.from_bus], idx[ln.to_bus]
+        y_series = 1.0 / complex(ln.r, ln.x)
+        y_shunt = 0.5j * ln.b
+        y[i, i] += y_series + y_shunt
+        y[j, j] += y_series + y_shunt
+        y[i, j] -= y_series
+        y[j, i] -= y_series
+    return y
 
 
 def dense_power_jacobian(ybus: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -64,7 +81,7 @@ def gauss_seidel_pf(grid: GridModel, op: OperatingPoint,
     """
     n = len(grid.buses)
     idx = grid.bus_index
-    ybus = build_admittance(grid)
+    ybus = admittance_loop(grid)
     base = grid.base_mva
     tan_phi = math.tan(math.acos(load_pf))
 

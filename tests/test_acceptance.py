@@ -266,7 +266,7 @@ def test_criterion_7_forest_sanity():
         rng = np.random.default_rng(seed)
         x = rng.random((300, 4))
         y = (x[:, 0] > 0.5).astype(int)
-        data = LabeledDataset(x, y, [f"x{i}" for i in range(4)])
+        data = LabeledDataset(x, y)
         model = train_forest(data, n_trees=50, seed=seed)
         importances.append(model.importances[0])
     assert min(importances) >= 0.8
@@ -274,10 +274,10 @@ def test_criterion_7_forest_sanity():
     rng = np.random.default_rng(100)
     x = rng.random((300, 4))
     y = (x[:, 0] > 0.5).astype(int)
-    data = LabeledDataset(x, y, [f"x{i}" for i in range(4)])
+    data = LabeledDataset(x, y)
     mean, _ = kfold_accuracy(data, k=5, n_trees=50)
     assert mean > 0.95
-    shuffled = LabeledDataset(x, rng.permutation(y), data.feature_names)
+    shuffled = LabeledDataset(x, rng.permutation(y))
     mean_s, _ = kfold_accuracy(shuffled, k=5, n_trees=50)
     assert abs(mean_s - 0.5) <= 0.1
     assert time.perf_counter() - t0 < 30.0
@@ -346,7 +346,7 @@ def test_criterion_10_stop_reasons(sens_runs, fixed_run):
             if node.stop_reason is not None:
                 assert not node.children
     # should_stop ends every zero-entropy cell before it splits, so each cell
-    # the sensitivity run splits has both classes and its split forest trains:
-    # explore never takes choose_split_dims' fixed-list fallback
+    # the sensitivity run splits has both classes and its split forest trains,
+    # so every split node carries importances
     split = [node for node in _walk(sens_runs[8][0]) if node.children]
     assert split and all(node.importances for node in split)

@@ -168,7 +168,7 @@ def test_range_edges_accepted(tmp_path):
     assert (e.min_tolerance_frac, e.eps_margin, e.dev_bound) == (0.0, 0.0, 0.0)
 
 
-def test_split_dim_absent_from_grid_rejected(tmp_path):
+def test_split_dim_absent_from_grid_rejected(tmp_path, capsys):
     grid = GridModel(
         buses=(Bus(1, SLACK, 0.95, 1.05), Bus(2, PV, 0.95, 1.05),
                Bus(3, PQ, 0.95, 1.05)),
@@ -181,11 +181,16 @@ def test_split_dim_absent_from_grid_rejected(tmp_path):
     out_dir = tmp_path / "out"
     text = (f"grid={tmp_path / 'grid'}\nn_samples=8\nn_cases=1\nmax_depth=0\n"
             "workers=2\nuse_sensitivity=false\n")
-    cfg = _write_cfg(tmp_path, text + "fixed_split_dims=P_IBR\n", out_dir=str(out_dir))
-    parse_config(cfg)  # a valid name; only the grid lacks it
-    assert main(["generate", "--config", str(cfg)]) == 2
-    assert not out_dir.exists()
-    # The default list (P_SG, P_IBR) keeps whichever of its dimensions exist.
+    # A given list is checked whole, in either order, even when it equals
+    # the default list.
+    for dims in ("P_IBR", "P_SG,P_IBR", "P_IBR,P_SG"):
+        cfg = _write_cfg(tmp_path, text + f"fixed_split_dims={dims}\n", out_dir=str(out_dir))
+        parse_config(cfg)  # valid names; only the grid lacks P_IBR
+        assert main(["generate", "--config", str(cfg)]) == 2, dims
+        assert capsys.readouterr().err.rstrip().endswith(": P_IBR"), dims
+        assert not out_dir.exists()
+    # The default list (P_SG, P_IBR), when the key is not given, keeps
+    # whichever of its dimensions exist.
     cfg = _write_cfg(tmp_path, text, out_dir=str(out_dir))
     assert main(["generate", "--config", str(cfg)]) == 0
     assert (out_dir / "dataset.csv").exists()

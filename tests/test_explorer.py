@@ -186,24 +186,24 @@ def test_failed_linearization_makes_an_unlabeled_infeasible_record(monkeypatch, 
 
 
 def test_admittance_built_once_per_grid(monkeypatch):
-    from stabgen import feasibility, grid as grid_module, smallsignal
+    # the admittance matrix is built with the compiled network, once per grid
+    from stabgen import grid as grid_module
 
-    real = grid_module.build_admittance
+    real = grid_module.compile_network
     builds = []
 
     def counting(grid):
         builds.append(grid)
         return real(grid)
 
-    for module in (grid_module, feasibility, smallsignal):
-        monkeypatch.setattr(module, "build_admittance", counting)
+    monkeypatch.setattr(grid_module, "compile_network", counting)
     grid = fixture_3bus()
     space = build_space(grid, CONTROL)
     cell = space.root_cell()
     records = [assess(grid, op, cell, _fast_config(), 0)
                for op in hierarchical_sample(cell, 20, 1, grid, seed=3)]
     assert any(r.verdict == "Feasible" for r in records)  # linearize ran
-    assert len(builds) <= 1
+    assert builds == [grid]
 
 
 def test_control_dimensions_reach_converter_params():
@@ -259,6 +259,22 @@ def test_explore_deterministic_across_workers():
                       r.verdict, r.max_real, tuple(sorted(r.dims.items())))
                      for r in records])
     assert runs[0] == runs[1]
+
+
+@given(st.integers(0, 6), st.integers(1, 8), st.integers(1, 11))
+def test_sample_chunks_cut_the_frontier_evenly(n_cells, n, k):
+    # a depth's (cell, sample) pairs in at most k contiguous chunks of sizes
+    # within one of each other, one range of samples per cell in a chunk
+    cells = [f"c{i}" for i in range(n_cells)]  # the cut never looks inside a cell
+    chunks = explorer._sample_chunks(cells, n, k)
+    assert len(chunks) <= k
+    sizes = [sum(len(samples) for _, samples in chunk) for chunk in chunks]
+    assert all(sizes) and max(sizes, default=0) - min(sizes, default=0) <= 1
+    for chunk in chunks:
+        held = [c for c, samples in chunk if samples]  # no piece is empty
+        assert held == [c for c, _ in chunk] and len(set(held)) == len(held)
+    assert [(c, s) for chunk in chunks for c, samples in chunk for s in samples] == [
+        (c, s) for c in cells for s in range(n)]
 
 
 def test_nine_bus_dataset_is_identical_at_any_worker_count(monkeypatch, tmp_path):

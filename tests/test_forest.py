@@ -17,7 +17,7 @@ def _threshold_data(n=300, d=4, seed=0, noise=0.0):
     if noise > 0:
         flip = rng.random(n) < noise
         y[flip] = 1 - y[flip]
-    return LabeledDataset(x, y, [f"x{i}" for i in range(d)])
+    return LabeledDataset(x, y)
 
 
 def test_informative_feature_dominates():
@@ -40,8 +40,7 @@ def test_separable_data_cross_validates_cleanly():
 def test_shuffled_labels_score_at_chance():
     data = _threshold_data(seed=2)
     rng = np.random.default_rng(7)
-    shuffled = LabeledDataset(data.features, rng.permutation(data.labels),
-                              data.feature_names)
+    shuffled = LabeledDataset(data.features, rng.permutation(data.labels))
     mean, _ = kfold_accuracy(shuffled, k=5, n_trees=30)
     assert abs(mean - 0.5) < 0.1
 
@@ -51,7 +50,7 @@ def test_permuting_informative_feature_destroys_importance():
     rng = np.random.default_rng(3)
     x = data.features.copy()
     x[:, 0] = rng.permutation(x[:, 0])
-    broken = LabeledDataset(x, data.labels, data.feature_names)
+    broken = LabeledDataset(x, data.labels)
     imp = train_forest(broken, n_trees=50).importances
     assert imp[0] < 0.5  # no longer dominant once decoupled from the labels
 
@@ -114,7 +113,7 @@ def test_deterministic_for_fixed_seed():
 
 def test_single_class_raises():
     x = np.random.default_rng(0).random((30, 3))
-    data = LabeledDataset(x, np.zeros(30, dtype=int), ["a", "b", "c"])
+    data = LabeledDataset(x, np.zeros(30, dtype=int))
     with pytest.raises(SensitivityUnavailableError):
         train_forest(data)
     with pytest.raises(SensitivityUnavailableError):

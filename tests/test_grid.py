@@ -9,7 +9,7 @@ from stabgen.grid import (Bus, GenGroup, GridError, GridModel, Line, Load,
                           fixture_3bus, fixture_9bus, get_fixture, load_grid,
                           power_jacobian)
 
-from oracles import dense_power_jacobian
+from oracles import admittance_loop, dense_power_jacobian
 
 
 def test_capability_limits_reference_values():
@@ -130,6 +130,41 @@ def test_admittance_symmetry_and_row_sums():
     assert np.allclose(y, y.T)
     # without shunts the rows of the series part sum to the shunt terms only
     assert y.shape == (9, 9)
+
+
+@st.composite
+def _grids(draw):
+    """A fixture, or a random connected grid of 1 to 7 buses with unsorted,
+    non-contiguous ids, a spanning tree of lines plus extra ones that may
+    run parallel to others, and no lines at all on one bus."""
+    kind = draw(st.sampled_from(["3bus", "9bus", "random"]))
+    if kind != "random":
+        return get_fixture(kind)
+    ids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=7, unique=True))
+    slack = draw(st.sampled_from(ids))
+    buses = tuple(Bus(i, "Slack" if i == slack else "PQ", 0.9, 1.1) for i in ids)
+    ends = [(ids[k], draw(st.sampled_from(ids[:k]))) for k in range(1, len(ids))]
+    if len(ids) > 1:
+        ends += draw(st.lists(st.permutations(ids).map(lambda p: tuple(p[:2])),
+                              max_size=6))
+    ends = draw(st.permutations(ends))
+    value = st.floats(-2.0, 2.0)
+    reactance = st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)  # a finite 1 / (r + jx)
+    lines = tuple(Line(i, j, draw(value), draw(reactance), draw(value), 100.0)
+                  for i, j in ends)
+    return GridModel(buses, lines, (), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_admittance_matrix_equals_line_loop(grid):
+    # the compiled Y is bit-equal to the pi models added line by line, and
+    # build_admittance hands out a writable copy of it
+    assert grid.network.ybus.tobytes() == admittance_loop(grid).tobytes()
+    y = build_admittance(grid)
+    assert y.tobytes() == grid.network.ybus.tobytes()
+    y += 1.0
+    assert grid.network.ybus.tobytes() == admittance_loop(grid).tobytes()
 
 
 def test_csv_round_trip(tmp_path):
